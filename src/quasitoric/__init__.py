@@ -62,51 +62,3 @@ from .positivity import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CharacteristicMatrix",
-    "CharacteristicPair",
-    "Omniorientation",
-    "all_signs",
-    "basis_change",
-    "relabel_facets",
-    "validate_char",
-    "vertex_sign",
-    "connected_sum_4d",
-    "cp2_sum",
-    "cpn",
-    "facet_cycle",
-    "hirzebruch",
-    "polygon",
-    "product",
-    "vertex_cut",
-    "QuasitoricError",
-    "PairDocument",
-    "parse",
-    "serialize",
-    "IntersectionForm",
-    "InvariantReport",
-    "almost_complex_exists_4d",
-    "chern_top_number",
-    "compute_invariants",
-    "euler_characteristic",
-    "intersection_form",
-    "signature",
-    "todd_genus_4d",
-    "OrientationClass",
-    "SimplePolytope",
-    "adjacent_vertex",
-    "f_vector",
-    "h_vector",
-    "orient_dual_sphere",
-    "validate_polytope",
-    "BruteForceResult",
-    "Gf2System",
-    "PositivityResult",
-    "admits_invariant_acs",
-    "brute_force_decide",
-    "build_system",
-    "count_positive_omniorientations",
-    "decide_positive",
-    "solve",
-]

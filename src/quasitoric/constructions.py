@@ -13,8 +13,8 @@ from itertools import combinations
 from . import linalg
 from .charpair import CharacteristicPair, basis_change, validate_char
 from .errors import (
+    InternalInconsistencyError,
     InvalidResultError,
-    NoUnimodularMatchError,
     NotDimension2Error,
     ValidationError,
 )
@@ -159,7 +159,7 @@ def connected_sum_4d(
     source = ((col2(g)[0], col2(g_next)[0]), (col2(g)[1], col2(g_next)[1]))
     align = linalg.mat_mul(target, linalg.inv_unimodular_2x2(source))
     if linalg.det_bareiss(align) != 1:  # pragma: no cover - defect guard
-        raise NoUnimodularMatchError(f"no det +1 alignment at {v1} / {v2}")
+        raise InternalInconsistencyError(f"no det +1 alignment at {v1} / {v2}")
 
     walk = [("p1", f_next)]
     while walk[-1][1] != f:

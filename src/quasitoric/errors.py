@@ -89,17 +89,9 @@ class InvalidResultError(QuasitoricError):
     """A construction produced data that fails validation."""
 
 
-class NoUnimodularMatchError(QuasitoricError):
-    """No GL(2,Z) alignment between the chosen connected-sum vertices."""
-
-
 class NotDimension2Error(QuasitoricError):
     def __init__(self, dim):
         super().__init__(f"operation defined only for dim 2, got dim {dim}")
-
-
-class DegenerateRelationsError(QuasitoricError):
-    """No pair of lambda columns forms a Z^2 basis."""
 
 
 class ParseError(QuasitoricError):

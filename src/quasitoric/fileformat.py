@@ -28,8 +28,6 @@ from .errors import (
 )
 from .polytope import validate_polytope
 
-EXTENSION = ".qtm"
-
 
 @dataclass(frozen=True)
 class PairDocument:

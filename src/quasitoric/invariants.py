@@ -9,11 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charpair import CharacteristicPair, Omniorientation, all_signs
-from .errors import (
-    DegenerateRelationsError,
-    InternalInconsistencyError,
-    NotDimension2Error,
-)
+from .errors import InternalInconsistencyError, NotDimension2Error
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ def intersection_form(pair: CharacteristicPair, omni: Omniorientation) -> Inters
         if drop:
             break
     if drop is None:  # pragma: no cover - impossible for valid pairs
-        raise DegenerateRelationsError("no two columns form a Z^2 basis")
+        raise InternalInconsistencyError("no two columns form a Z^2 basis")
 
     basis = tuple(j for j in range(m) if j not in drop)
     matrix = []

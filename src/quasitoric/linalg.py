@@ -49,10 +49,6 @@ def mat_mul(a, b):
     )
 
 
-def identity(k):
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-
-
 def inv_unimodular_2x2(a):
     """Inverse of an integer 2x2 matrix with det +-1 (stays integral)."""
     (p, q), (r, s) = a

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import kernels
+import numpy as np
+
 from .charpair import CharacteristicPair, Omniorientation, all_signs
 from .errors import InternalInconsistencyError, TooLargeError
 
@@ -174,14 +175,18 @@ def count_positive_omniorientations(pair: CharacteristicPair) -> int:
 def brute_force_decide(pair: CharacteristicPair) -> BruteForceResult:
     """Independent oracle: enumerate all 2^(m+1) omniorientations.
 
-    Refuses m > BRUTE_FORCE_MAX_FACETS. Runs on the backend selected in
-    :mod:`quasitoric.kernels`; counts and the reported certificate (smallest
-    assignment mask) are backend-independent.
+    Refuses m > BRUTE_FORCE_MAX_FACETS. A mask satisfies the system when its
+    bit-parity against each vertex row equals that row's rhs bit; the
+    reported certificate is the smallest satisfying mask.
     """
     m = pair.polytope.num_facets
     if m > BRUTE_FORCE_MAX_FACETS:
         raise TooLargeError(f"{m} facets means 2^{m + 1} assignments; refusing")
     system = build_system(pair)
-    count, first = kernels.enumerate_satisfying(system.rows, system.rhs, system.num_unknowns)
-    cert = _omni_from_mask(first, m) if count else None
-    return BruteForceResult(satisfiable=count > 0, count=count, certificate=cert)
+    masks = np.arange(1 << system.num_unknowns, dtype=np.uint64)
+    ok = np.ones(masks.size, dtype=bool)
+    for row, b in zip(system.rows, system.rhs):
+        ok &= (np.bitwise_count(masks & np.uint64(row)) & np.uint8(1)) == b
+    hits = np.flatnonzero(ok)
+    cert = _omni_from_mask(int(hits[0]), m) if hits.size else None
+    return BruteForceResult(satisfiable=hits.size > 0, count=int(hits.size), certificate=cert)

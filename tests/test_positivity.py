@@ -16,12 +16,14 @@ from quasitoric import (
     cp2_sum,
     cpn,
     decide_positive,
+    hirzebruch,
     relabel_facets,
     solve,
 )
 from quasitoric.charpair import CharacteristicPair
 from quasitoric.errors import TooLargeError
 from quasitoric.polytope import OrientationClass
+from quasitoric.positivity import _omni_from_mask
 from support import random_unimodular, random_valid_pair
 
 
@@ -139,6 +141,28 @@ def test_brute_force_certificate_positive():
         brute = brute_force_decide(pair)
         if brute.satisfiable:
             assert all(s == 1 for s in all_signs(pair, brute.certificate))
+
+
+def test_brute_force_matches_mask_enumeration():
+    # pure-Python sweep over the same GF(2) system: count and smallest mask
+    rng = random.Random(41)
+    pairs = [cpn(1), cpn(2), hirzebruch(2), cp2_sum(2), cp2_sum(4)]
+    pairs += [random_valid_pair(rng, max_m=10) for _ in range(10)]
+    for pair in pairs:
+        system = build_system(pair)
+        expected = [
+            mask
+            for mask in range(1 << system.num_unknowns)
+            if all(
+                bin(mask & row).count("1") % 2 == b
+                for row, b in zip(system.rows, system.rhs)
+            )
+        ]
+        brute = brute_force_decide(pair)
+        assert brute.count == len(expected)
+        assert brute.satisfiable == bool(expected)
+        m = pair.polytope.num_facets
+        assert brute.certificate == (_omni_from_mask(expected[0], m) if expected else None)
 
 
 def test_brute_force_too_large():
