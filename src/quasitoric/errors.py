@@ -78,7 +78,8 @@ class NotUnimodularError(QuasitoricError):
 
 
 class TooLargeError(QuasitoricError):
-    """Brute-force enumeration refused: search space too big."""
+    """Input refused for its size: a brute-force search space too big, or an
+    integer longer than Python's int/str digit limit allows to serialize."""
 
 
 class InternalInconsistencyError(QuasitoricError):

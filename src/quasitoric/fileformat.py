@@ -9,13 +9,17 @@ Grammar, one directive per line, ``#`` starts a comment, blank lines ignored::
     <m integers>                      # (n times)
     omniorientation <s0> <s1> ... <sm>   # optional; eps0 then m facet signs
 
-Integers are unbounded and parsed exactly. Parsing canonicalizes (each vertex
-ascending, vertex list sorted lexicographically) without validating, so
-serialize(parse(x)) is idempotent and documents round-trip byte-for-byte.
+Integers are parsed exactly, up to Python's limit on int/str conversion
+(``sys.get_int_max_str_digits()``, 4300 digits by default); longer integers
+raise ParseError on reading and TooLargeError on writing. Parsing
+canonicalizes (each vertex ascending, vertex list sorted lexicographically)
+without validating, so serialize(parse(x)) is idempotent and documents
+round-trip byte-for-byte.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .charpair import CharacteristicPair, Omniorientation, validate_char
@@ -24,6 +28,7 @@ from .errors import (
     DuplicateDirectiveError,
     MissingLambdaError,
     ParseError,
+    TooLargeError,
     UnknownDirectiveError,
 )
 from .polytope import validate_polytope
@@ -60,6 +65,12 @@ def _int(token: str, lineno: int) -> int:
     try:
         return int(token, 10)
     except ValueError:
+        digits = token[1:] if token[0] in "+-" else token
+        if digits.isdecimal():  # only the digit limit rejects a decimal string
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(
+                lineno, f"integer has {len(digits)} digits, over the int/str limit of {limit}"
+            ) from None
         raise ParseError(lineno, f"not an integer: {token!r}") from None
 
 
@@ -154,8 +165,12 @@ def serialize(doc: PairDocument) -> str:
     for v in sorted(tuple(sorted(x)) for x in doc.vertices):
         lines.append("vertex " + " ".join(str(j) for j in v))
     lines.append("lambda")
-    for row in doc.matrix:
-        lines.append(" ".join(str(x) for x in row))
+    try:
+        for row in doc.matrix:
+            lines.append(" ".join(str(x) for x in row))
+    except ValueError:  # str() refuses integers over the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise TooLargeError(f"lambda entry over the int/str limit of {limit} digits") from None
     if doc.omniorientation is not None:
         omni = doc.omniorientation
         signs = [omni.global_sign, *omni.facet_signs]

@@ -10,7 +10,8 @@ general, and nothing downstream needs more than the checked invariants).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -30,13 +31,16 @@ class SimplePolytope:
     """Validated combinatorial simple polytope.
 
     ``vertices`` is canonical: every vertex tuple ascending, the list sorted
-    lexicographically. Construct through :func:`validate_polytope`; the
-    dataclass itself performs no checks.
+    lexicographically. ``orientation`` is the coherent orientation class that
+    validation found; it is derived from the vertices, so equality and hashing
+    ignore it. Construct through :func:`validate_polytope`; the dataclass
+    itself performs no checks.
     """
 
     dim: int
     num_facets: int
     vertices: tuple[tuple[int, ...], ...]
+    orientation: OrientationClass = field(compare=False)
 
     @property
     def num_vertices(self) -> int:
@@ -45,6 +49,16 @@ class SimplePolytope:
     def vertex_index(self, vertex) -> int:
         """Position of a vertex (given as any iterable of facet indices)."""
         return self.vertices.index(tuple(sorted(vertex)))
+
+    @cached_property
+    def _f_vector(self) -> tuple[int, ...]:
+        counts = []
+        for k in range(self.dim, 0, -1):  # codimension k gives f_{n-k}
+            faces = set()
+            for v in self.vertices:
+                faces.update(combinations(v, k))
+            counts.append(len(faces))
+        return tuple(counts)
 
 
 @dataclass(frozen=True)
@@ -61,42 +75,6 @@ class OrientationClass:
 
     def flipped(self) -> "OrientationClass":
         return OrientationClass(tuple(-s for s in self.signs))
-
-
-def _ridge_map(vertices):
-    """ridge tuple -> list of (vertex index, deleted position), insertion order."""
-    ridges: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for vi, v in enumerate(vertices):
-        for pos in range(len(v)):
-            ridge = v[:pos] + v[pos + 1 :]
-            ridges.setdefault(ridge, []).append((vi, pos))
-    return ridges
-
-
-def _propagate_orientation(vertices, ridges):
-    """BFS the coherence rule from vertex 0; returns signs or raises.
-
-    A vertex with sign s induces (-1)^p * s on the ridge obtained by deleting
-    its facet at ascending position p; coherence demands the two vertices of a
-    ridge induce opposite signs.
-    """
-    signs: list[int | None] = [None] * len(vertices)
-    signs[0] = 1
-    queue = deque([0])
-    while queue:
-        vi = queue.popleft()
-        v = vertices[vi]
-        for pos in range(len(v)):
-            ridge = v[:pos] + v[pos + 1 :]
-            entries = ridges[ridge]
-            (wi, wpos) = entries[0] if entries[0][0] != vi else entries[1]
-            expected = -((-1) ** (pos + wpos)) * signs[vi]
-            if signs[wi] is None:
-                signs[wi] = expected
-                queue.append(wi)
-            elif signs[wi] != expected:
-                raise NonOrientableError(vertices[wi])
-    return signs
 
 
 def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
@@ -135,33 +113,46 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
     if missing:
         raise UnusedFacetError(missing)
 
-    ridges = _ridge_map(canon)
+    # ridge tuple -> [(vertex index, deleted position), ...]; a ridge enters
+    # the dict at its first (vertex, position) in scan order, so the first bad
+    # ridge in dict order names the first bad vertex/facet pair
+    ridges: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for vi, v in enumerate(canon):
-        for pos, f in enumerate(v):
-            ridge = v[:pos] + v[pos + 1 :]
-            partners = len(ridges[ridge]) - 1
-            if partners != 1:
-                raise RidgeViolationError(v, f, partners)
+        for pos in range(n):
+            ridges.setdefault(v[:pos] + v[pos + 1 :], []).append((vi, pos))
+    for entries in ridges.values():
+        if len(entries) != 2:
+            vi, pos = entries[0]
+            raise RidgeViolationError(canon[vi], canon[vi][pos], len(entries) - 1)
 
-    # ridge graph connectivity (trivially true for n = 1, where the empty
-    # ridge joins the only two vertices)
-    seen = {0}
+    # One BFS from vertex 0 checks connectivity and propagates the orientation.
+    # A vertex with sign s induces (-1)^p * s on the ridge obtained by deleting
+    # its facet at ascending position p; coherence demands the two vertices of
+    # a ridge induce opposite signs. The first clash is only recorded, because
+    # a disconnected input reports DisconnectedError first.
+    signs: list[int | None] = [None] * len(canon)
+    signs[0] = 1
     queue = deque([0])
+    clash = None
     while queue:
         vi = queue.popleft()
         v = canon[vi]
         for pos in range(n):
-            ridge = v[:pos] + v[pos + 1 :]
-            for wi, _ in ridges[ridge]:
-                if wi not in seen:
-                    seen.add(wi)
-                    queue.append(wi)
-    if len(seen) != len(canon):
-        raise DisconnectedError(len(seen), len(canon))
+            a, b = ridges[v[:pos] + v[pos + 1 :]]
+            wi, wpos = b if a[0] == vi else a
+            expected = -((-1) ** (pos + wpos)) * signs[vi]
+            if signs[wi] is None:
+                signs[wi] = expected
+                queue.append(wi)
+            elif signs[wi] != expected and clash is None:
+                clash = canon[wi]
+    reached = len(canon) - signs.count(None)
+    if reached != len(canon):
+        raise DisconnectedError(reached, len(canon))
+    if clash is not None:
+        raise NonOrientableError(clash)
 
-    _propagate_orientation(canon, ridges)  # raises NonOrientableError
-
-    return SimplePolytope(dim=n, num_facets=m, vertices=tuple(canon))
+    return SimplePolytope(n, m, tuple(canon), OrientationClass(tuple(signs)))
 
 
 def adjacent_vertex(polytope: SimplePolytope, vertex, facet: int) -> tuple[int, ...]:
@@ -184,22 +175,13 @@ def orient_dual_sphere(polytope: SimplePolytope) -> OrientationClass:
 
     For dim 1 the generic propagation yields the (+1, -1) interval convention.
     """
-    ridges = _ridge_map(polytope.vertices)
-    signs = _propagate_orientation(polytope.vertices, ridges)
-    return OrientationClass(tuple(signs))
+    return polytope.orientation
 
 
 def f_vector(polytope: SimplePolytope) -> tuple[int, ...]:
     """(f_0, ..., f_{n-1}): faces of codimension k are the k-subsets of facets
-    contained in at least one vertex."""
-    n = polytope.dim
-    counts = []
-    for k in range(n, 0, -1):  # codimension k gives f_{n-k}
-        faces = set()
-        for v in polytope.vertices:
-            faces.update(combinations(v, k))
-        counts.append(len(faces))
-    return tuple(counts)
+    contained in at least one vertex. Enumerated once per polytope."""
+    return polytope._f_vector
 
 
 def h_vector(polytope: SimplePolytope) -> tuple[int, ...]:

@@ -2,12 +2,13 @@
 
 import pytest
 
-from quasitoric import Omniorientation, PairDocument, cpn, parse, serialize
+from quasitoric import Omniorientation, PairDocument, cpn, hirzebruch, parse, serialize
 from quasitoric.errors import (
     ArityError,
     DuplicateDirectiveError,
     MissingLambdaError,
     ParseError,
+    TooLargeError,
     UnknownDirectiveError,
 )
 
@@ -67,6 +68,19 @@ def test_huge_integers_exact():
     doc = parse(text)
     assert doc.matrix == ((big, -big),)
     assert parse(serialize(doc)) == doc
+
+
+def test_parse_names_the_digit_limit():
+    text = f"dim 1\nfacets 2\nvertex 0\nvertex 1\nlambda\n-{'7' * 5000} 1\n"
+    with pytest.raises(ParseError, match="5000 digits, over the int/str limit of 4300") as exc:
+        parse(text)
+    assert exc.value.line == 6
+
+
+def test_serialize_refuses_integers_over_the_digit_limit():
+    doc = PairDocument.from_pair(hirzebruch(10**5000))
+    with pytest.raises(TooLargeError, match="limit of 4300 digits"):
+        serialize(doc)
 
 
 def test_unknown_directive():

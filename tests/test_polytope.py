@@ -1,8 +1,11 @@
 """Polytope validation, orientation, face counting."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasitoric import (
     adjacent_vertex,
@@ -56,6 +59,12 @@ def test_ridge_violation():
         validate_polytope(2, 4, [(0, 1), (1, 2), (2, 3)])
     assert exc.value.vertex == (0, 1)
     assert exc.value.partners == 0
+    # the ridge (0,) lies in three vertices: the first of them is named
+    with pytest.raises(RidgeViolationError) as exc:
+        validate_polytope(2, 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    assert exc.value.vertex == (0, 1)
+    assert exc.value.facet == 0
+    assert exc.value.partners == 2
 
 
 def test_duplicate_vertex():
@@ -80,11 +89,16 @@ def test_disconnected():
     two_triangles = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
     with pytest.raises(DisconnectedError):
         validate_polytope(2, 6, two_triangles)
+    # disconnected and non-orientable: disconnection is reported first
+    hemi_plus_tetrahedron = HEMI_ICOSAHEDRON + list(combinations(range(6, 10), 3))
+    with pytest.raises(DisconnectedError, match="10 of 14 reachable"):
+        validate_polytope(3, 10, hemi_plus_tetrahedron)
 
 
 def test_non_orientable():
-    with pytest.raises(NonOrientableError):
+    with pytest.raises(NonOrientableError) as exc:
         validate_polytope(3, 6, HEMI_ICOSAHEDRON)
+    assert exc.value.vertex == (0, 4, 5)
 
 
 def test_scalar_errors():
@@ -145,6 +159,35 @@ def test_orientation_coherent_and_normalized():
         assert_coherent(poly.vertices, oc.signs)
         # the flipped class is the only other coherent one
         assert_coherent(poly.vertices, oc.flipped().signs)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_mutated_vertices_raise_or_orient_coherently(seed, data):
+    """Drop, swap or re-index vertex entries of a valid polytope: validation
+    either raises a ValidationError or its orientation passes the oracle."""
+    poly = random_valid_pair(random.Random(seed)).polytope
+    n, m = poly.dim, poly.num_facets
+    verts = [list(v) for v in poly.vertices]
+    edits = data.draw(st.lists(st.sampled_from(["drop", "swap", "reindex"]), max_size=3))
+    for edit in edits:
+        i = data.draw(st.integers(0, len(verts) - 1))
+        p = data.draw(st.integers(0, n - 1))
+        if edit == "drop" and len(verts) > 1:
+            del verts[i]
+        elif edit == "swap":
+            j = data.draw(st.integers(0, len(verts) - 1))
+            q = data.draw(st.integers(0, n - 1))
+            verts[i][p], verts[j][q] = verts[j][q], verts[i][p]
+        else:
+            verts[i][p] = data.draw(st.integers(0, m))  # m itself is out of range
+    try:
+        result = validate_polytope(n, m, verts)
+    except ValidationError:
+        assert edits
+        return
+    assert result.orientation.signs[0] == 1
+    assert_coherent(result.vertices, result.orientation.signs)
 
 
 def test_f_h_triangle_square():
