@@ -11,7 +11,9 @@ folded into the stored matrix.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg
 from .errors import NotUnimodularError, ShapeMismatchError, SingularVertexError
@@ -84,6 +86,15 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
     """Build a CharacteristicPair, checking |det lambda_v| = 1 at every vertex.
 
     SingularVertexError lists every offending vertex with its determinant.
+
+    The determinants come from a basis-exchange walk over the polytope's BFS
+    tree. Crossing a tree edge v -> w swaps the column of lambda_v at position
+    pos for the new facet's column c, which then moves to position wpos; by
+    Cramer's rule det lambda_w = det lambda_v * (lambda_v^-1 c)_pos *
+    (-1)^(pos + wpos). While lambda_v is unimodular its integer inverse is
+    updated by an exact rank-one pivot, and only for vertices that have tree
+    children. Bareiss determinants are taken at the root and at vertices
+    whose parent is singular.
     """
     rows = tuple(tuple(int(x) for x in row) for row in matrix)
     n, m = polytope.dim, polytope.num_facets
@@ -91,13 +102,42 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
         got = f"{len(rows)}x{len(rows[0]) if rows else 0}"
         raise ShapeMismatchError(f"{n}x{m}", got)
     lam = CharacteristicMatrix(rows)
-    dets = []
-    offenders = []
-    for v in polytope.vertices:
-        d = linalg.det_bareiss(linalg.columns(rows, v))
-        dets.append(d)
-        if d not in (1, -1):
-            offenders.append((v, d))
+    verts = polytope.vertices
+    cols = tuple(zip(*rows))
+    children = Counter(parent for _, parent, _, _ in polytope.bfs_tree)
+    dets = [0] * len(verts)
+    inverses = {}  # vertex index -> rows of lambda_v^-1, while children remain
+
+    def restart(vi):
+        sub = linalg.columns(rows, verts[vi])
+        dets[vi] = linalg.det_bareiss(sub)
+        if dets[vi] in (1, -1) and children[vi]:
+            inverses[vi] = linalg.inv_unimodular(sub)
+
+    restart(0)
+    for wi, vi, pos, wpos in polytope.bfs_tree:
+        inv = inverses.get(vi)
+        if inv is None:
+            restart(wi)
+        else:
+            c = cols[verts[wi][wpos]]
+            if not children[wi]:  # a leaf needs only its determinant
+                step = sum(map(mul, inv[pos], c))
+            else:
+                u = [sum(map(mul, row, c)) for row in inv]
+                step = u[pos]
+                if step in (1, -1):
+                    pivot = [step * x for x in inv[pos]]  # row pos over step = +-1
+                    new = [[y - ui * z for y, z in zip(row, pivot)] for row, ui in zip(inv, u)]
+                    new[pos] = pivot
+                    new.insert(wpos, new.pop(pos))
+                    inverses[wi] = new
+            dets[wi] = dets[vi] * step * (-1) ** (pos + wpos)
+        children[vi] -= 1
+        if not children[vi]:
+            inverses.pop(vi, None)
+
+    offenders = [(v, d) for v, d in zip(verts, dets) if d not in (1, -1)]
     if offenders:
         raise SingularVertexError(offenders)
     return CharacteristicPair(

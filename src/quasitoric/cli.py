@@ -15,7 +15,7 @@ from pathlib import Path
 from .charpair import Omniorientation, all_signs
 from .constructions import cp2_sum, cpn, hirzebruch, product, vertex_cut
 from .errors import QuasitoricError
-from .fileformat import PairDocument, format_sign, parse, serialize
+from .fileformat import PairDocument, format_sign, parse, parse_int, serialize
 from .invariants import compute_invariants
 from .polytope import f_vector, h_vector
 from .positivity import decide_positive
@@ -146,9 +146,9 @@ def cmd_construct(args) -> int:
 
     def integer(token):
         try:
-            return int(token)
-        except ValueError:
-            raise _UsageError(f"not an integer: {token!r}") from None
+            return parse_int(token)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
 
     try:
         if name == "cpn":

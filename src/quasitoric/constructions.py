@@ -157,7 +157,7 @@ def connected_sum_4d(
         (col(f_next)[1], twist * col(f)[1]),
     )
     source = ((col2(g)[0], col2(g_next)[0]), (col2(g)[1], col2(g_next)[1]))
-    align = linalg.mat_mul(target, linalg.inv_unimodular_2x2(source))
+    align = linalg.mat_mul(target, linalg.inv_unimodular(source))
     if linalg.det_bareiss(align) != 1:  # pragma: no cover - defect guard
         raise InternalInconsistencyError(f"no det +1 alignment at {v1} / {v2}")
 

@@ -8,6 +8,21 @@ never be reachable from valid data.
 from __future__ import annotations
 
 
+def _int_text(x: int) -> str:
+    """Decimal text of x, or "<N-digit integer>" past Python's int/str digit
+    limit, so that building an error message never raises."""
+    try:
+        return str(x)
+    except ValueError:
+        x = abs(x)
+        digits = x.bit_length() * 30103 // 100000 + 1  # log10(2) ~ 0.30103
+        while 10 ** (digits - 1) > x:
+            digits -= 1
+        while 10**digits <= x:
+            digits += 1
+        return f"<{digits}-digit integer>"
+
+
 class QuasitoricError(Exception):
     """Base class for all library errors."""
 
@@ -67,14 +82,14 @@ class SingularVertexError(ValidationError):
     def __init__(self, offenders):
         # offenders: list of (vertex tuple, determinant)
         self.offenders = tuple((tuple(v), d) for v, d in offenders)
-        detail = ", ".join(f"{v}: det={d}" for v, d in self.offenders)
+        detail = ", ".join(f"{v}: det={_int_text(d)}" for v, d in self.offenders)
         super().__init__(f"|det| != 1 at vertices: {detail}")
 
 
 class NotUnimodularError(QuasitoricError):
     def __init__(self, det):
         self.det = det
-        super().__init__(f"basis change matrix has det {det}, need |det| = 1")
+        super().__init__(f"basis change matrix has det {_int_text(det)}, need |det| = 1")
 
 
 class TooLargeError(QuasitoricError):

@@ -61,17 +61,29 @@ class PairDocument:
         )
 
 
-def _int(token: str, lineno: int) -> int:
+def parse_int(token: str) -> int:
+    """Exact value of a decimal integer token.
+
+    ValueError names Python's int/str digit limit for a decimal token too long
+    to convert, without echoing it, and says "not an integer" otherwise.
+    """
     try:
         return int(token, 10)
     except ValueError:
-        digits = token[1:] if token[0] in "+-" else token
+        digits = token[1:] if token[:1] in ("+", "-") else token
         if digits.isdecimal():  # only the digit limit rejects a decimal string
             limit = sys.get_int_max_str_digits()
-            raise ParseError(
-                lineno, f"integer has {len(digits)} digits, over the int/str limit of {limit}"
+            raise ValueError(
+                f"integer has {len(digits)} digits, over the int/str limit of {limit}"
             ) from None
-        raise ParseError(lineno, f"not an integer: {token!r}") from None
+        raise ValueError(f"not an integer: {token!r}") from None
+
+
+def _int(token: str, lineno: int) -> int:
+    try:
+        return parse_int(token)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
 def _sign(token: str, lineno: int) -> int:

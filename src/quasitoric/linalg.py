@@ -1,8 +1,10 @@
 """Small exact integer matrix helpers.
 
 All matrices are tuples of row tuples of Python ints, so every result is exact
-regardless of entry size. Sizes here are tiny (n is the polytope dimension),
-correctness and exactness matter, speed does not.
+regardless of entry size; nothing here uses fractions or floats. The sizes
+are small (n is the polytope dimension), but validation runs these
+eliminations at the root of its basis-exchange walk and wherever the walk
+restarts, on every input, so their inner loops are kept lean.
 """
 
 from __future__ import annotations
@@ -49,13 +51,58 @@ def mat_mul(a, b):
     )
 
 
-def inv_unimodular_2x2(a):
-    """Inverse of an integer 2x2 matrix with det +-1 (stays integral)."""
-    (p, q), (r, s) = a
-    det = p * s - q * r
-    if det not in (1, -1):
-        raise ValueError(f"matrix has det {det}, expected +-1")
-    return ((s * det, -q * det), (-r * det, p * det))
+def inv_unimodular(matrix):
+    """Integer inverse of a square integer matrix with det +-1.
+
+    Fraction-free Gauss-Jordan on [A | I]: every division is exact, and the
+    elimination ends at [d*I | d*A^-1] with d = +-det A, so A^-1 is the right
+    block times d. Settled columns are not stored. Each row holds the left
+    columns still to eliminate, then the right-block columns of the rows
+    already taken as pivots, in the order they were taken (``order``). Until
+    a row is taken, its own right-block column holds the previous pivot in
+    that row and 0 in every other, so it is brought in at that step. Raises
+    ValueError when det A is not +-1.
+    """
+    k = len(matrix)
+    if any(len(row) != k for row in matrix):
+        raise ValueError("inverse needs a square matrix")
+    a = [list(row) for row in matrix]
+    order = list(range(k))
+    sign = 1
+    prev = 1
+    for c in range(k):
+        if a[c][0] == 0:
+            for r in range(c + 1, k):
+                if a[r][0] != 0:
+                    a[c], a[r] = a[r], a[c]
+                    order[c], order[r] = order[r], order[c]
+                    sign = -sign
+                    break
+            else:
+                raise ValueError("matrix has det 0, expected +-1")
+        pivot = a[c]
+        p = pivot[0]
+        rest = pivot[1:] + [prev]
+        for r in range(k):
+            if r == c:
+                continue
+            row = a[r]
+            x = row[0]
+            if x == 0 and p == prev:  # the update leaves the row as it is
+                del row[0]
+                row.append(0)
+            else:
+                # stays integral: Sylvester's identity, as in Bareiss
+                a[r] = [(p * y - x * z) // prev for y, z in zip(row[1:], rest)] + [-x]
+        a[c] = rest
+        prev = p
+    if prev not in (1, -1):
+        raise ValueError(f"matrix has det {sign * prev}, expected +-1")
+    inv = [[0] * k for _ in range(k)]
+    for i, row in enumerate(a):
+        for j, x in zip(order, row):
+            inv[i][j] = prev * x
+    return tuple(map(tuple, inv))
 
 
 def perm_parity(seq) -> int:

@@ -32,15 +32,20 @@ class SimplePolytope:
 
     ``vertices`` is canonical: every vertex tuple ascending, the list sorted
     lexicographically. ``orientation`` is the coherent orientation class that
-    validation found; it is derived from the vertices, so equality and hashing
-    ignore it. Construct through :func:`validate_polytope`; the dataclass
-    itself performs no checks.
+    validation found. ``bfs_tree`` is the spanning tree of validation's
+    breadth-first search from vertex 0: one ``(vertex, parent, pos, wpos)``
+    per other vertex, in discovery order, where the parent's facet at
+    ascending position ``pos`` is swapped for the vertex's facet at position
+    ``wpos`` across their shared ridge. Both are derived from the vertices,
+    so equality and hashing ignore them. Construct through
+    :func:`validate_polytope`; the dataclass itself performs no checks.
     """
 
     dim: int
     num_facets: int
     vertices: tuple[tuple[int, ...], ...]
     orientation: OrientationClass = field(compare=False)
+    bfs_tree: tuple[tuple[int, int, int, int], ...] = field(compare=False)
 
     @property
     def num_vertices(self) -> int:
@@ -132,6 +137,7 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
     # a disconnected input reports DisconnectedError first.
     signs: list[int | None] = [None] * len(canon)
     signs[0] = 1
+    tree = []
     queue = deque([0])
     clash = None
     while queue:
@@ -143,6 +149,7 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
             expected = -((-1) ** (pos + wpos)) * signs[vi]
             if signs[wi] is None:
                 signs[wi] = expected
+                tree.append((wi, vi, pos, wpos))
                 queue.append(wi)
             elif signs[wi] != expected and clash is None:
                 clash = canon[wi]
@@ -152,7 +159,7 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
     if clash is not None:
         raise NonOrientableError(clash)
 
-    return SimplePolytope(n, m, tuple(canon), OrientationClass(tuple(signs)))
+    return SimplePolytope(n, m, tuple(canon), OrientationClass(tuple(signs)), tuple(tree))
 
 
 def adjacent_vertex(polytope: SimplePolytope, vertex, facet: int) -> tuple[int, ...]:

@@ -3,17 +3,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasitoric import (
     Omniorientation,
     all_signs,
     basis_change,
+    cpn,
+    polygon,
+    product,
     relabel_facets,
     validate_char,
     validate_polytope,
     vertex_sign,
 )
 from quasitoric.errors import NotUnimodularError, ShapeMismatchError, SingularVertexError
+from quasitoric.linalg import columns, det_bareiss
 from support import random_unimodular, random_unimodular_det1, random_valid_pair
 
 TRIANGLE = validate_polytope(2, 3, [(0, 1), (0, 2), (1, 2)])
@@ -163,3 +169,67 @@ def test_random_unimodular_helper_is_unimodular():
     for n in (2, 3, 4):
         for _ in range(10):
             assert det_bareiss(random_unimodular(rng, n)) in (1, -1)
+
+
+def test_singular_vertex_error_over_the_digit_limit():
+    big = 10**3000
+    with pytest.raises(SingularVertexError) as exc:
+        validate_char(polygon(3), [[big, 0, 1], [0, big, 1]])
+    assert exc.value.offenders == (((0, 1), big * big), ((0, 2), big), ((1, 2), -big))
+    assert "(0, 1): det=<6001-digit integer>" in str(exc.value)
+
+
+def test_not_unimodular_error_over_the_digit_limit():
+    pair = validate_char(TRIANGLE, [[1, 0, -1], [0, 1, -1]])
+    with pytest.raises(NotUnimodularError) as exc:
+        basis_change(pair, ((10**5000, 0), (0, 1)))
+    assert exc.value.det == 10**5000
+    assert "det <5001-digit integer>" in str(exc.value)
+
+
+def _oracle_pair(rng: random.Random):
+    """A random_valid_pair, or a relabelled, basis-changed cpn(n) or (CP1)^k."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_valid_pair(rng)
+    if kind == 1:
+        pair = cpn(rng.randint(1, 12))
+    else:
+        pair = cpn(1)
+        for _ in range(rng.randint(0, 5)):
+            pair = product(pair, cpn(1))
+    perm = list(range(pair.polytope.num_facets))
+    rng.shuffle(perm)
+    pair, _ = relabel_facets(pair, perm)
+    return basis_change(pair, random_unimodular(rng, pair.polytope.dim, steps=20))
+
+
+def _bareiss_dets(polytope, rows):
+    return [det_bareiss(columns(rows, v)) for v in polytope.vertices]
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_exchange_walk_dets_match_bareiss(seed):
+    pair = _oracle_pair(random.Random(seed))
+    assert list(pair.vertex_dets) == _bareiss_dets(pair.polytope, pair.matrix.entries)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_perturbed_matrix_matches_bareiss(seed, data):
+    """One perturbed entry of lambda: the walk agrees with Bareiss on the
+    dets of a still-valid pair, or on every offender, in vertex order."""
+    pair = _oracle_pair(random.Random(seed))
+    rows = [list(row) for row in pair.matrix.entries]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[0]) - 1))
+    rows[i][j] += data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3, 10**40]))
+    dets = _bareiss_dets(pair.polytope, rows)
+    try:
+        perturbed = validate_char(pair.polytope, rows)
+    except SingularVertexError as exc:
+        expected = [(v, d) for v, d in zip(pair.polytope.vertices, dets) if d not in (1, -1)]
+        assert list(exc.offenders) == expected
+    else:
+        assert list(perturbed.vertex_dets) == dets

@@ -1,10 +1,18 @@
 """End-to-end CLI behaviour: output contracts and exit codes."""
 
 import io
+import random
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quasitoric import Omniorientation, PairDocument, serialize
 from quasitoric.cli import main
+from support import random_valid_pair
 
 CP2_TEXT = """\
 dim 2
@@ -190,3 +198,75 @@ def test_missing_file_exit_2(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def test_construct_names_the_digit_limit(capsys):
+    token = "7" * 5000
+    code, out, err = run(capsys, ["construct", "hirzebruch", token])
+    assert code == 3
+    assert "integer has 5000 digits, over the int/str limit of" in err
+    assert token not in err
+
+
+def test_singular_determinant_over_the_digit_limit_exit_2(capsys, monkeypatch):
+    big = "1" + "0" * 3000
+    text = CP2_TEXT.replace("1 0 -1\n0 1 -1", f"{big} 0 1\n0 {big} 1")
+    code, out, err = run(capsys, ["validate", "-"], text, monkeypatch)
+    assert code == 2
+    assert "det=<6001-digit integer>" in err
+
+
+def _mutate(text: str, data) -> str:
+    """Drop or duplicate lines, perturb integers (some past the int/str
+    digit limit) and swap entries between vertex lines."""
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        edit = data.draw(st.sampled_from(["drop", "duplicate", "integer", "swap"]))
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "integer":  # any integer token of the document, lambda's included
+            slots = [
+                (r, k)
+                for r, line in enumerate(lines)
+                for k, t in enumerate(line.split())
+                if re.fullmatch(r"[+-]?\d{1,50}", t)
+            ]
+            if slots:
+                r, k = data.draw(st.sampled_from(slots))
+                tokens = lines[r].split()
+                tokens[k] = data.draw(
+                    st.sampled_from([str(int(tokens[k]) + 1), str(-int(tokens[k])), "0",
+                                     "2", "-1", str(10**40), "9" * 5000])
+                )
+                lines[r] = " ".join(tokens)
+        elif rows := [k for k, line in enumerate(lines) if line.startswith("vertex ")]:
+            a, b = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+            ta, tb = lines[a].split(), lines[b].split()
+            p, q = data.draw(st.integers(1, len(ta) - 1)), data.draw(st.integers(1, len(tb) - 1))
+            if a == b:
+                tb = ta
+            ta[p], tb[q] = tb[q], ta[p]
+            lines[a], lines[b] = " ".join(ta), " ".join(tb)
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_mutated_documents_never_raise(seed, data):
+    """Every command on a mutated .qtm text ends in an exit code of 0, 1 or
+    2: a result or a typed error, never a traceback."""
+    rng = random.Random(seed)
+    pair = random_valid_pair(rng, max_m=8)
+    m = pair.polytope.num_facets
+    omni = Omniorientation(rng.choice([1, -1]), tuple(rng.choice([1, -1]) for _ in range(m)))
+    text = _mutate(serialize(PairDocument.from_pair(pair, omni)), data)
+    command = data.draw(st.sampled_from(["validate", "signs", "decide", "invariants", "report"]))
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main([command, "-"])
+    assert code in (0, 1, 2)

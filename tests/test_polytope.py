@@ -161,6 +161,24 @@ def test_orientation_coherent_and_normalized():
         assert_coherent(poly.vertices, oc.flipped().signs)
 
 
+def test_bfs_tree_reaches_every_other_vertex_once():
+    rng = random.Random(37)
+    polys = [random_valid_pair(rng).polytope for _ in range(40)]
+    polys += [cpn(n).polytope for n in (1, 2, 5)]
+    cube = [(a, b, c) for a in (0, 3) for b in (1, 4) for c in (2, 5)]
+    polys.append(validate_polytope(3, 6, cube))
+    for poly in polys:
+        tree = poly.bfs_tree
+        assert sorted(w for w, _, _, _ in tree) == list(range(1, poly.num_vertices))
+        reached = {0}
+        for w, v, pos, wpos in tree:
+            assert v in reached  # each parent is reached before its children
+            reached.add(w)
+            vv, ww = poly.vertices[v], poly.vertices[w]
+            assert vv[:pos] + vv[pos + 1 :] == ww[:wpos] + ww[wpos + 1 :]
+            assert vv[pos] != ww[wpos]
+
+
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_mutated_vertices_raise_or_orient_coherently(seed, data):
