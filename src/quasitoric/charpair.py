@@ -93,8 +93,10 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
     Cramer's rule det lambda_w = det lambda_v * (lambda_v^-1 c)_pos *
     (-1)^(pos + wpos). While lambda_v is unimodular its integer inverse is
     updated by an exact rank-one pivot, and only for vertices that have tree
-    children. Bareiss determinants are taken at the root and at vertices
-    whose parent is singular.
+    children. The walk starts afresh at the root and at vertices whose parent
+    is singular: one fraction-free Gauss-Jordan gives both the determinant
+    and the inverse of such a vertex with tree children, Bareiss the
+    determinant of one without.
     """
     rows = tuple(tuple(int(x) for x in row) for row in matrix)
     n, m = polytope.dim, polytope.num_facets
@@ -106,13 +108,14 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
     cols = tuple(zip(*rows))
     children = Counter(parent for _, parent, _, _ in polytope.bfs_tree)
     dets = [0] * len(verts)
-    inverses = {}  # vertex index -> rows of lambda_v^-1, while children remain
+    inverses = {}  # vertex index -> rows of lambda_v^-1 or None, while children remain
 
     def restart(vi):
         sub = linalg.columns(rows, verts[vi])
-        dets[vi] = linalg.det_bareiss(sub)
-        if dets[vi] in (1, -1) and children[vi]:
-            inverses[vi] = linalg.inv_unimodular(sub)
+        if children[vi]:
+            dets[vi], inverses[vi] = linalg.det_and_inverse(sub)
+        else:
+            dets[vi] = linalg.det_bareiss(sub)
 
     restart(0)
     for wi, vi, pos, wpos in polytope.bfs_tree:

@@ -1,6 +1,11 @@
 """Numerical invariants: Euler characteristic, top Chern number, and for
 surfaces the intersection form, signature, Todd genus and the 4-dimensional
 almost-complex existence test. All arithmetic exact (ints and Fractions).
+
+A surface's signature comes from its facets' self-intersections in O(m)
+(sigma = (1/3) * sum_j D_j . D_j, see ``compute_invariants``); ``signature``
+is the general congruence diagonalization, kept for any symmetric integer
+matrix and as the tests' independent check.
 """
 
 from __future__ import annotations
@@ -40,62 +45,56 @@ def chern_top_number(pair: CharacteristicPair, omni: Omniorientation) -> int:
     return sum(all_signs(pair, omni))
 
 
+def _self_intersections(pair: CharacteristicPair, omni: Omniorientation) -> list[int]:
+    """D_j . D_j for each facet j of a dim-2 pair, in the orientation of omni.
+
+    Facet j lies in exactly two vertices, shared with its neighbours a and b,
+    where the mixed pairings D_a . D_j and D_b . D_j are the fixed-point signs
+    s_a and s_b. Pairing the two linear relations among the classes with D_j
+    leaves eff_a[r] * s_a + eff_j[r] * D_j^2 + eff_b[r] * s_b = 0 for r = 0, 1,
+    with the effective columns eff = eps_j * col_j (a facet sign flip is the
+    same data as a negated column). So each facet costs O(1).
+    """
+    m = pair.polytope.num_facets
+    rows, eps = pair.matrix.entries, omni.facet_signs
+    eff = [(eps[j] * rows[0][j], eps[j] * rows[1][j]) for j in range(m)]
+    touching = [[] for _ in range(m)]  # facet -> [(neighbour, sign), (neighbour, sign)]
+    for (i, j), s in zip(pair.polytope.vertices, all_signs(pair, omni)):
+        touching[i].append((j, s))
+        touching[j].append((i, s))
+    diag = []
+    for j, ((a, s_a), (b, s_b)) in enumerate(touching):
+        ea, ej, eb = eff[a], eff[j], eff[b]
+        r = 0 if ej[0] != 0 else 1
+        d, rem = divmod(-(ea[r] * s_a + eb[r] * s_b), ej[r])
+        if rem or ea[1 - r] * s_a + ej[1 - r] * d + eb[1 - r] * s_b:
+            raise InternalInconsistencyError(f"facet {j} violates the linear relations")
+        diag.append(d)
+    return diag
+
+
 def intersection_form(pair: CharacteristicPair, omni: Omniorientation) -> IntersectionForm:
     """Intersection pairing of a dim-2 pair in the orientation given by omni.
 
     Mixed pairings of adjacent facet classes are the fixed-point signs at the
-    shared vertices; self-pairings are forced from the two linear relations
-    among the classes (coefficients are the effective columns eps_j * col_j,
-    since a facet sign flip is the same data as a negated column). Two
-    generators whose effective columns form a Z^2 basis, at the lowest facet
-    indices, are dropped to reach the rank m-2 matrix.
+    shared vertices, self-pairings come from the linear relations
+    (``_self_intersections``), and all other pairings vanish. Two generators
+    whose columns form a Z^2 basis, at the lowest facet indices, are dropped
+    to reach the rank m-2 matrix.
     """
     if pair.polytope.dim != 2:
         raise NotDimension2Error(pair.polytope.dim)
+    pairing = {(j, j): d for j, d in enumerate(_self_intersections(pair, omni))}
+    for (i, j), s in zip(pair.polytope.vertices, all_signs(pair, omni)):
+        pairing[i, j] = pairing[j, i] = s
+    # facet 0 and each neighbour form a Z^2 basis (the vertex is unimodular),
+    # so the lex-first basis pair is (0, b) with the least such b
     m = pair.polytope.num_facets
-    signs = all_signs(pair, omni)
-    eff = [
-        tuple(omni.facet_signs[j] * x for x in pair.matrix.column(j)) for j in range(m)
-    ]
-
-    pairing = [[Fraction(0)] * m for _ in range(m)]
-    for v, s in zip(pair.polytope.vertices, signs):
-        i, j = v
-        pairing[i][j] = pairing[j][i] = Fraction(s)
-
-    for i in range(m):
-        r = 0 if eff[i][0] != 0 else 1
-        total = sum(eff[j][r] * pairing[j][i] for j in range(m) if j != i)
-        pairing[i][i] = -total / eff[i][r]
-
-    for r in (0, 1):
-        for i in range(m):
-            if sum(eff[j][r] * pairing[j][i] for j in range(m)) != 0:
-                raise InternalInconsistencyError("pairing violates the linear relations")
-
-    drop = None
-    for a in range(m):
-        for b in range(a + 1, m):
-            det = eff[a][0] * eff[b][1] - eff[a][1] * eff[b][0]
-            if det in (1, -1):
-                drop = (a, b)
-                break
-        if drop:
-            break
-    if drop is None:  # pragma: no cover - impossible for valid pairs
-        raise InternalInconsistencyError("no two columns form a Z^2 basis")
-
-    basis = tuple(j for j in range(m) if j not in drop)
-    matrix = []
-    for i in basis:
-        row = []
-        for j in basis:
-            x = pairing[i][j]
-            if x.denominator != 1:  # pragma: no cover - defect guard
-                raise InternalInconsistencyError(f"non-integral pairing <{i},{j}> = {x}")
-            row.append(int(x))
-        matrix.append(tuple(row))
-    return IntersectionForm(basis=basis, matrix=tuple(matrix))
+    xs, ys = pair.matrix.entries
+    b = next(b for b in range(1, m) if xs[0] * ys[b] - ys[0] * xs[b] in (1, -1))
+    basis = tuple(j for j in range(1, m) if j != b)
+    matrix = tuple(tuple(pairing.get((i, j), 0) for j in basis) for i in basis)
+    return IntersectionForm(basis=basis, matrix=matrix)
 
 
 def signature(form) -> int:
@@ -155,9 +154,7 @@ def todd_genus_4d(pair: CharacteristicPair, omni: Omniorientation) -> Fraction:
     """(chi + sigma) / 4 as an exact rational."""
     if pair.polytope.dim != 2:
         raise NotDimension2Error(pair.polytope.dim)
-    chi = euler_characteristic(pair)
-    sig = signature(intersection_form(pair, omni))
-    return Fraction(chi + sig, 4)
+    return compute_invariants(pair, omni).todd
 
 
 def almost_complex_exists_4d(pair: CharacteristicPair, omni: Omniorientation) -> bool:
@@ -167,11 +164,17 @@ def almost_complex_exists_4d(pair: CharacteristicPair, omni: Omniorientation) ->
 
 
 def compute_invariants(pair: CharacteristicPair, omni: Omniorientation) -> InvariantReport:
+    """Euler characteristic and top Chern number; for a dim-2 pair also the
+    signature sigma = p_1 / 3 with p_1 = sum_j D_j . D_j (Davis-Januszkiewicz
+    give p(M) = prod_j (1 + v_j^2), then the Hirzebruch signature theorem),
+    the Todd genus and the almost-complex test, all in O(m)."""
     euler = euler_characteristic(pair)
     chern = chern_top_number(pair, omni)
     if pair.polytope.dim != 2:
         return InvariantReport(euler=euler, chern_top=chern)
-    sig = signature(intersection_form(pair, omni))
+    sig, rem = divmod(sum(_self_intersections(pair, omni)), 3)
+    if rem:
+        raise InternalInconsistencyError("first Pontryagin number is not divisible by 3")
     todd = Fraction(euler + sig, 4)
     return InvariantReport(
         euler=euler,

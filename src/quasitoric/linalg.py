@@ -51,17 +51,18 @@ def mat_mul(a, b):
     )
 
 
-def inv_unimodular(matrix):
-    """Integer inverse of a square integer matrix with det +-1.
+def det_and_inverse(matrix):
+    """Determinant of a square integer matrix and, when it is +-1, its integer
+    inverse (None otherwise), from one elimination.
 
     Fraction-free Gauss-Jordan on [A | I]: every division is exact, and the
-    elimination ends at [d*I | d*A^-1] with d = +-det A, so A^-1 is the right
-    block times d. Settled columns are not stored. Each row holds the left
-    columns still to eliminate, then the right-block columns of the rows
-    already taken as pivots, in the order they were taken (``order``). Until
-    a row is taken, its own right-block column holds the previous pivot in
-    that row and 0 in every other, so it is brought in at that step. Raises
-    ValueError when det A is not +-1.
+    elimination ends at [d*I | d*A^-1], where d, the last pivot, is det A up
+    to the sign of the row swaps. A^-1 is the right block times d when
+    d = +-1. Settled columns are not stored. Each row holds the left columns
+    still to eliminate, then the right-block columns of the rows already
+    taken as pivots, in the order they were taken (``order``). Until a row is
+    taken, its own right-block column holds the previous pivot in that row
+    and 0 in every other, so it is brought in at that step.
     """
     k = len(matrix)
     if any(len(row) != k for row in matrix):
@@ -79,7 +80,7 @@ def inv_unimodular(matrix):
                     sign = -sign
                     break
             else:
-                raise ValueError("matrix has det 0, expected +-1")
+                return 0, None
         pivot = a[c]
         p = pivot[0]
         rest = pivot[1:] + [prev]
@@ -97,12 +98,23 @@ def inv_unimodular(matrix):
         a[c] = rest
         prev = p
     if prev not in (1, -1):
-        raise ValueError(f"matrix has det {sign * prev}, expected +-1")
+        return sign * prev, None
     inv = [[0] * k for _ in range(k)]
     for i, row in enumerate(a):
         for j, x in zip(order, row):
             inv[i][j] = prev * x
-    return tuple(map(tuple, inv))
+    return sign * prev, tuple(map(tuple, inv))
+
+
+def inv_unimodular(matrix):
+    """Integer inverse of a square integer matrix with det +-1.
+
+    Raises ValueError when det A is not +-1.
+    """
+    det, inv = det_and_inverse(matrix)
+    if inv is None:
+        raise ValueError(f"matrix has det {det}, expected +-1")
+    return inv
 
 
 def perm_parity(seq) -> int:

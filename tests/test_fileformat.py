@@ -1,6 +1,10 @@
 """Text format: parsing, canonicalization, round trips, diagnostics."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasitoric import Omniorientation, PairDocument, cpn, hirzebruch, parse, serialize
 from quasitoric.errors import (
@@ -11,6 +15,7 @@ from quasitoric.errors import (
     TooLargeError,
     UnknownDirectiveError,
 )
+from support import random_valid_pair
 
 CP2_TEXT = """\
 dim 2
@@ -133,3 +138,18 @@ def test_from_pair_round_trip():
     doc = PairDocument.from_pair(pair, Omniorientation.all_positive(3))
     assert parse(serialize(doc)) == doc
     assert doc.to_pair() == pair
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_random_pair_documents_round_trip(seed, data):
+    pair = random_valid_pair(random.Random(seed))
+    m = pair.polytope.num_facets
+    signs = st.sampled_from([1, -1])
+    facet_signs = st.lists(signs, min_size=m, max_size=m).map(tuple)
+    omni = data.draw(st.none() | st.builds(Omniorientation, signs, facet_signs))
+    doc = PairDocument.from_pair(pair, omni)
+    text = serialize(doc)
+    assert parse(text) == doc
+    assert serialize(parse(text)) == text
+    assert parse(text).to_pair() == pair

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasitoric import (
     Omniorientation,
@@ -199,3 +201,33 @@ def test_report_shape_other_dims():
     rep = compute_invariants(cpn(3), all_pos(cpn(3)))
     assert rep.signature is None and rep.todd is None and rep.almost_complex_4d is None
     assert rep.euler == 4
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_m=st.integers(3, 20), data=st.data())
+def test_local_signature_matches_congruence_diagonalization(seed, max_m, data):
+    """The O(m) signature, a third of the facets' self-intersections, agrees
+    with diagonalizing the whole pairing, under relabelling and global and
+    facet flips; the Todd genus and the almost-complex test follow it."""
+    rng = random.Random(seed)
+    pair = random_polygon_pair(rng, max_m=max_m)
+    m = pair.polytope.num_facets
+    perm = list(range(m))
+    rng.shuffle(perm)
+    signs = st.sampled_from([1, -1])
+    facet_signs = data.draw(st.lists(signs, min_size=m, max_size=m))
+    omni = Omniorientation(data.draw(signs), tuple(facet_signs))
+    pair, omni = relabel_facets(pair, perm, omni)
+    j = data.draw(st.integers(0, m - 1))
+    for o in (omni, omni.flip_global(), omni.flip_facet(j)):
+        rep = compute_invariants(pair, o)
+        assert rep.signature == signature(intersection_form(pair, o))
+        assert 4 * rep.todd == rep.euler + rep.signature
+        assert todd_genus_4d(pair, o) == rep.todd
+        assert almost_complex_exists_4d(pair, o) == rep.almost_complex_4d
+
+
+def test_cp2_sum_signature_counts_summands():
+    for k in range(1, 31):
+        pair = cp2_sum(k)
+        assert compute_invariants(pair, all_pos(pair)).signature == k

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quasitoric.linalg import det_bareiss, inv_unimodular, mat_mul
+from quasitoric.linalg import det_and_inverse, det_bareiss, inv_unimodular, mat_mul
 from support import random_unimodular
 
 
@@ -37,3 +37,24 @@ def test_inv_unimodular_rejects_other_determinants():
                 inv_unimodular(a)
     with pytest.raises(ValueError, match="square"):
         inv_unimodular(((1, 0),))
+
+
+def test_det_and_inverse_matches_bareiss():
+    rng = random.Random(37)
+    for _ in range(400):
+        n = rng.randint(0, 7)
+        kind = rng.random()
+        if kind < 0.3:
+            a = [list(row) for row in random_unimodular(rng, n, steps=3 * n)]
+        else:
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if n > 1 and kind < 0.6:
+                a[0] = list(a[-1])  # singular
+            elif n and kind < 0.8:
+                a[rng.randrange(n)][rng.randrange(n)] = 10**40
+        det, inv = det_and_inverse(a)
+        assert det == det_bareiss(a)
+        if det in (1, -1):
+            assert mat_mul(a, inv) == _identity(n)
+        else:
+            assert inv is None

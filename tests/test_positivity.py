@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasitoric import (
     Gf2System,
@@ -132,6 +134,20 @@ def test_oracle_equivalence_sample():
         brute = brute_force_decide(pair)
         assert fast.satisfiable == brute.satisfiable
         assert fast.solution_count == brute.count
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_decide_agrees_with_brute_force(seed, data):
+    """Hypothesis-drawn pairs with m <= 12, facets relabelled at random."""
+    pair = random_valid_pair(random.Random(seed), max_m=12)
+    m = pair.polytope.num_facets
+    assert m <= 12
+    pair, _ = relabel_facets(pair, data.draw(st.permutations(range(m))))
+    fast = decide_positive(pair)
+    brute = brute_force_decide(pair)
+    assert fast.satisfiable == brute.satisfiable
+    assert fast.solution_count == brute.count
 
 
 def test_brute_force_certificate_positive():
