@@ -94,9 +94,8 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
     (-1)^(pos + wpos). While lambda_v is unimodular its integer inverse is
     updated by an exact rank-one pivot, and only for vertices that have tree
     children. The walk starts afresh at the root and at vertices whose parent
-    is singular: one fraction-free Gauss-Jordan gives both the determinant
-    and the inverse of such a vertex with tree children, Bareiss the
-    determinant of one without.
+    is singular: one fraction-free Gauss-Jordan gives the determinant of such
+    a vertex and, when it is unimodular, the inverse kept for its children.
     """
     rows = tuple(tuple(int(x) for x in row) for row in matrix)
     n, m = polytope.dim, polytope.num_facets
@@ -111,11 +110,9 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
     inverses = {}  # vertex index -> rows of lambda_v^-1 or None, while children remain
 
     def restart(vi):
-        sub = linalg.columns(rows, verts[vi])
+        dets[vi], inv = linalg.det_and_inverse(linalg.columns(rows, verts[vi]))
         if children[vi]:
-            dets[vi], inverses[vi] = linalg.det_and_inverse(sub)
-        else:
-            dets[vi] = linalg.det_bareiss(sub)
+            inverses[vi] = inv
 
     restart(0)
     for wi, vi, pos, wpos in polytope.bfs_tree:

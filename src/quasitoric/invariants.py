@@ -45,8 +45,9 @@ def chern_top_number(pair: CharacteristicPair, omni: Omniorientation) -> int:
     return sum(all_signs(pair, omni))
 
 
-def _self_intersections(pair: CharacteristicPair, omni: Omniorientation) -> list[int]:
-    """D_j . D_j for each facet j of a dim-2 pair, in the orientation of omni.
+def _self_intersections(pair: CharacteristicPair, omni: Omniorientation, signs) -> list[int]:
+    """D_j . D_j for each facet j of a dim-2 pair, in the orientation of omni,
+    given the fixed-point signs ``all_signs(pair, omni)``.
 
     Facet j lies in exactly two vertices, shared with its neighbours a and b,
     where the mixed pairings D_a . D_j and D_b . D_j are the fixed-point signs
@@ -59,7 +60,7 @@ def _self_intersections(pair: CharacteristicPair, omni: Omniorientation) -> list
     rows, eps = pair.matrix.entries, omni.facet_signs
     eff = [(eps[j] * rows[0][j], eps[j] * rows[1][j]) for j in range(m)]
     touching = [[] for _ in range(m)]  # facet -> [(neighbour, sign), (neighbour, sign)]
-    for (i, j), s in zip(pair.polytope.vertices, all_signs(pair, omni)):
+    for (i, j), s in zip(pair.polytope.vertices, signs):
         touching[i].append((j, s))
         touching[j].append((i, s))
     diag = []
@@ -84,8 +85,9 @@ def intersection_form(pair: CharacteristicPair, omni: Omniorientation) -> Inters
     """
     if pair.polytope.dim != 2:
         raise NotDimension2Error(pair.polytope.dim)
-    pairing = {(j, j): d for j, d in enumerate(_self_intersections(pair, omni))}
-    for (i, j), s in zip(pair.polytope.vertices, all_signs(pair, omni)):
+    signs = all_signs(pair, omni)
+    pairing = {(j, j): d for j, d in enumerate(_self_intersections(pair, omni, signs))}
+    for (i, j), s in zip(pair.polytope.vertices, signs):
         pairing[i, j] = pairing[j, i] = s
     # facet 0 and each neighbour form a Z^2 basis (the vertex is unimodular),
     # so the lex-first basis pair is (0, b) with the least such b
@@ -169,10 +171,11 @@ def compute_invariants(pair: CharacteristicPair, omni: Omniorientation) -> Invar
     give p(M) = prod_j (1 + v_j^2), then the Hirzebruch signature theorem),
     the Todd genus and the almost-complex test, all in O(m)."""
     euler = euler_characteristic(pair)
-    chern = chern_top_number(pair, omni)
+    signs = all_signs(pair, omni)
+    chern = sum(signs)  # as chern_top_number
     if pair.polytope.dim != 2:
         return InvariantReport(euler=euler, chern_top=chern)
-    sig, rem = divmod(sum(_self_intersections(pair, omni)), 3)
+    sig, rem = divmod(sum(_self_intersections(pair, omni, signs)), 3)
     if rem:
         raise InternalInconsistencyError("first Pontryagin number is not divisible by 3")
     todd = Fraction(euler + sig, 4)
