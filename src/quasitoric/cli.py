@@ -86,8 +86,9 @@ def _invariant_lines(report) -> list[str]:
 
 def cmd_validate(args) -> int:
     pair = _load(args.file).to_pair()
-    print("valid")
-    for line in _summary_lines(pair):
+    # summarize before printing "valid", so a refused f-vector leaves stdout empty
+    lines = ["valid", *_summary_lines(pair)]
+    for line in lines:
         print(line)
     return 0
 
@@ -212,10 +213,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Built once per process: parsing keeps no state on the parser, and argparse
+# looks up sys.stdout/sys.stderr when it writes, not when it is built.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 3
     try:

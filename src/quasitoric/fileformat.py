@@ -86,6 +86,14 @@ def _int(token: str, lineno: int) -> int:
         raise ParseError(lineno, str(exc)) from None
 
 
+def _ints(tokens: list[str], lineno: int) -> tuple[int, ...]:
+    """All tokens as ints; a bad token raises the ParseError ``_int`` words."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        return tuple(_int(t, lineno) for t in tokens)
+
+
 def _sign(token: str, lineno: int) -> int:
     value = _int(token, lineno)
     if value not in (1, -1):
@@ -109,7 +117,7 @@ def parse(text: str) -> PairDocument:
         if rows_needed:
             if len(tokens) != facets:
                 raise ArityError(lineno, f"lambda row needs {facets} integers, got {len(tokens)}")
-            matrix.append(tuple(_int(t, lineno) for t in tokens))
+            matrix.append(_ints(tokens, lineno))
             rows_needed -= 1
             continue
         directive, args = tokens[0], tokens[1:]
@@ -130,7 +138,7 @@ def parse(text: str) -> PairDocument:
                 raise ParseError(lineno, "vertex before dim")
             if len(args) != dim:
                 raise ArityError(lineno, f"vertex takes {dim} indices, got {len(args)}")
-            vertices.append(tuple(sorted(_int(t, lineno) for t in args)))
+            vertices.append(tuple(sorted(_ints(args, lineno))))
         elif directive == "lambda":
             if matrix is not None:
                 raise DuplicateDirectiveError(lineno, "lambda given twice")

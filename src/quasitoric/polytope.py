@@ -20,10 +20,17 @@ from .errors import (
     DuplicateVertexError,
     NonOrientableError,
     RidgeViolationError,
+    TooLargeError,
     UnusedFacetError,
     ValidationError,
     WrongVertexSizeError,
 )
+
+# f_vector enumerates the k-subsets of every vertex, V*(2^n - 1) in all, and
+# holds the distinct faces in memory; it refuses a polytope over this count.
+# The largest pair of the benchmark's faces workload (three 3-dimensional
+# factors times CP^2: dim 11, 576 vertices) has 1,179,072.
+F_VECTOR_MAX_SUBSETS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -118,13 +125,19 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
     if missing:
         raise UnusedFacetError(missing)
 
-    # ridge tuple -> [(vertex index, deleted position), ...]; a ridge enters
-    # the dict at its first (vertex, position) in scan order, so the first bad
-    # ridge in dict order names the first bad vertex/facet pair
-    ridges: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    # ridge key (the vertex's facet bitmask without the deleted facet's bit)
+    # -> [(vertex index, deleted position), ...]; a ridge enters the dict at
+    # its first (vertex, position) in scan order, so the first bad ridge in
+    # dict order names the first bad vertex/facet pair
+    masks = []
+    ridges: dict[int, list[tuple[int, int]]] = {}
     for vi, v in enumerate(canon):
-        for pos in range(n):
-            ridges.setdefault(v[:pos] + v[pos + 1 :], []).append((vi, pos))
+        mask = 0
+        for j in v:
+            mask |= 1 << j
+        masks.append(mask)
+        for pos, j in enumerate(v):
+            ridges.setdefault(mask ^ (1 << j), []).append((vi, pos))
     for entries in ridges.values():
         if len(entries) != 2:
             vi, pos = entries[0]
@@ -142,9 +155,9 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
     clash = None
     while queue:
         vi = queue.popleft()
-        v = canon[vi]
-        for pos in range(n):
-            a, b = ridges[v[:pos] + v[pos + 1 :]]
+        mask = masks[vi]
+        for pos, j in enumerate(canon[vi]):
+            a, b = ridges[mask ^ (1 << j)]
             wi, wpos = b if a[0] == vi else a
             expected = -((-1) ** (pos + wpos)) * signs[vi]
             if signs[wi] is None:
@@ -187,7 +200,17 @@ def orient_dual_sphere(polytope: SimplePolytope) -> OrientationClass:
 
 def f_vector(polytope: SimplePolytope) -> tuple[int, ...]:
     """(f_0, ..., f_{n-1}): faces of codimension k are the k-subsets of facets
-    contained in at least one vertex. Enumerated once per polytope."""
+    contained in at least one vertex. Enumerated once per polytope.
+
+    Raises TooLargeError, before enumerating anything, when the V*(2^n - 1)
+    vertex subsets exceed F_VECTOR_MAX_SUBSETS.
+    """
+    v, n = polytope.num_vertices, polytope.dim
+    if v * ((1 << n) - 1) > F_VECTOR_MAX_SUBSETS:
+        raise TooLargeError(
+            f"{v} vertices in dim {n} mean {v}*(2^{n} - 1) vertex subsets for the"
+            f" f-vector, over the limit of {F_VECTOR_MAX_SUBSETS}; refusing"
+        )
     return polytope._f_vector
 
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .charpair import CharacteristicPair, Omniorientation, all_signs
 from .errors import InternalInconsistencyError, TooLargeError
 
@@ -177,8 +175,11 @@ def brute_force_decide(pair: CharacteristicPair) -> BruteForceResult:
 
     Refuses m > BRUTE_FORCE_MAX_FACETS. A mask satisfies the system when its
     bit-parity against each vertex row equals that row's rhs bit; the
-    reported certificate is the smallest satisfying mask.
+    reported certificate is the smallest satisfying mask. Needs numpy (the
+    ``test`` extra), imported here so the library itself does not load it.
     """
+    import numpy as np
+
     m = pair.polytope.num_facets
     if m > BRUTE_FORCE_MAX_FACETS:
         raise TooLargeError(f"{m} facets means 2^{m + 1} assignments; refusing")

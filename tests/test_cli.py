@@ -1,8 +1,12 @@
 """End-to-end CLI behaviour: output contracts and exit codes."""
 
 import io
+import os
 import random
 import re
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -198,6 +202,42 @@ def test_missing_file_exit_2(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def test_reused_parser_leaks_no_state(capsys, tmp_path):
+    """main reuses one parser per process: a repeated call gives the same exit
+    code and the same stdout and stderr, byte for byte, as its first run."""
+    target = str(tmp_path / "cp2.qtm")
+    calls = [["report"], ["--help"], ["construct", "cpn", "2", "-o", target],
+             ["report", target], ["report", target], ["report"]]
+    results = [run(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in results] == [3, 0, 0, 0, 0, 3]
+    assert results[0][2].startswith("usage: qtm report")
+    assert results[1][1].startswith("usage: qtm")
+    assert results[3][1]
+    assert results[4] == results[3]
+    assert results[5] == results[0]
+
+
+def test_import_does_not_load_numpy():
+    """Only the brute-force oracle uses numpy, and it imports it itself."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import quasitoric.cli, sys; assert 'numpy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_f_vector_refusal_leaves_stdout_empty(capsys, monkeypatch):
+    """qtm construct cpn 40 | qtm validate - (or report -): the f-vector's
+    41 * (2^40 - 1) subsets are refused up front, exit 2, nothing on stdout."""
+    code, doc, _ = run(capsys, ["construct", "cpn", "40"])
+    assert code == 0
+    for command in ("validate", "report"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command, "-"], stdin_text=doc, monkeypatch=monkeypatch)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "vertex subsets for the f-vector, over the limit of 16777216" in err
 
 
 def test_construct_names_the_digit_limit(capsys):

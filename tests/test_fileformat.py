@@ -1,6 +1,7 @@
 """Text format: parsing, canonicalization, round trips, diagnostics."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +81,35 @@ def test_parse_names_the_digit_limit():
     with pytest.raises(ParseError, match="5000 digits, over the int/str limit of 4300") as exc:
         parse(text)
     assert exc.value.line == 6
+
+
+@pytest.mark.parametrize("lineno, place", [(4, 0), (4, 1), (4, 2), (9, 0), (9, 2), (9, 3)])
+def test_bad_token_in_a_row_names_its_line(lineno, place):
+    """A bad token at the first, a middle or the last place of a vertex line
+    (line 4) or a lambda row (line 9) gives the per-token message."""
+    limit = sys.get_int_max_str_digits()
+    lines = serialize(PairDocument.from_pair(cpn(3))).splitlines()
+    assert lines[3].startswith("vertex ") and lines[6] == "lambda"
+
+    def parse_error(replace):
+        tokens = lines[lineno - 1].split()
+        for k, token in replace.items():
+            tokens[k] = token
+        text = "\n".join(lines[: lineno - 1] + [" ".join(tokens)] + lines[lineno:]) + "\n"
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert type(exc.value) is ParseError
+        assert exc.value.line == lineno
+        return str(exc.value)
+
+    k = place + (lineno == 4)  # skip the "vertex" keyword
+    assert parse_error({k: "x"}) == f"line {lineno}: not an integer: 'x'"
+    assert parse_error({k: "1.5"}) == f"line {lineno}: not an integer: '1.5'"
+    assert parse_error({k: "9" * 5000}) == (
+        f"line {lineno}: integer has 5000 digits, over the int/str limit of {limit}"
+    )
+    # two bad tokens: the first one is named
+    assert parse_error({-2: "1.5", -1: "x"}) == f"line {lineno}: not an integer: '1.5'"
 
 
 def test_serialize_refuses_integers_over_the_digit_limit():

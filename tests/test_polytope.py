@@ -14,6 +14,7 @@ from quasitoric import (
     h_vector,
     orient_dual_sphere,
     polygon,
+    polytope,
     validate_polytope,
 )
 from quasitoric.errors import (
@@ -21,6 +22,7 @@ from quasitoric.errors import (
     DuplicateVertexError,
     NonOrientableError,
     RidgeViolationError,
+    TooLargeError,
     UnusedFacetError,
     ValidationError,
     WrongVertexSizeError,
@@ -224,6 +226,23 @@ def test_f_h_simplex():
         poly = cpn(n).polytope
         assert f_vector(poly) == tuple(comb(n + 1, i + 1) for i in range(n))
         assert h_vector(poly) == (1,) * (n + 1)
+
+
+def test_f_vector_refuses_over_the_subset_limit(monkeypatch):
+    """The refusal counts V*(2^n - 1) subsets, is exact at the limit, and
+    comes before any enumeration (cpn(40) has about 4.5e13 subsets) and
+    before the cached f-vector is returned."""
+    assert polytope.F_VECTOR_MAX_SUBSETS >= 1_179_072  # the largest faces pair
+    with pytest.raises(TooLargeError, match=r"41 vertices in dim 40 mean 41\*\(2\^40 - 1\)"):
+        f_vector(cpn(40).polytope)
+    with pytest.raises(TooLargeError):
+        h_vector(cpn(40).polytope)
+    poly = cpn(2).polytope  # 3 * (2^2 - 1) = 9 subsets
+    monkeypatch.setattr(polytope, "F_VECTOR_MAX_SUBSETS", 9)
+    assert f_vector(poly) == (3, 3)
+    monkeypatch.setattr(polytope, "F_VECTOR_MAX_SUBSETS", 8)
+    with pytest.raises(TooLargeError, match="over the limit of 8"):
+        f_vector(poly)
 
 
 def test_h_palindromic_and_relabel_invariant():
