@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from math import comb
 
 from .errors import (
@@ -26,10 +25,12 @@ from .errors import (
     WrongVertexSizeError,
 )
 
-# f_vector enumerates the k-subsets of every vertex, V*(2^n - 1) in all, and
-# holds the distinct faces in memory; it refuses a polytope over this count.
-# The largest pair of the benchmark's faces workload (three 3-dimensional
-# factors times CP^2: dim 11, 576 vertices) has 1,179,072.
+# f_vector counts the faces level by level from facet vertex-bitsets, each
+# face once. V*(2^n - 1), the number of (vertex, nonempty facet subset) pairs,
+# bounds the face count and is kept as the worst-case estimate: f_vector
+# refuses a polytope over this count. The largest pair of the benchmark's
+# faces workload (three 3-dimensional factors times CP^2: dim 11, 576
+# vertices) has 1,179,072.
 F_VECTOR_MAX_SUBSETS = 1 << 24
 
 
@@ -64,13 +65,44 @@ class SimplePolytope:
 
     @cached_property
     def _f_vector(self) -> tuple[int, ...]:
-        counts = []
-        for k in range(self.dim, 0, -1):  # codimension k gives f_{n-k}
-            faces = set()
-            for v in self.vertices:
-                faces.update(combinations(v, k))
-            counts.append(len(faces))
-        return tuple(counts)
+        n, m, verts = self.dim, self.num_facets, self.vertices
+        counts = [0] * (n + 1)  # counts[k]: faces of codimension k
+        counts[n] = len(verts)  # the codimension-n faces are the vertices
+        counts[1] = m
+        if n > 2:
+            on = [[] for _ in range(m)]  # on[j]: the vertices on facet j, ascending
+            for vi, v in enumerate(verts):
+                for j in v:
+                    on[j].append(vi)
+            # A face is counted once, at its first facet in this order (fewest
+            # vertices first), and grows only by facets later in the order.
+            # Its vertex bitset indexes the vertices of that first facet, and
+            # each later facet has at least as many, so the bitsets one facet
+            # keeps for its neighbours take at most n*V bits together; bitsets
+            # over all V vertices took 1.8 GB on polygon(300)^2 (V = 90000).
+            order = sorted(range(m), key=lambda j: len(on[j]))
+            rank = [0] * m
+            for r, j in enumerate(order):
+                rank[j] = r
+            above = [()] * m  # above[j]: the facets later than j that meet it
+            for a in reversed(order):  # so above[t] is known for every t later than a
+                ra = rank[a]
+                nb = {}  # j -> bitset of the vertices on[a][x] that lie on j
+                for x, vi in enumerate(on[a]):
+                    bit = 1 << x
+                    for j in verts[vi]:
+                        if rank[j] > ra:
+                            nb[j] = nb.get(j, 0) | bit
+                counts[2] += len(nb)
+                above[a] = tuple(nb)
+                # (last facet, vertex bitset) per face of codimension k - 1 whose first facet is a
+                level = nb.items()
+                for k in range(3, n):
+                    level = [
+                        (j, x) for t, w in level for j in above[t] if j in nb and (x := w & nb[j])
+                    ]
+                    counts[k] += len(level)
+        return tuple(reversed(counts[1:]))
 
 
 @dataclass(frozen=True)
@@ -106,7 +138,7 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
 
     canon = []
     for raw in vertices:
-        v = tuple(sorted(int(j) for j in raw))
+        v = tuple(sorted(map(int, raw)))
         if len(set(v)) != n or len(v) != n:
             raise WrongVertexSizeError(tuple(raw), n)
         if v[0] < 0 or v[-1] >= m:
@@ -200,10 +232,14 @@ def orient_dual_sphere(polytope: SimplePolytope) -> OrientationClass:
 
 def f_vector(polytope: SimplePolytope) -> tuple[int, ...]:
     """(f_0, ..., f_{n-1}): faces of codimension k are the k-subsets of facets
-    contained in at least one vertex. Enumerated once per polytope.
+    contained in at least one vertex. Counted once per polytope, level by
+    level: a set of facets is a face when the AND of their vertex bitsets is
+    nonzero, and each face of codimension k >= 3 extends one of codimension
+    k - 1 by a later facet that meets it.
 
-    Raises TooLargeError, before enumerating anything, when the V*(2^n - 1)
-    vertex subsets exceed F_VECTOR_MAX_SUBSETS.
+    Raises TooLargeError, before counting anything, when the V*(2^n - 1)
+    vertex subsets, a worst-case estimate of the work, exceed
+    F_VECTOR_MAX_SUBSETS.
     """
     v, n = polytope.num_vertices, polytope.dim
     if v * ((1 << n) - 1) > F_VECTOR_MAX_SUBSETS:

@@ -2,13 +2,15 @@
 
 The coherence checker here is an independent reimplementation of the
 orientation rule (plain dict sweep over all ridges, no BFS) so library output
-is never checked against itself. The random pair generator only composes
-validated constructors, so every emitted pair is valid by construction.
+is never checked against itself; the subset count does the same for the
+f-vector. The random pair generator only composes validated constructors, so
+every emitted pair is valid by construction.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from quasitoric import (
     basis_change,
@@ -37,6 +39,18 @@ def assert_coherent(vertices, signs):
         induced_a = (-1) ** ap * signs[ai]
         induced_b = (-1) ** bp * signs[bi]
         assert induced_a == -induced_b, f"incoherent at ridge {ridge}"
+
+
+def f_vector_by_subsets(polytope):
+    """(f_0, ..., f_{n-1}) by brute force: the faces of codimension k are the
+    distinct k-subsets of the vertices, collected in one set per k."""
+    counts = []
+    for k in range(polytope.dim, 0, -1):  # codimension k gives f_{n-k}
+        faces = set()
+        for v in polytope.vertices:
+            faces.update(combinations(v, k))
+        counts.append(len(faces))
+    return tuple(counts)
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 6):

@@ -1,6 +1,7 @@
 """Polytope validation, orientation, face counting."""
 
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -15,7 +16,9 @@ from quasitoric import (
     orient_dual_sphere,
     polygon,
     polytope,
+    product,
     validate_polytope,
+    vertex_cut,
 )
 from quasitoric.errors import (
     DisconnectedError,
@@ -27,7 +30,7 @@ from quasitoric.errors import (
     ValidationError,
     WrongVertexSizeError,
 )
-from support import assert_coherent, random_valid_pair
+from support import assert_coherent, f_vector_by_subsets, random_valid_pair, random_vertex
 
 TRIANGLE = [(0, 1), (0, 2), (1, 2)]
 
@@ -37,6 +40,12 @@ TRIANGLE = [(0, 1), (0, 2), (1, 2)]
 HEMI_ICOSAHEDRON = [
     (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
     (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+]
+
+# the 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7; a
+# connected orientable pseudomanifold dual that is not a sphere
+TORUS_7 = [
+    tuple(sorted((i + d) % 7 for d in ds)) for i in range(7) for ds in ((0, 1, 3), (0, 2, 3))
 ]
 
 
@@ -226,6 +235,29 @@ def test_f_h_simplex():
         poly = cpn(n).polytope
         assert f_vector(poly) == tuple(comb(n + 1, i + 1) for i in range(n))
         assert h_vector(poly) == (1,) * (n + 1)
+
+
+def test_f_vector_matches_the_subset_oracle():
+    rng = random.Random(11)
+    pairs = [random_valid_pair(rng) for _ in range(200)]
+    polys = [pair.polytope for pair in pairs]
+    polys += [product(pairs[i], pairs[i + 1]).polytope for i in range(0, 60, 2)]
+    polys += [vertex_cut(pair, random_vertex(rng, pair)).polytope for pair in pairs[:40]]
+    polys += [cpn(n).polytope for n in range(1, 11)]
+    polys += [reduce(product, [cpn(1)] * k).polytope for k in range(1, 9)]
+    polys += [reduce(product, [cpn(2)] * k).polytope for k in range(1, 5)]
+    polys.append(validate_polytope(1, 2, [(0,), (1,)]))
+    for poly in polys:
+        assert f_vector(poly) == f_vector_by_subsets(poly), poly
+
+
+def test_torus_dual_keeps_its_non_palindromic_h_vector():
+    """Validation accepts this non-sphere; nothing may assume Dehn-Sommerville."""
+    poly = validate_polytope(3, 7, TORUS_7)
+    assert (poly.num_vertices, f_vector(poly)) == (14, (14, 21, 7))
+    h = h_vector(poly)
+    assert h == (1, 4, 10, -1)
+    assert h != h[::-1]
 
 
 def test_f_vector_refuses_over_the_subset_limit(monkeypatch):
