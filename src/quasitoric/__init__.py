@@ -8,7 +8,6 @@ examples.
 """
 
 from .charpair import (
-    CharacteristicMatrix,
     CharacteristicPair,
     Omniorientation,
     all_signs,
@@ -41,7 +40,6 @@ from .invariants import (
     todd_genus_4d,
 )
 from .polytope import (
-    OrientationClass,
     SimplePolytope,
     adjacent_vertex,
     f_vector,

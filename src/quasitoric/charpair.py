@@ -1,12 +1,14 @@
 """Characteristic matrices, omniorientations and the fixed-point sign calculus.
 
-The sign of the fixed point over a vertex v is
+A characteristic matrix lambda is stored as a tuple of n row tuples of m
+integers, column j attached to facet j; entries are unbounded. The sign of the
+fixed point over a vertex v is
 
     eps0 * orientation(v) * prod_{j in S(v)} eps_j * sgn det lambda_v
 
 with the columns of lambda_v taken in ascending facet order, the same order
-the orientation class refers to. Facet sign flips are tracked in eps and never
-folded into the stored matrix.
+the orientation class (a tuple of +1/-1, one per vertex) refers to. Facet sign
+flips are tracked in eps and never folded into the stored matrix.
 """
 
 from __future__ import annotations
@@ -17,43 +19,22 @@ from operator import mul
 
 from . import linalg
 from .errors import NotUnimodularError, ShapeMismatchError, SingularVertexError
-from .polytope import OrientationClass, SimplePolytope, orient_dual_sphere, validate_polytope
-
-
-@dataclass(frozen=True)
-class CharacteristicMatrix:
-    """n x m integer matrix, column j attached to facet j. Entries unbounded."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def column(self, j) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
+from .polytope import SimplePolytope, orient_dual_sphere, validate_polytope
 
 
 @dataclass(frozen=True)
 class CharacteristicPair:
-    """Polytope with a validated characteristic matrix.
+    """Polytope with a validated characteristic matrix (a tuple of rows).
 
-    ``orientation`` and ``vertex_dets`` (det lambda_v per vertex, in vertex
-    order) are computed once at construction; both are derived data.
+    ``orientation`` (the polytope's orientation class) and ``vertex_dets``
+    (det lambda_v per vertex, in vertex order) are computed once at
+    construction; both are derived data.
     """
 
     polytope: SimplePolytope
-    matrix: CharacteristicMatrix
-    orientation: OrientationClass
+    matrix: tuple[tuple[int, ...], ...]
+    orientation: tuple[int, ...]
     vertex_dets: tuple[int, ...]
-
-    @property
-    def num_facets(self) -> int:
-        return self.polytope.num_facets
 
 
 @dataclass(frozen=True)
@@ -102,7 +83,6 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
     if len(rows) != n or any(len(r) != m for r in rows):
         got = f"{len(rows)}x{len(rows[0]) if rows else 0}"
         raise ShapeMismatchError(f"{n}x{m}", got)
-    lam = CharacteristicMatrix(rows)
     verts = polytope.vertices
     cols = tuple(zip(*rows))
     children = Counter(parent for _, parent, _, _ in polytope.bfs_tree)
@@ -142,29 +122,35 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
         raise SingularVertexError(offenders)
     return CharacteristicPair(
         polytope=polytope,
-        matrix=lam,
+        matrix=rows,
         orientation=orient_dual_sphere(polytope),
         vertex_dets=tuple(dets),
     )
 
 
+def _check_facet_signs(pair: CharacteristicPair, omni: Omniorientation) -> None:
+    m, k = pair.polytope.num_facets, len(omni.facet_signs)
+    if k != m:
+        raise ValueError(f"omniorientation has {k} facet signs, the pair has {m} facets")
+
+
 def vertex_sign(pair: CharacteristicPair, omni: Omniorientation, vertex) -> int:
     """Sign of the fixed point over one vertex."""
-    v = tuple(sorted(vertex))
-    vi = pair.polytope.vertices.index(v)
-    sign = omni.global_sign * pair.orientation.signs[vi] * pair.vertex_dets[vi]
-    for j in v:
-        sign *= omni.facet_signs[j]
-    return sign
+    return all_signs(pair, omni)[pair.polytope.vertex_index(vertex)]
 
 
 def all_signs(pair: CharacteristicPair, omni: Omniorientation) -> tuple[int, ...]:
-    """Signs of all fixed points, in canonical vertex order."""
+    """Signs of all fixed points, in canonical vertex order.
+
+    ValueError when omni does not carry one facet sign per facet.
+    """
+    _check_facet_signs(pair, omni)
+    eps = omni.facet_signs
     out = []
-    for vi, v in enumerate(pair.polytope.vertices):
-        sign = omni.global_sign * pair.orientation.signs[vi] * pair.vertex_dets[vi]
+    for v, o, d in zip(pair.polytope.vertices, pair.orientation, pair.vertex_dets):
+        sign = omni.global_sign * o * d
         for j in v:
-            sign *= omni.facet_signs[j]
+            sign *= eps[j]
         out.append(sign)
     return tuple(out)
 
@@ -175,11 +161,10 @@ def basis_change(pair: CharacteristicPair, a) -> CharacteristicPair:
     det = linalg.det_bareiss(a)
     if det not in (1, -1):
         raise NotUnimodularError(det)
-    new_rows = linalg.mat_mul(a, pair.matrix.entries)
     # det(A*lambda_v) = det A * det lambda_v, so the pair stays valid
     return CharacteristicPair(
         polytope=pair.polytope,
-        matrix=CharacteristicMatrix(new_rows),
+        matrix=linalg.mat_mul(a, pair.matrix),
         orientation=pair.orientation,
         vertex_dets=tuple(det * d for d in pair.vertex_dets),
     )
@@ -193,22 +178,22 @@ def relabel_facets(pair: CharacteristicPair, perm, omni: Omniorientation | None 
     which can differ from the transported class by one global sign; that sign
     is folded into the transported eps0 so that vertex signs are preserved as
     a map on vertices. With omni=None the second element is None and the
-    compensation is dropped.
+    compensation is dropped. ValueError when perm is not a permutation or
+    omni does not carry one facet sign per facet.
     """
     m = pair.polytope.num_facets
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(m)):
         raise ValueError("perm is not a permutation of the facet labels")
+    if omni is not None:
+        _check_facet_signs(pair, omni)
+    back = sorted(range(m), key=perm.__getitem__)  # back[perm[j]] = j
 
     old = pair.polytope
     new_poly = validate_polytope(
         old.dim, m, [tuple(perm[j] for j in v) for v in old.vertices]
     )
-    new_matrix = [[0] * m for _ in range(old.dim)]
-    for j in range(m):
-        for i, x in enumerate(pair.matrix.column(j)):
-            new_matrix[i][perm[j]] = x
-    new_pair = validate_char(new_poly, new_matrix)
+    new_pair = validate_char(new_poly, linalg.columns(pair.matrix, back))
 
     if omni is None:
         return new_pair, None
@@ -217,8 +202,6 @@ def relabel_facets(pair: CharacteristicPair, perm, omni: Omniorientation | None 
     v0 = old.vertices[0]
     parity = linalg.perm_parity(perm[j] for j in v0)
     wi = new_poly.vertex_index(perm[j] for j in v0)
-    g = new_pair.orientation.signs[wi] * parity * pair.orientation.signs[0]
-    new_facet_signs = [1] * m
-    for j in range(m):
-        new_facet_signs[perm[j]] = omni.facet_signs[j]
-    return new_pair, Omniorientation(g * omni.global_sign, tuple(new_facet_signs))
+    g = new_pair.orientation[wi] * parity * pair.orientation[0]
+    new_facet_signs = tuple(omni.facet_signs[j] for j in back)
+    return new_pair, Omniorientation(g * omni.global_sign, new_facet_signs)

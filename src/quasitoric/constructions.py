@@ -54,8 +54,8 @@ def product(p1: CharacteristicPair, p2: CharacteristicPair) -> CharacteristicPai
         for w in p2.polytope.vertices
     ]
     poly = validate_polytope(n1 + n2, m1 + m2, vertices)
-    rows = [tuple(row) + (0,) * m2 for row in p1.matrix.entries]
-    rows += [(0,) * m1 + tuple(row) for row in p2.matrix.entries]
+    rows = [row + (0,) * m2 for row in p1.matrix]
+    rows += [(0,) * m1 + row for row in p2.matrix]
     return validate_char(poly, rows)
 
 
@@ -72,8 +72,7 @@ def vertex_cut(pair: CharacteristicPair, vertex) -> CharacteristicPair:
     new_vertices = [w for i, w in enumerate(poly.vertices) if i != vi]
     for f in v:
         new_vertices.append(tuple(j for j in v if j != f) + (m,))
-    new_col = [sum(pair.matrix.entries[i][j] for j in v) for i in range(poly.dim)]
-    rows = [tuple(row) + (new_col[i],) for i, row in enumerate(pair.matrix.entries)]
+    rows = [row + (sum(row[j] for j in v),) for row in pair.matrix]
     try:
         new_poly = validate_polytope(poly.dim, m + 1, new_vertices)
         return validate_char(new_poly, rows)
@@ -81,44 +80,41 @@ def vertex_cut(pair: CharacteristicPair, vertex) -> CharacteristicPair:
         raise InvalidResultError(f"vertex cut produced invalid data: {exc}") from exc
 
 
-def facet_cycle(pair: CharacteristicPair) -> tuple[int, ...]:
-    """Facets of a dim-2 pair in the cycle direction picked by the orientation
-    class: vertex {a, b} with a < b points a -> b when its sign is +1.
-
-    Starts at facet 0. Coherence of the orientation class makes this a single
-    directed cycle for any valid dim-2 pair.
-    """
+def _successors(pair: CharacteristicPair) -> dict[int, int]:
+    """Facet successor map of a dim-2 pair in the cycle direction picked by the
+    orientation class: vertex {a, b} with a < b points a -> b when its sign is
+    +1. Coherence of the class makes it a single directed cycle."""
     if pair.polytope.dim != 2:
         raise NotDimension2Error(pair.polytope.dim)
     succ: dict[int, int] = {}
-    for (a, b), sign in zip(pair.polytope.vertices, pair.orientation.signs):
+    for (a, b), sign in zip(pair.polytope.vertices, pair.orientation):
         if sign == 1:
             succ[a] = b
         else:
             succ[b] = a
+    return succ
+
+
+def facet_cycle(pair: CharacteristicPair) -> tuple[int, ...]:
+    """Facets of a dim-2 pair in the cycle direction picked by the orientation
+    class (see ``_successors``), starting at facet 0."""
+    succ = _successors(pair)
     cycle = [0]
-    while True:
-        nxt = succ[cycle[-1]]
-        if nxt == 0:
-            break
+    while (nxt := succ[cycle[-1]]) != 0:
         cycle.append(nxt)
     if len(cycle) != pair.polytope.num_facets:  # pragma: no cover - defect guard
         raise InvalidResultError("facet successor map is not a single cycle")
     return tuple(cycle)
 
 
-def _directed_corner(pair: CharacteristicPair, vertex):
-    """Successor map of the class-directed cycle and the corner (f, f') of
-    ``vertex`` in that direction. Walking the class direction, every corner's
-    base sign orient * det equals its cycle determinant det(col_f, col_f')."""
-    a, b = tuple(sorted(vertex))
+def _corner(pair: CharacteristicPair, succ: dict[int, int], vertex) -> tuple[int, int]:
+    """The corner (f, f') of ``vertex`` in the class direction, succ[f] = f'.
+    Walking the class direction, every corner's base sign orient * det equals
+    its cycle determinant det(col_f, col_f')."""
+    a, b = sorted(vertex)
     if (a, b) not in pair.polytope.vertices:
         raise ValueError(f"{(a, b)} is not a vertex of the polygon")
-    cycle = facet_cycle(pair)
-    m = len(cycle)
-    succ = {cycle[i]: cycle[(i + 1) % m] for i in range(m)}
-    f, f_next = (a, b) if succ[a] == b else (b, a)
-    return succ, (f, f_next)
+    return (a, b) if succ[a] == b else (b, a)
 
 
 def connected_sum_4d(
@@ -138,53 +134,40 @@ def connected_sum_4d(
     convention inserts the second summand reversed and breaks the behaviour
     of the k-fold sums.
     """
-    for p in (p1, p2):
-        if p.polytope.dim != 2:
-            raise NotDimension2Error(p.polytope.dim)
-    succ1, (f, f_next) = _directed_corner(p1, v1)
-    succ2, (g, g_next) = _directed_corner(p2, v2)
+    succ1, succ2 = _successors(p1), _successors(p2)
+    f, f_next = _corner(p1, succ1, v1)
+    g, g_next = _corner(p2, succ2, v2)
 
-    m1 = p1.polytope.num_facets
-    m2 = p2.polytope.num_facets
-    col = p1.matrix.column
-    col2 = p2.matrix.column
-    base1 = col(f)[0] * col(f_next)[1] - col(f)[1] * col(f_next)[0]
-    base2 = col2(g)[0] * col2(g_next)[1] - col2(g)[1] * col2(g_next)[0]
-    twist = -base1 * base2
-
-    target = (
-        (col(f_next)[0], twist * col(f)[0]),
-        (col(f_next)[1], twist * col(f)[1]),
-    )
-    source = ((col2(g)[0], col2(g_next)[0]), (col2(g)[1], col2(g_next)[1]))
+    (xf, xn), (yf, yn) = linalg.columns(p1.matrix, (f, f_next))
+    source = linalg.columns(p2.matrix, (g, g_next))
+    (xg, xh), (yg, yh) = source
+    twist = -(xf * yn - yf * xn) * (xg * yh - yg * xh)
+    target = ((xn, twist * xf), (yn, twist * yf))
     align = linalg.mat_mul(target, linalg.inv_unimodular(source))
     if linalg.det_bareiss(align) != 1:  # pragma: no cover - defect guard
         raise InternalInconsistencyError(f"no det +1 alignment at {v1} / {v2}")
 
-    walk = [("p1", f_next)]
-    while walk[-1][1] != f:
-        walk.append(("p1", succ1[walk[-1][1]]))
-    x = succ2[g_next]
-    while x != g:
-        walk.append(("p2", x))
-        x = succ2[x]
-
-    survivors = sorted(h for h in range(m2) if h not in (g, g_next))
+    # p1 keeps its labels and p2's survivors take m1, m1 + 1, ... in ascending
+    # order, so the glued matrix is p1's columns followed by the moved ones.
+    # The glued cycle runs f' -> ... -> f along p1, then along p2 strictly
+    # between g' and g.
+    m1 = p1.polytope.num_facets
+    survivors = [h for h in range(p2.polytope.num_facets) if h not in (g, g_next)]
     relabel = {h: m1 + i for i, h in enumerate(survivors)}
-    labels = [fac if side == "p1" else relabel[fac] for side, fac in walk]
+    labels = [f_next]
+    while labels[-1] != f:
+        labels.append(succ1[labels[-1]])
+    h = succ2[g_next]
+    while h != g:
+        labels.append(relabel[h])
+        h = succ2[h]
 
-    n_new = m1 + m2 - 2
-    vertices = [(labels[i], labels[(i + 1) % n_new]) for i in range(n_new)]
-    lam = [[0] * n_new for _ in range(2)]
-    for j in range(m1):
-        c = col(j)
-        lam[0][j], lam[1][j] = c[0], c[1]
-    for h in survivors:
-        c = linalg.mat_mul(align, ((col2(h)[0],), (col2(h)[1],)))
-        lam[0][relabel[h]], lam[1][relabel[h]] = c[0][0], c[1][0]
+    vertices = list(zip(labels, labels[1:] + labels[:1]))
+    moved = linalg.mat_mul(align, linalg.columns(p2.matrix, survivors))
+    lam = [row + new for row, new in zip(p1.matrix, moved)]
 
     try:
-        poly = validate_polytope(2, n_new, vertices)
+        poly = validate_polytope(2, len(labels), vertices)
         glued = validate_char(poly, lam)
     except ValidationError as exc:
         raise InvalidResultError(f"connected sum produced invalid data: {exc}") from exc
@@ -196,8 +179,8 @@ def connected_sum_4d(
     anchor = next(v for v in p1.polytope.vertices if v != tuple(sorted(v1)))
     i1 = p1.polytope.vertices.index(anchor)
     ig = glued.polytope.vertices.index(anchor)
-    base_p1 = p1.orientation.signs[i1] * p1.vertex_dets[i1]
-    base_glued = glued.orientation.signs[ig] * glued.vertex_dets[ig]
+    base_p1 = p1.orientation[i1] * p1.vertex_dets[i1]
+    base_glued = glued.orientation[ig] * glued.vertex_dets[ig]
     if base_p1 != base_glued:
         glued = basis_change(glued, ((1, 0), (0, -1)))
     return glued

@@ -56,7 +56,7 @@ class PairDocument:
             dim=pair.polytope.dim,
             num_facets=pair.polytope.num_facets,
             vertices=pair.polytope.vertices,
-            matrix=pair.matrix.entries,
+            matrix=pair.matrix,
             omniorientation=omni,
         )
 

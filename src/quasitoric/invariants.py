@@ -57,7 +57,7 @@ def _self_intersections(pair: CharacteristicPair, omni: Omniorientation, signs) 
     same data as a negated column). So each facet costs O(1).
     """
     m = pair.polytope.num_facets
-    rows, eps = pair.matrix.entries, omni.facet_signs
+    rows, eps = pair.matrix, omni.facet_signs
     eff = [(eps[j] * rows[0][j], eps[j] * rows[1][j]) for j in range(m)]
     touching = [[] for _ in range(m)]  # facet -> [(neighbour, sign), (neighbour, sign)]
     for (i, j), s in zip(pair.polytope.vertices, signs):
@@ -92,7 +92,7 @@ def intersection_form(pair: CharacteristicPair, omni: Omniorientation) -> Inters
     # facet 0 and each neighbour form a Z^2 basis (the vertex is unimodular),
     # so the lex-first basis pair is (0, b) with the least such b
     m = pair.polytope.num_facets
-    xs, ys = pair.matrix.entries
+    xs, ys = pair.matrix
     b = next(b for b in range(1, m) if xs[0] * ys[b] - ys[0] * xs[b] in (1, -1))
     basis = tuple(j for j in range(1, m) if j != b)
     matrix = tuple(tuple(pairing.get((i, j), 0) for j in basis) for i in basis)

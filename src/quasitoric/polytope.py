@@ -4,7 +4,8 @@ A polytope is stored purely combinatorially: dimension n, facet count m, and
 the vertex list, each vertex being the ascending tuple of the n facets meeting
 there. Validation admits exactly the connected orientable simplicial
 pseudomanifold duals; genuine polytopality is not decided (it is infeasible in
-general, and nothing downstream needs more than the checked invariants).
+general, and nothing downstream needs more than the checked invariants). The
+orientation class it finds is a plain tuple of +1/-1, one per vertex.
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ class SimplePolytope:
 
     ``vertices`` is canonical: every vertex tuple ascending, the list sorted
     lexicographically. ``orientation`` is the coherent orientation class that
-    validation found. ``bfs_tree`` is the spanning tree of validation's
+    validation found: ``orientation[i]`` is the sign (+1 or -1) of
+    ``vertices[i]`` read as an ascending simplex of the dual sphere, +1 at the
+    lex-smallest vertex; on a connected dual sphere the class is unique up to
+    one global sign. ``bfs_tree`` is the spanning tree of validation's
     breadth-first search from vertex 0: one ``(vertex, parent, pos, wpos)``
     per other vertex, in discovery order, where the parent's facet at
     ascending position ``pos`` is swapped for the vertex's facet at position
@@ -52,7 +56,7 @@ class SimplePolytope:
     dim: int
     num_facets: int
     vertices: tuple[tuple[int, ...], ...]
-    orientation: OrientationClass = field(compare=False)
+    orientation: tuple[int, ...] = field(compare=False)
     bfs_tree: tuple[tuple[int, int, int, int], ...] = field(compare=False)
 
     @property
@@ -103,22 +107,6 @@ class SimplePolytope:
                     ]
                     counts[k] += len(level)
         return tuple(reversed(counts[1:]))
-
-
-@dataclass(frozen=True)
-class OrientationClass:
-    """Coherent signs for the top simplices of the dual sphere.
-
-    ``signs[i]`` belongs to ``polytope.vertices[i]`` read as an ordered
-    (ascending) simplex. Normalized so the lexicographically smallest vertex
-    gets +1; on a connected dual sphere the class is unique up to one global
-    sign.
-    """
-
-    signs: tuple[int, ...]
-
-    def flipped(self) -> "OrientationClass":
-        return OrientationClass(tuple(-s for s in self.signs))
 
 
 def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
@@ -204,7 +192,7 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
     if clash is not None:
         raise NonOrientableError(clash)
 
-    return SimplePolytope(n, m, tuple(canon), OrientationClass(tuple(signs)), tuple(tree))
+    return SimplePolytope(n, m, tuple(canon), tuple(signs), tuple(tree))
 
 
 def adjacent_vertex(polytope: SimplePolytope, vertex, facet: int) -> tuple[int, ...]:
@@ -222,7 +210,7 @@ def adjacent_vertex(polytope: SimplePolytope, vertex, facet: int) -> tuple[int, 
     raise ValueError("no ridge partner; polytope was not validated")  # pragma: no cover
 
 
-def orient_dual_sphere(polytope: SimplePolytope) -> OrientationClass:
+def orient_dual_sphere(polytope: SimplePolytope) -> tuple[int, ...]:
     """Deterministic coherent orientation, +1 at the lex-smallest vertex.
 
     For dim 1 the generic propagation yields the (+1, -1) interval convention.

@@ -67,7 +67,7 @@ def build_system(pair: CharacteristicPair) -> Gf2System:
         for j in v:
             row |= 1 << (1 + j)
         rows.append(row)
-        rhs.append(1 if pair.orientation.signs[vi] * pair.vertex_dets[vi] == -1 else 0)
+        rhs.append(1 if pair.orientation[vi] * pair.vertex_dets[vi] == -1 else 0)
     return Gf2System(pair.polytope.num_facets + 1, tuple(rows), tuple(rhs))
 
 
@@ -142,7 +142,7 @@ def _verify(pair: CharacteristicPair, result: PositivityResult) -> None:
     for vi in w:
         for j in pair.polytope.vertices[vi]:
             facet_hits[j] += 1
-        base_product *= pair.orientation.signs[vi] * pair.vertex_dets[vi]
+        base_product *= pair.orientation[vi] * pair.vertex_dets[vi]
     if any(h % 2 for h in facet_hits):
         raise InternalInconsistencyError("witness meets some facet an odd number of times")
     if base_product != -1:

@@ -74,7 +74,7 @@ def test_criterion_1_cp2k_parity_law():
             for vi in w:
                 for j in pair.polytope.vertices[vi]:
                     hits[j] += 1
-                prod *= pair.orientation.signs[vi] * pair.vertex_dets[vi]
+                prod *= pair.orientation[vi] * pair.vertex_dets[vi]
             ok &= all(h % 2 == 0 for h in hits) and prod == -1
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
@@ -173,7 +173,7 @@ def test_criterion_6_structural_invariants():
     pairs = fixtures() + [random_valid_pair(rng, max_m=10) for _ in range(15)]
     for pair in pairs:
         poly = pair.polytope
-        assert_coherent(poly.vertices, pair.orientation.signs)
+        assert_coherent(poly.vertices, pair.orientation)
         h = h_vector(poly)
         ok &= h == h[::-1]
         omni = Omniorientation.all_positive(poly.num_facets)

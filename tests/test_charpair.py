@@ -29,7 +29,7 @@ INTERVAL = validate_polytope(1, 2, [(0,), (1,)])
 def test_triangle_dets():
     pair = validate_char(TRIANGLE, [[1, 0, -1], [0, 1, -1]])
     assert pair.vertex_dets == (1, -1, 1)
-    assert pair.orientation.signs == (1, -1, 1)
+    assert pair.orientation == (1, -1, 1)
 
 
 def test_singular_vertex_listed():
@@ -132,6 +132,19 @@ def test_basis_change_det_plus_one_preserves_signs():
         assert all_signs(basis_change(pair, a), omni) == all_signs(pair, omni)
 
 
+def test_omniorientation_of_wrong_length_is_rejected():
+    pair = cpn(2)
+    for signs in ((1, 1), (1, 1, 1, 1, 1)):
+        omni = Omniorientation(1, signs)
+        msg = f"omniorientation has {len(signs)} facet signs, the pair has 3 facets"
+        with pytest.raises(ValueError, match=msg):
+            all_signs(pair, omni)
+        with pytest.raises(ValueError, match=msg):
+            vertex_sign(pair, omni, (0, 1))
+        with pytest.raises(ValueError, match=msg):
+            relabel_facets(pair, (2, 0, 1), omni)
+
+
 def test_basis_change_rejects_non_unimodular():
     pair = validate_char(TRIANGLE, [[1, 0, -1], [0, 1, -1]])
     with pytest.raises(NotUnimodularError):
@@ -212,7 +225,7 @@ def _bareiss_dets(polytope, rows):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_exchange_walk_dets_match_bareiss(seed):
     pair = _oracle_pair(random.Random(seed))
-    assert list(pair.vertex_dets) == _bareiss_dets(pair.polytope, pair.matrix.entries)
+    assert list(pair.vertex_dets) == _bareiss_dets(pair.polytope, pair.matrix)
 
 
 @settings(deadline=None)
@@ -221,7 +234,7 @@ def test_perturbed_matrix_matches_bareiss(seed, data):
     """One perturbed entry of lambda: the walk agrees with Bareiss on the
     dets of a still-valid pair, or on every offender, in vertex order."""
     pair = _oracle_pair(random.Random(seed))
-    rows = [list(row) for row in pair.matrix.entries]
+    rows = [list(row) for row in pair.matrix]
     i = data.draw(st.integers(0, len(rows) - 1))
     j = data.draw(st.integers(0, len(rows[0]) - 1))
     rows[i][j] += data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3, 10**40]))

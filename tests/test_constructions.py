@@ -1,5 +1,6 @@
 """Example families and closure operations."""
 
+import hashlib
 import random
 
 import pytest
@@ -10,11 +11,14 @@ from quasitoric import (
     cp2_sum,
     cpn,
     decide_positive,
+    PairDocument,
     euler_characteristic,
     f_vector,
+    facet_cycle,
     hirzebruch,
     polygon,
     product,
+    serialize,
     vertex_cut,
 )
 from quasitoric.errors import NotDimension2Error
@@ -24,10 +28,10 @@ from support import random_valid_pair, random_vertex
 def test_cpn_small():
     one = cpn(1)
     assert one.polytope.vertices == ((0,), (1,))
-    assert one.matrix.entries == ((1, -1),)
+    assert one.matrix == ((1, -1),)
     two = cpn(2)
     assert two.polytope.vertices == ((0, 1), (0, 2), (1, 2))
-    assert two.matrix.entries == ((1, 0, -1), (0, 1, -1))
+    assert two.matrix == ((1, 0, -1), (0, 1, -1))
 
 
 def test_cpn_positive():
@@ -58,7 +62,7 @@ def test_hirzebruch_valid_all_a():
 def test_product_square():
     pair = product(cpn(1), cpn(1))
     assert pair.polytope.vertices == ((0, 2), (0, 3), (1, 2), (1, 3))
-    assert pair.matrix.entries == ((1, -1, 0, 0), (0, 0, 1, -1))
+    assert pair.matrix == ((1, -1, 0, 0), (0, 0, 1, -1))
 
 
 def test_product_euler_multiplies():
@@ -97,9 +101,9 @@ def test_product_orientation_single_global_constant():
             for wi, w in enumerate(q.polytope.vertices):
                 ci = pq.polytope.vertex_index(v + tuple(j + m1 for j in w))
                 constants.add(
-                    pq.orientation.signs[ci]
-                    * p.orientation.signs[vi]
-                    * q.orientation.signs[wi]
+                    pq.orientation[ci]
+                    * p.orientation[vi]
+                    * q.orientation[wi]
                 )
         assert len(constants) == 1
 
@@ -132,7 +136,7 @@ def test_vertex_cut_cp2():
     pair = vertex_cut(cpn(2), (0, 1))
     assert pair.polytope.num_facets == 4
     assert pair.polytope.vertices == ((0, 2), (0, 3), (1, 2), (1, 3))
-    assert pair.matrix.column(3) == (1, 1)
+    assert tuple(row[3] for row in pair.matrix) == (1, 1)
 
 
 def test_vertex_cut_euler_increment():
@@ -177,3 +181,44 @@ def test_connected_sum_requires_dim2():
         connected_sum_4d(cpn(3), (0, 1, 2), cpn(2), (0, 1))
     with pytest.raises(ValueError):
         cp2_sum(0)
+
+
+def test_connected_sum_rejects_a_non_vertex():
+    with pytest.raises(ValueError, match="not a vertex"):
+        connected_sum_4d(hirzebruch(1), (0, 2), cpn(2), (0, 1))
+
+
+def test_facet_cycle():
+    assert facet_cycle(cpn(2)) == (0, 1, 2)
+    assert facet_cycle(hirzebruch(1)) == (0, 1, 2, 3)
+    assert facet_cycle(cp2_sum(3)) == (0, 3, 1, 2, 4)
+    with pytest.raises(NotDimension2Error):
+        facet_cycle(cpn(3))
+
+
+def _random_summand(rng):
+    r = rng.random()
+    if r < 0.25:
+        return cpn(2)
+    if r < 0.6:
+        return hirzebruch(rng.randint(-4, 4))
+    base = cpn(2) if rng.random() < 0.5 else hirzebruch(rng.randint(-4, 4))
+    return vertex_cut(base, random_vertex(rng, base))
+
+
+def test_connected_sums_pinned():
+    """Serialized text, orientation and vertex determinants of 60 seeded sums
+    at random corners, some folded into the next sum. 18 of them re-anchor the
+    global gauge with the det -1 basis change, so both branches are pinned."""
+    rng = random.Random(59)
+    digest = hashlib.sha256()
+    acc = None
+    for _ in range(60):
+        a = acc if acc is not None and rng.random() < 0.3 else _random_summand(rng)
+        b = _random_summand(rng)
+        acc = connected_sum_4d(a, random_vertex(rng, a), b, random_vertex(rng, b))
+        digest.update(serialize(PairDocument.from_pair(acc)).encode())
+        digest.update(repr((acc.orientation, acc.vertex_dets)).encode())
+    assert digest.hexdigest() == (
+        "2252cac7f1439ec48f8b54d4dc4a8c86b09910a2af34be3b2d69b02b2e38055e"
+    )

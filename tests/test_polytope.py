@@ -153,12 +153,12 @@ def test_adjacent_vertex_involution():
 
 def test_orientation_interval():
     poly = validate_polytope(1, 2, [(0,), (1,)])
-    assert orient_dual_sphere(poly).signs == (1, -1)
+    assert orient_dual_sphere(poly) == (1, -1)
 
 
 def test_orientation_triangle():
     poly = validate_polytope(2, 3, TRIANGLE)
-    assert orient_dual_sphere(poly).signs == (1, -1, 1)
+    assert orient_dual_sphere(poly) == (1, -1, 1)
 
 
 def test_orientation_coherent_and_normalized():
@@ -166,10 +166,10 @@ def test_orientation_coherent_and_normalized():
     for _ in range(30):
         poly = random_valid_pair(rng).polytope
         oc = orient_dual_sphere(poly)
-        assert oc.signs[0] == 1
-        assert_coherent(poly.vertices, oc.signs)
+        assert oc[0] == 1
+        assert_coherent(poly.vertices, oc)
         # the flipped class is the only other coherent one
-        assert_coherent(poly.vertices, oc.flipped().signs)
+        assert_coherent(poly.vertices, tuple(-s for s in oc))
 
 
 def test_bfs_tree_reaches_every_other_vertex_once():
@@ -215,8 +215,8 @@ def test_mutated_vertices_raise_or_orient_coherently(seed, data):
     except ValidationError:
         assert edits
         return
-    assert result.orientation.signs[0] == 1
-    assert_coherent(result.vertices, result.orientation.signs)
+    assert result.orientation[0] == 1
+    assert_coherent(result.vertices, result.orientation)
 
 
 def test_f_h_triangle_square():

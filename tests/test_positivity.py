@@ -24,7 +24,6 @@ from quasitoric import (
 )
 from quasitoric.charpair import CharacteristicPair
 from quasitoric.errors import TooLargeError
-from quasitoric.polytope import OrientationClass
 from quasitoric.positivity import _omni_from_mask
 from support import random_unimodular, random_valid_pair
 
@@ -48,7 +47,7 @@ def test_orientation_renormalization_shifts_rhs_only():
     flipped = CharacteristicPair(
         polytope=pair.polytope,
         matrix=pair.matrix,
-        orientation=OrientationClass(tuple(-s for s in pair.orientation.signs)),
+        orientation=tuple(-s for s in pair.orientation),
         vertex_dets=pair.vertex_dets,
     )
     s0, s1 = build_system(pair), build_system(flipped)
@@ -120,7 +119,7 @@ def test_witness_conditions():
         for vi in w:
             for j in pair.polytope.vertices[vi]:
                 hits[j] += 1
-            prod *= pair.orientation.signs[vi] * pair.vertex_dets[vi]
+            prod *= pair.orientation[vi] * pair.vertex_dets[vi]
         assert all(h % 2 == 0 for h in hits)
         assert prod == -1
     assert seen_unsat >= 5
