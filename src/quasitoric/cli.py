@@ -21,10 +21,6 @@ from .polytope import f_vector, h_vector
 from .positivity import decide_positive
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -137,56 +133,44 @@ def cmd_report(args) -> int:
     return 0 if result.satisfiable else 1
 
 
-def cmd_construct(args) -> int:
-    name = args.name
-    params = args.params
-
-    def usage(msg):
-        print(f"error: construct {name}: {msg}", file=sys.stderr)
-        return 3
-
-    def integer(token):
-        try:
-            return parse_int(token)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-
+def _integer(token: str) -> int:
     try:
-        if name == "cpn":
-            if len(params) != 1:
-                return usage("takes one parameter n >= 1")
-            n = integer(params[0])
-            if n < 1:
-                return usage("n must be >= 1")
-            pair = cpn(n)
-        elif name == "hirzebruch":
-            if len(params) != 1:
-                return usage("takes one integer parameter")
-            pair = hirzebruch(integer(params[0]))
-        elif name == "cp2k":
-            if len(params) != 1:
-                return usage("takes one parameter k >= 1")
-            k = integer(params[0])
-            if k < 1:
-                return usage("k must be >= 1")
-            pair = cp2_sum(k)
-        elif name == "product":
-            if len(params) != 2:
-                return usage("takes two input files")
-            pair = product(_load(params[0]).to_pair(), _load(params[1]).to_pair())
-        elif name == "vertex-cut":
-            if len(params) != 2:
-                return usage("takes an input file and a vertex index")
-            base = _load(params[0]).to_pair()
-            idx = integer(params[1])
-            if not 0 <= idx < base.polytope.num_vertices:
-                return usage(f"vertex index out of range [0, {base.polytope.num_vertices})")
-            pair = vertex_cut(base, base.polytope.vertices[idx])
-        else:  # pragma: no cover - argparse choices guard this
-            return usage("unknown construction")
-    except _UsageError as exc:
-        return usage(str(exc))
-    _write(args.output, serialize(PairDocument.from_pair(pair)))
+        return parse_int(token)
+    except ValueError as exc:  # argparse would echo the token for a ValueError
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive(token: str) -> int:
+    value = _integer(token)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _vertex_cut(args):
+    base = _load(args.file).to_pair()
+    vertices = base.polytope.vertices
+    if not 0 <= args.index < len(vertices):
+        args.parser.error(f"vertex index out of range [0, {len(vertices)})")
+    return vertex_cut(base, vertices[args.index])
+
+
+# name -> (builder of the pair, then each positional parameter and its type)
+_CONSTRUCTIONS = {
+    "cpn": (lambda args: cpn(args.n), ("n", _positive)),
+    "hirzebruch": (lambda args: hirzebruch(args.a), ("a", _integer)),
+    "cp2k": (lambda args: cp2_sum(args.k), ("k", _positive)),
+    "product": (
+        lambda args: product(_load(args.file1).to_pair(), _load(args.file2).to_pair()),
+        ("file1", str),
+        ("file2", str),
+    ),
+    "vertex-cut": (_vertex_cut, ("file", str), ("index", _integer)),
+}
+
+
+def cmd_construct(args) -> int:
+    _write(args.output, serialize(PairDocument.from_pair(args.build(args))))
     return 0
 
 
@@ -205,11 +189,18 @@ def _build_parser() -> _Parser:
         p.add_argument("file", help=".qtm file, or - for stdin")
         p.set_defaults(func=func)
 
+    # -o goes before the name or after the parameters; the name's parser sets
+    # it only when given there, so it keeps a value given before the name
+    output_help = "output file, - for stdout"
     p = sub.add_parser("construct")
-    p.add_argument("name", choices=["cpn", "hirzebruch", "product", "vertex-cut", "cp2k"])
-    p.add_argument("params", nargs="*")
-    p.add_argument("-o", "--output", default="-", help="output file, - for stdout")
-    p.set_defaults(func=cmd_construct)
+    p.add_argument("-o", "--output", default="-", help=output_help)
+    names = p.add_subparsers(dest="name", required=True)
+    for name, (build, *params) in _CONSTRUCTIONS.items():
+        q = names.add_parser(name)
+        for param, kind in params:
+            q.add_argument(param, type=kind)
+        q.add_argument("-o", "--output", default=argparse.SUPPRESS, help=output_help)
+        q.set_defaults(func=cmd_construct, build=build, parser=q)
     return parser
 
 
@@ -221,14 +212,10 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 3
-    try:
-        return args.func(args)
-    except QuasitoricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (QuasitoricError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,12 +12,7 @@ from itertools import combinations
 
 from . import linalg
 from .charpair import CharacteristicPair, basis_change, validate_char
-from .errors import (
-    InternalInconsistencyError,
-    InvalidResultError,
-    NotDimension2Error,
-    ValidationError,
-)
+from .errors import InternalInconsistencyError, NotDimension2Error, ValidationError
 from .polytope import SimplePolytope, validate_polytope
 
 
@@ -63,10 +58,12 @@ def vertex_cut(pair: CharacteristicPair, vertex) -> CharacteristicPair:
     """Blow up the fixed point over a vertex.
 
     The cut vertex is replaced by n new vertices on a new facet whose lambda
-    column is the sum of the cut vertex's columns.
+    column is the sum of the cut vertex's columns. Needs dim >= 2.
     """
-    v = tuple(sorted(vertex))
     poly = pair.polytope
+    if poly.dim < 2:
+        raise ValueError(f"a vertex cut needs dim >= 2, got dim {poly.dim}")
+    v = tuple(sorted(vertex))
     vi = poly.vertices.index(v)
     m = poly.num_facets
     new_vertices = [w for i, w in enumerate(poly.vertices) if i != vi]
@@ -76,8 +73,8 @@ def vertex_cut(pair: CharacteristicPair, vertex) -> CharacteristicPair:
     try:
         new_poly = validate_polytope(poly.dim, m + 1, new_vertices)
         return validate_char(new_poly, rows)
-    except ValidationError as exc:
-        raise InvalidResultError(f"vertex cut produced invalid data: {exc}") from exc
+    except ValidationError as exc:  # pragma: no cover - defect guard
+        raise InternalInconsistencyError(f"vertex cut produced invalid data: {exc}") from exc
 
 
 def _successors(pair: CharacteristicPair) -> dict[int, int]:
@@ -103,7 +100,7 @@ def facet_cycle(pair: CharacteristicPair) -> tuple[int, ...]:
     while (nxt := succ[cycle[-1]]) != 0:
         cycle.append(nxt)
     if len(cycle) != pair.polytope.num_facets:  # pragma: no cover - defect guard
-        raise InvalidResultError("facet successor map is not a single cycle")
+        raise InternalInconsistencyError("facet successor map is not a single cycle")
     return tuple(cycle)
 
 
@@ -169,8 +166,8 @@ def connected_sum_4d(
     try:
         poly = validate_polytope(2, len(labels), vertices)
         glued = validate_char(poly, lam)
-    except ValidationError as exc:
-        raise InvalidResultError(f"connected sum produced invalid data: {exc}") from exc
+    except ValidationError as exc:  # pragma: no cover - defect guard
+        raise InternalInconsistencyError(f"connected sum produced invalid data: {exc}") from exc
 
     # The rebuilt orientation class is normalized at the glued polygon's
     # lex-smallest vertex, which need not extend p1's orientation. Anchor the

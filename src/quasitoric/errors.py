@@ -1,8 +1,8 @@
 """Exception hierarchy.
 
-Everything raised on bad user input derives from ValidationError or ParseError;
-InternalInconsistencyError and friends signal implementation defects and should
-never be reachable from valid data.
+Every library error derives from QuasitoricError. InternalInconsistencyError
+signals an implementation defect and should never be reachable from valid
+data; every other class reports bad input.
 """
 
 from __future__ import annotations
@@ -100,10 +100,6 @@ class TooLargeError(QuasitoricError):
 
 class InternalInconsistencyError(QuasitoricError):
     """A result failed its own verification; indicates a defect, not bad input."""
-
-
-class InvalidResultError(QuasitoricError):
-    """A construction produced data that fails validation."""
 
 
 class NotDimension2Error(QuasitoricError):

@@ -145,6 +145,13 @@ def test_omniorientation_of_wrong_length_is_rejected():
             relabel_facets(pair, (2, 0, 1), omni)
 
 
+def test_omniorientation_rejects_a_sign_other_than_pm1():
+    with pytest.raises(ValueError, match="global sign must be"):
+        Omniorientation(0, (1, 1, 1))
+    with pytest.raises(ValueError, match="facet signs must be"):
+        Omniorientation(1, (1, 2, 1))
+
+
 def test_basis_change_rejects_non_unimodular():
     pair = validate_char(TRIANGLE, [[1, 0, -1], [0, 1, -1]])
     with pytest.raises(NotUnimodularError):

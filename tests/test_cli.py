@@ -8,13 +8,24 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasitoric import Omniorientation, PairDocument, serialize
+from quasitoric import (
+    Omniorientation,
+    PairDocument,
+    all_signs,
+    cp2_sum,
+    cpn,
+    hirzebruch,
+    product,
+    serialize,
+    vertex_cut,
+)
 from quasitoric.cli import main
 from support import random_valid_pair
 
@@ -171,28 +182,90 @@ def test_report_runs_and_mirrors_decide_exit(capsys, monkeypatch, cp2_file):
     assert "positive_count = 0" in out
 
 
+def test_report_lists_the_signs_of_a_carried_omniorientation(capsys, monkeypatch):
+    pair = hirzebruch(1)
+    omni = Omniorientation(1, (1, -1, 1, 1))
+    doc = serialize(PairDocument.from_pair(pair, omni))
+    code, out, _ = run(capsys, ["report", "-"], doc, monkeypatch)
+    signs = all_signs(pair, omni)
+    assert set(signs) == {1, -1}
+    expected = [
+        "vertex " + " ".join(map(str, v)) + (" : +1" if s == 1 else " : -1")
+        for v, s in zip(pair.polytope.vertices, signs)
+    ]
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[5 : 5 + len(expected)] == expected
+    assert lines[5 + len(expected)] == "SAT"
+
+
 def test_reports_deterministic(capsys, cp2_file):
     code1, out1, _ = run(capsys, ["report", cp2_file])
     code2, out2, _ = run(capsys, ["report", cp2_file])
     assert (code1, out1) == (code2, out2)
 
 
-def test_usage_errors_exit_3(capsys):
-    code, out, err = run(capsys, ["frobnicate"])
-    assert code == 3
-    code, out, err = run(capsys, ["construct", "nonsense", "1"])
-    assert code == 3
-    code, out, err = run(capsys, ["construct", "cpn"])
-    assert code == 3
-    assert "error" in err
-    code, out, err = run(capsys, ["construct", "cpn", "0"])
-    assert code == 3
-    code, out, err = run(capsys, ["construct", "cpn", "x"])
-    assert code == 3
-    code, out, err = run(capsys, ["construct", "vertex-cut"])
-    assert code == 3
-    code, out, err = run(capsys, ["decide"])
-    assert code == 3
+def test_usage_errors_exit_3(capsys, cp2_file):
+    """A wrong name, a missing or extra parameter, a parameter that is not an
+    integer or out of range: exit 3, nothing on stdout, a message on stderr."""
+    for argv in (
+        ["frobnicate"],
+        ["decide"],
+        ["construct", "nonsense", "1"],
+        ["construct", "cpn"],
+        ["construct", "cpn", "0"],
+        ["construct", "cpn", "x"],
+        ["construct", "cpn", "2", "3"],
+        ["construct", "hirzebruch", "1", "2"],
+        ["construct", "cp2k"],
+        ["construct", "cp2k", "0"],
+        ["construct", "product", cp2_file],
+        ["construct", "vertex-cut"],
+        ["construct", "vertex-cut", cp2_file, "3"],
+        ["construct", "vertex-cut", cp2_file, "-1"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, ""), argv
+        assert "error" in err, argv
+
+
+def test_construct_writes_the_library_pair(capsys, tmp_path, cp2_file):
+    """Every construction, signed integers and each place of -o/--output give
+    the bytes of the library call, serialized."""
+    cp2 = cpn(2)
+    files = [str(tmp_path / f"out{i}.qtm") for i in range(3)]
+    for argv, pair, target in (
+        (["cpn", "+2"], cp2, None),
+        (["hirzebruch", "-3"], hirzebruch(-3), None),
+        (["cp2k", "3"], cp2_sum(3), None),
+        (["product", cp2_file, cp2_file], product(cp2, cp2), None),
+        (["vertex-cut", cp2_file, "1"], vertex_cut(cp2, cp2.polytope.vertices[1]), None),
+        (["-o", files[0], "cpn", "2"], cp2, files[0]),
+        (["cpn", "2", "-o", files[1]], cp2, files[1]),
+        (["cpn", "2", f"--output={files[2]}"], cp2, files[2]),
+    ):
+        code, out, _ = run(capsys, ["construct", *argv])
+        expected = serialize(PairDocument.from_pair(pair))
+        if target is not None:
+            assert out == ""
+            out = Path(target).read_text()
+        assert (code, out) == (0, expected), argv
+
+
+def test_input_errors_exit_2(capsys, tmp_path):
+    """Valid syntax, invalid data: exit 2 with nothing on stdout, whether the
+    data arrives as a document or as a construction's input."""
+    cp1 = tmp_path / "cp1.qtm"
+    cp1.write_text(serialize(PairDocument.from_pair(cpn(1))))
+    empty = tmp_path / "empty.qtm"
+    empty.write_text("dim 1\nfacets 2\nlambda\n1 -1\n")
+    for argv, message in (
+        (["construct", "vertex-cut", str(cp1), "0"], "a vertex cut needs dim >= 2, got dim 1"),
+        (["validate", str(empty)], "polytope has no vertices"),
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err
 
 
 def test_missing_file_exit_2(capsys):

@@ -139,6 +139,11 @@ def test_vertex_cut_cp2():
     assert tuple(row[3] for row in pair.matrix) == (1, 1)
 
 
+def test_vertex_cut_needs_dim_2():
+    with pytest.raises(ValueError, match="a vertex cut needs dim >= 2, got dim 1"):
+        vertex_cut(cpn(1), (0,))
+
+
 def test_vertex_cut_euler_increment():
     rng = random.Random(55)
     for _ in range(12):

@@ -134,6 +134,10 @@ def test_arity_errors():
         parse(CP2_TEXT + "omniorientation +1 +1\n")
     with pytest.raises(ArityError):
         parse("dim 2\nfacets 3\nvertex 0 1\nlambda\n1 0\n0 1 -1\n")
+    with pytest.raises(ArityError, match="line 2: facets takes one integer"):
+        parse("dim 2\nfacets 3 4\n")
+    with pytest.raises(ArityError, match="line 3: lambda takes no arguments"):
+        parse("dim 2\nfacets 3\nlambda 1\n")
 
 
 def test_missing_lambda():
@@ -161,6 +165,8 @@ def test_order_and_value_errors():
         parse(CP2_TEXT + "omniorientation +1 +1 +1 +2\n")
     with pytest.raises(ParseError):
         parse("dim 2\n")
+    with pytest.raises(ParseError, match="line 2: omniorientation before facets"):
+        parse("dim 2\nomniorientation +1\n")
 
 
 def test_from_pair_round_trip():

@@ -119,6 +119,8 @@ def test_scalar_errors():
         validate_polytope(2, 2, [(0, 1)])
     with pytest.raises(ValidationError):
         validate_polytope(1, 2, [(0,), (5,)])
+    with pytest.raises(ValidationError, match="polytope has no vertices"):
+        validate_polytope(2, 3, [])
 
 
 def test_adjacent_vertex_triangle():
