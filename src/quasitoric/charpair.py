@@ -45,6 +45,7 @@ class Omniorientation:
     facet_signs: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "facet_signs", tuple(self.facet_signs))
         if self.global_sign not in (1, -1):
             raise ValueError("global sign must be +1 or -1")
         if any(s not in (1, -1) for s in self.facet_signs):

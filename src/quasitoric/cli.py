@@ -21,12 +21,6 @@ from .polytope import f_vector, h_vector
 from .positivity import decide_positive
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(3, f"{self.prog}: error: {message}\n")
-
-
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -92,8 +86,7 @@ def cmd_validate(args) -> int:
 def cmd_signs(args) -> int:
     doc = _load(args.file)
     if doc.omniorientation is None:
-        print("error: signs requires an omniorientation directive", file=sys.stderr)
-        return 2
+        raise ValueError("signs requires an omniorientation directive")
     pair = doc.to_pair()
     for line in _sign_lines(pair, doc.omniorientation):
         print(line)
@@ -174,9 +167,9 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="qtm", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="qtm", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     for cmd, func in (
         ("validate", cmd_validate),

@@ -63,8 +63,8 @@ def vertex_cut(pair: CharacteristicPair, vertex) -> CharacteristicPair:
     poly = pair.polytope
     if poly.dim < 2:
         raise ValueError(f"a vertex cut needs dim >= 2, got dim {poly.dim}")
-    v = tuple(sorted(vertex))
-    vi = poly.vertices.index(v)
+    vi = poly.vertex_index(vertex)
+    v = poly.vertices[vi]
     m = poly.num_facets
     new_vertices = [w for i, w in enumerate(poly.vertices) if i != vi]
     for f in v:

@@ -48,8 +48,9 @@ class SimplePolytope:
     breadth-first search from vertex 0: one ``(vertex, parent, pos, wpos)``
     per other vertex, in discovery order, where the parent's facet at
     ascending position ``pos`` is swapped for the vertex's facet at position
-    ``wpos`` across their shared ridge. Both are derived from the vertices,
-    so equality and hashing ignore them. Construct through
+    ``wpos`` across their shared ridge. ``masks[i]`` is the facet bitmask of
+    ``vertices[i]``, bit j set for each facet j there. All three are derived
+    from the vertices, so equality and hashing ignore them. Construct through
     :func:`validate_polytope`; the dataclass itself performs no checks.
     """
 
@@ -58,14 +59,21 @@ class SimplePolytope:
     vertices: tuple[tuple[int, ...], ...]
     orientation: tuple[int, ...] = field(compare=False)
     bfs_tree: tuple[tuple[int, int, int, int], ...] = field(compare=False)
+    masks: tuple[int, ...] = field(compare=False)
 
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
 
     def vertex_index(self, vertex) -> int:
-        """Position of a vertex (given as any iterable of facet indices)."""
-        return self.vertices.index(tuple(sorted(vertex)))
+        """Position of a vertex (given as any iterable of facet indices).
+
+        ValueError, naming the ascending tuple, when it is not a vertex."""
+        v = tuple(sorted(vertex))
+        try:
+            return self.vertices.index(v)
+        except ValueError:
+            raise ValueError(f"{v} is not a vertex of the polytope") from None
 
     @cached_property
     def _f_vector(self) -> tuple[int, ...]:
@@ -192,21 +200,21 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
     if clash is not None:
         raise NonOrientableError(clash)
 
-    return SimplePolytope(n, m, tuple(canon), tuple(signs), tuple(tree))
+    return SimplePolytope(n, m, tuple(canon), tuple(signs), tuple(tree), tuple(masks))
 
 
 def adjacent_vertex(polytope: SimplePolytope, vertex, facet: int) -> tuple[int, ...]:
     """The unique vertex sharing the ridge S(v) minus {facet} with v (n >= 2)."""
     if polytope.dim < 2:
         raise ValueError("edges of the polytope exist only for dim >= 2")
-    v = tuple(sorted(vertex))
-    vi = polytope.vertices.index(v)
+    vi = polytope.vertex_index(vertex)
+    v = polytope.vertices[vi]
     if facet not in v:
         raise ValueError(f"facet {facet} is not incident to vertex {v}")
-    ridge = tuple(j for j in v if j != facet)
-    for wi, w in enumerate(polytope.vertices):
-        if wi != vi and set(ridge) <= set(w):
-            return w
+    ridge = polytope.masks[vi] ^ (1 << facet)
+    for wi, mask in enumerate(polytope.masks):
+        if wi != vi and mask & ridge == ridge:
+            return polytope.vertices[wi]
     raise ValueError("no ridge partner; polytope was not validated")  # pragma: no cover
 
 

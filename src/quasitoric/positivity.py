@@ -5,12 +5,14 @@ and eps_j = (-1)^x_j, vertex v demands
 
     x0 + sum_{j in S(v)} x_j = b_v   over GF(2),
 
-where b_v = 1 iff orientation(v) * sgn det lambda_v = -1. Gaussian elimination
-on bit-packed rows yields either the lexicographically determined certificate
-(free variables zeroed, pivots at the lowest unknown indices) or, from the
-elimination trace, a set of vertices whose equations sum to 0 = 1. Both are
-re-verified before being returned. A brute-force enumeration over all 2^(m+1)
-omniorientations serves as the independent oracle.
+where b_v = 1 iff orientation(v) * sgn det lambda_v = -1. The row of vertex v
+is 1 | mask << 1, its facet bitmask shifted past x0. Gaussian elimination
+keeps each row as one integer that also packs its rhs and its history, and
+yields either the lexicographically determined certificate (free variables
+zeroed, pivots at the lowest unknown indices) or, from the history, a set of
+vertices whose equations sum to 0 = 1. Both are re-verified before being
+returned. A brute-force enumeration over all 2^(m+1) omniorientations serves
+as the independent oracle.
 """
 
 from __future__ import annotations
@@ -60,15 +62,9 @@ class BruteForceResult:
 
 def build_system(pair: CharacteristicPair) -> Gf2System:
     """Linearized all-signs-positive condition, one row per vertex in order."""
-    rows = []
-    rhs = []
-    for vi, v in enumerate(pair.polytope.vertices):
-        row = 1  # x0
-        for j in v:
-            row |= 1 << (1 + j)
-        rows.append(row)
-        rhs.append(1 if pair.orientation[vi] * pair.vertex_dets[vi] == -1 else 0)
-    return Gf2System(pair.polytope.num_facets + 1, tuple(rows), tuple(rhs))
+    rows = tuple(1 | mask << 1 for mask in pair.polytope.masks)
+    rhs = tuple(int(o * d == -1) for o, d in zip(pair.orientation, pair.vertex_dets))
+    return Gf2System(pair.polytope.num_facets + 1, rows, rhs)
 
 
 def _omni_from_mask(mask: int, num_facets: int) -> Omniorientation:
@@ -82,50 +78,45 @@ def solve(system: Gf2System) -> PositivityResult:
 
     Pivots are chosen at the lowest unknown index, rows scanned in order, and
     the reduction is carried to RREF, so certificates and witnesses are
-    reproducible. Each work row drags a history bitmask of the original rows
-    combined into it; a zero row with rhs 1 hands its history back as the
+    reproducible. With n unknowns, each work row is one integer: its
+    coefficients in bits 0..n-1, its rhs in bit n, and in bit n + 1 + k the
+    history of original row k having been combined into it. A row that
+    reduces to its rhs bit and history, 0 = 1, hands its history back as the
     inconsistency witness.
     """
-    n_rows = len(system.rows)
-    coef = list(system.rows)
-    rhs = list(system.rhs)
-    hist = [1 << i for i in range(n_rows)]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for col in range(system.num_unknowns):
-        piv = None
-        for i in range(r, n_rows):
-            if (coef[i] >> col) & 1:
-                piv = i
-                break
+    n = system.num_unknowns
+    rows = [c | b << n | 1 << (n + 1 + k) for k, (c, b) in enumerate(zip(system.rows, system.rhs))]
+    n_rows = len(rows)
+    pivots = []  # pivots[r]: the column of row r's pivot
+    for col in range(n):
+        bit = 1 << col  # tested with &, as a shift would copy the history bits
+        r = len(pivots)
+        piv = next((i for i in range(r, n_rows) if rows[i] & bit), None)
         if piv is None:
             continue
-        coef[r], coef[piv] = coef[piv], coef[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        hist[r], hist[piv] = hist[piv], hist[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
         for i in range(n_rows):
-            if i != r and (coef[i] >> col) & 1:
-                coef[i] ^= coef[r]
-                rhs[i] ^= rhs[r]
-                hist[i] ^= hist[r]
-        pivot_of_col[col] = r
-        r += 1
-        if r == n_rows:
+            if i != r and rows[i] & bit:
+                rows[i] ^= rows[r]
+        pivots.append(col)
+        if r + 1 == n_rows:
             break
 
-    for i in range(n_rows):
-        if coef[i] == 0 and rhs[i] == 1:
-            witness = tuple(v for v in range(n_rows) if (hist[i] >> v) & 1)
+    equation = (2 << n) - 1  # the coefficient and rhs bits
+    for row in rows:
+        if row & equation == 1 << n:
+            hist = row >> (n + 1)
+            witness = tuple(v for v in range(n_rows) if (hist >> v) & 1)
             return PositivityResult(satisfiable=False, witness=witness)
 
     mask = 0
-    for col, row_i in pivot_of_col.items():
-        if rhs[row_i]:
+    for row, col in zip(rows, pivots):
+        if row & 1 << n:
             mask |= 1 << col
     return PositivityResult(
         satisfiable=True,
-        certificate=_omni_from_mask(mask, system.num_unknowns - 1),
-        kernel_dim=system.num_unknowns - len(pivot_of_col),
+        certificate=_omni_from_mask(mask, n - 1),
+        kernel_dim=n - len(pivots),
     )
 
 
@@ -134,17 +125,17 @@ def _verify(pair: CharacteristicPair, result: PositivityResult) -> None:
         if any(s != 1 for s in all_signs(pair, result.certificate)):
             raise InternalInconsistencyError("certificate does not make all signs +1")
         return
-    w = result.witness
-    if len(w) % 2 != 0:
-        raise InternalInconsistencyError("witness has odd size")
-    facet_hits = [0] * pair.polytope.num_facets
+    # the XOR of the witness's system rows: bit 0 is its size mod 2 and bit
+    # 1 + j the parity of its hits on facet j, so 0 means even in both
+    total = 0
     base_product = 1
-    for vi in w:
-        for j in pair.polytope.vertices[vi]:
-            facet_hits[j] += 1
+    for vi in result.witness:
+        total ^= 1 | pair.polytope.masks[vi] << 1
         base_product *= pair.orientation[vi] * pair.vertex_dets[vi]
-    if any(h % 2 for h in facet_hits):
-        raise InternalInconsistencyError("witness meets some facet an odd number of times")
+    if total:
+        raise InternalInconsistencyError(
+            "witness has odd size or meets some facet an odd number of times"
+        )
     if base_product != -1:
         raise InternalInconsistencyError("witness base signs do not multiply to -1")
 

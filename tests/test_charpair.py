@@ -152,6 +152,13 @@ def test_omniorientation_rejects_a_sign_other_than_pm1():
         Omniorientation(1, (1, 2, 1))
 
 
+def test_omniorientation_stores_its_facet_signs_as_a_tuple():
+    omni = Omniorientation(1, [1, -1, 1])
+    assert omni.facet_signs == (1, -1, 1)
+    assert omni == Omniorientation(1, (1, -1, 1))
+    assert hash(omni) == hash(Omniorientation(1, (1, -1, 1)))
+
+
 def test_basis_change_rejects_non_unimodular():
     pair = validate_char(TRIANGLE, [[1, 0, -1], [0, 1, -1]])
     with pytest.raises(NotUnimodularError):

@@ -115,8 +115,17 @@ def test_certificate_feeds_back_into_signs(capsys, monkeypatch, cp2_file):
 
 def test_signs_requires_omniorientation(capsys, cp2_file):
     code, out, err = run(capsys, ["signs", cp2_file])
-    assert code == 2
-    assert "omniorientation" in err
+    assert (code, out) == (2, "")
+    assert err == "error: signs requires an omniorientation directive\n"
+
+
+def test_missing_file_argument_prints_usage(capsys):
+    code, out, err = run(capsys, ["report"])
+    assert (code, out) == (3, "")
+    assert err == (
+        "usage: qtm report [-h] file\n"
+        "qtm report: error: the following arguments are required: file\n"
+    )
 
 
 def test_construct_cp2k_pipe_decide_unsat(capsys, monkeypatch):

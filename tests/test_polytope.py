@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasitoric import (
+    Omniorientation,
     adjacent_vertex,
     cpn,
     f_vector,
@@ -19,6 +20,7 @@ from quasitoric import (
     product,
     validate_polytope,
     vertex_cut,
+    vertex_sign,
 )
 from quasitoric.errors import (
     DisconnectedError,
@@ -133,6 +135,28 @@ def test_adjacent_vertex_square():
     poly = polygon(4)
     assert adjacent_vertex(poly, (0, 1), 1) == (0, 3)
     assert adjacent_vertex(poly, (0, 1), 0) == (1, 2)
+
+
+def test_a_tuple_that_is_not_a_vertex_is_named():
+    pair = cpn(2)
+    poly = pair.polytope
+    for call in (
+        lambda: poly.vertex_index((6, 5)),
+        lambda: vertex_cut(pair, (5, 6)),
+        lambda: adjacent_vertex(poly, (5, 6), 5),
+        lambda: vertex_sign(pair, Omniorientation.all_positive(3), (5, 6)),
+    ):
+        with pytest.raises(ValueError, match=r"^\(5, 6\) is not a vertex of the polytope$"):
+            call()
+
+
+def test_masks_are_the_vertex_facet_bitmasks():
+    rng = random.Random(38)
+    for _ in range(40):
+        poly = random_valid_pair(rng).polytope
+        assert len(poly.masks) == poly.num_vertices
+        for i, v in enumerate(poly.vertices):
+            assert poly.masks[i] == sum(1 << j for j in v)
 
 
 def test_adjacent_vertex_rejects_interval():

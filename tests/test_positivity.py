@@ -1,5 +1,6 @@
 """GF(2) decision procedure, certificates, witnesses, brute-force oracle."""
 
+import hashlib
 import random
 
 import pytest
@@ -19,12 +20,13 @@ from quasitoric import (
     cpn,
     decide_positive,
     hirzebruch,
+    product,
     relabel_facets,
     solve,
 )
 from quasitoric.charpair import CharacteristicPair
-from quasitoric.errors import TooLargeError
-from quasitoric.positivity import _omni_from_mask
+from quasitoric.errors import InternalInconsistencyError, TooLargeError
+from quasitoric.positivity import PositivityResult, _omni_from_mask, _verify
 from support import random_unimodular, random_valid_pair
 
 
@@ -236,3 +238,60 @@ def test_kernel_dim_counts_all_solutions():
             )
             expected += ok
         assert solve(system).solution_count == expected
+
+
+def _decision(result):
+    cert = result.certificate
+    signs = None if cert is None else (cert.global_sign, cert.facet_signs)
+    return (result.satisfiable, signs, result.kernel_dim, result.witness)
+
+
+def test_decide_positive_pinned():
+    """Decision, certificate signs, kernel dimension and witness of 300 seeded
+    random pairs, cp2_sum(1..40) (the even k give UNSAT witnesses of k + 2
+    vertices), (CP1)^1..8, (CP2)^1..4 and cp2_sum(1..6) x CP1, CP2, each also
+    relabelled and basis-changed, in one digest. The UNSAT products have many
+    witnesses, so the digest also pins the order in which solve scans rows
+    and picks pivots."""
+    rng = random.Random(37)
+    pairs = [random_valid_pair(rng) for _ in range(300)]
+    pairs += [cp2_sum(k) for k in range(1, 41)]
+    for factor, top in ((cpn(1), 8), (cpn(2), 4)):
+        pair = factor
+        pairs.append(pair)
+        for _ in range(top - 1):
+            pair = product(pair, factor)
+            pairs.append(pair)
+    pairs += [product(cp2_sum(k), factor) for k in range(1, 7) for factor in (cpn(1), cpn(2))]
+    digest = hashlib.sha256()
+    unsat = 0
+    for pair in pairs:
+        perm = list(range(pair.polytope.num_facets))
+        rng.shuffle(perm)
+        relabelled, _ = relabel_facets(pair, perm)
+        changed = basis_change(pair, random_unimodular(rng, pair.polytope.dim))
+        for other in (pair, relabelled, changed):
+            key = _decision(decide_positive(other))
+            unsat += not key[0]
+            digest.update(repr(key).encode())
+    assert unsat == 225
+    assert digest.hexdigest() == (
+        "55ca2279d8d062c942942af12ee3b462ada2210be1f5f0c81b392b96b8373a50"
+    )
+
+
+def test_verify_rejects_each_bad_result():
+    """Each condition _verify checks, broken on its own."""
+    unsat = cp2_sum(2)  # witness (0, 1, 2, 3): the whole square
+    sat = hirzebruch(1)  # the whole square again, but its base signs multiply to +1
+    cert = decide_positive(cpn(2)).certificate
+    for pair, bad, message in (
+        # the whole triangle meets each facet twice, but has odd size
+        (cpn(2), PositivityResult(False, witness=(0, 1, 2)), "odd size"),
+        (unsat, PositivityResult(False, witness=(0, 1)), "odd number of times"),
+        (sat, PositivityResult(False, witness=(0, 1, 2, 3)), "multiply to -1"),
+        (cpn(2), PositivityResult(True, cert.flip_facet(0), 0), r"all signs \+1"),
+    ):
+        with pytest.raises(InternalInconsistencyError, match=message):
+            _verify(pair, bad)
+    _verify(unsat, decide_positive(unsat))
