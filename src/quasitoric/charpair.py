@@ -136,8 +136,13 @@ def _check_facet_signs(pair: CharacteristicPair, omni: Omniorientation) -> None:
 
 
 def vertex_sign(pair: CharacteristicPair, omni: Omniorientation, vertex) -> int:
-    """Sign of the fixed point over one vertex."""
-    return all_signs(pair, omni)[pair.polytope.vertex_index(vertex)]
+    """Sign of the fixed point over one vertex, from its own n facet signs."""
+    _check_facet_signs(pair, omni)
+    vi = pair.polytope.vertex_index(vertex)
+    sign = omni.global_sign * pair.orientation[vi] * pair.vertex_dets[vi]
+    for j in pair.polytope.vertices[vi]:
+        sign *= omni.facet_signs[j]
+    return sign
 
 
 def all_signs(pair: CharacteristicPair, omni: Omniorientation) -> tuple[int, ...]:

@@ -184,13 +184,25 @@ def connected_sum_4d(
 
 
 def cp2_sum(k: int) -> CharacteristicPair:
-    """k-fold equivariant connected sum of CP^2, a (k+2)-gon pair."""
+    """k-fold equivariant connected sum of CP^2, a (k+2)-gon pair, in closed form.
+
+    With m = k + 2 and eps = +1 for odd k, -1 for even k, the vertices are
+    (0, k), (0, k+1), (1, 2) and (j, j+2) for j = 1..k-1, and the rows of
+    lambda are
+
+        x_0 = 1, x_1 = 0, x_j = -(-1)^floor((j-1)/2) * floor(j/2)  (j >= 2),
+        y_0 = 0,          y_j = eps * (-1)^floor(j/2)              (j >= 1).
+
+    This is the pair that folding ``connected_sum_4d`` k - 1 times into CP^2,
+    each time at vertex 0 of the running sum and of a fresh CP^2, returns; the
+    tests compare the two. The polygon and the matrix are validated like every
+    other constructor's.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    acc = cpn(2)
-    for _ in range(k - 1):
-        fresh = cpn(2)
-        acc = connected_sum_4d(
-            acc, acc.polytope.vertices[0], fresh, fresh.polytope.vertices[0]
-        )
-    return acc
+    m = k + 2
+    eps = 1 if k % 2 else -1
+    vertices = [(0, k), (0, k + 1), (1, 2)] + [(j, j + 2) for j in range(1, k)]
+    x = [1, 0] + [-((-1) ** ((j - 1) // 2)) * (j // 2) for j in range(2, m)]
+    y = [0] + [eps * (-1) ** (j // 2) for j in range(1, m)]
+    return validate_char(validate_polytope(2, m, vertices), [x, y])

@@ -81,7 +81,9 @@ class SimplePolytope:
         counts = [0] * (n + 1)  # counts[k]: faces of codimension k
         counts[n] = len(verts)  # the codimension-n faces are the vertices
         counts[1] = m
-        if n > 2:
+        if n > 2:  # each ridge lies on exactly two vertices, each vertex on n ridges
+            counts[n - 1] = len(verts) * n // 2
+        if n > 3:
             on = [[] for _ in range(m)]  # on[j]: the vertices on facet j, ascending
             for vi, v in enumerate(verts):
                 for j in v:
@@ -109,7 +111,7 @@ class SimplePolytope:
                 above[a] = tuple(nb)
                 # (last facet, vertex bitset) per face of codimension k - 1 whose first facet is a
                 level = nb.items()
-                for k in range(3, n):
+                for k in range(3, n - 1):
                     level = [
                         (j, x) for t, w in level for j in above[t] if j in nb and (x := w & nb[j])
                     ]
@@ -231,7 +233,9 @@ def f_vector(polytope: SimplePolytope) -> tuple[int, ...]:
     contained in at least one vertex. Counted once per polytope, level by
     level: a set of facets is a face when the AND of their vertex bitsets is
     nonzero, and each face of codimension k >= 3 extends one of codimension
-    k - 1 by a later facet that meets it.
+    k - 1 by a later facet that meets it. The edges (codimension n - 1) are
+    not enumerated: validation puts each ridge on exactly two vertices, so
+    there are V*n/2 of them.
 
     Raises TooLargeError, before counting anything, when the V*(2^n - 1)
     vertex subsets, a worst-case estimate of the work, exceed

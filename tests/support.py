@@ -3,7 +3,8 @@
 The coherence checker here is an independent reimplementation of the
 orientation rule (plain dict sweep over all ridges, no BFS) so library output
 is never checked against itself; the subset count does the same for the
-f-vector. The random pair generator only composes validated constructors, so
+f-vector, and the iterated connected sum for the closed-form k-fold sum of
+CP^2. The random pair generator only composes validated constructors, so
 every emitted pair is valid by construction.
 """
 
@@ -51,6 +52,18 @@ def f_vector_by_subsets(polytope):
             faces.update(combinations(v, k))
         counts.append(len(faces))
     return tuple(counts)
+
+
+def cp2_sum_by_folding(k: int):
+    """The k-fold sum of CP^2 as k - 1 connected sums, each at vertex 0 of the
+    running sum and of a fresh CP^2: O(k^2), one rebuilt polygon per sum."""
+    acc = cpn(2)
+    for _ in range(k - 1):
+        fresh = cpn(2)
+        acc = connected_sum_4d(
+            acc, acc.polytope.vertices[0], fresh, fresh.polytope.vertices[0]
+        )
+    return acc
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 6):

@@ -132,6 +132,19 @@ def test_basis_change_det_plus_one_preserves_signs():
         assert all_signs(basis_change(pair, a), omni) == all_signs(pair, omni)
 
 
+def test_vertex_sign_matches_all_signs():
+    rng = random.Random(23)
+    for _ in range(40):
+        pair = random_valid_pair(rng)
+        m = pair.polytope.num_facets
+        omni = Omniorientation(
+            rng.choice((1, -1)), tuple(rng.choice((1, -1)) for _ in range(m))
+        )
+        signs = all_signs(pair, omni)
+        for v, sign in zip(pair.polytope.vertices, signs):
+            assert vertex_sign(pair, omni, reversed(v)) == sign
+
+
 def test_omniorientation_of_wrong_length_is_rejected():
     pair = cpn(2)
     for signs in ((1, 1), (1, 1, 1, 1, 1)):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -22,7 +23,7 @@ from quasitoric import (
     vertex_cut,
 )
 from quasitoric.errors import NotDimension2Error
-from support import random_valid_pair, random_vertex
+from support import cp2_sum_by_folding, random_valid_pair, random_vertex
 
 
 def test_cpn_small():
@@ -164,6 +165,30 @@ def test_cp2_sum_structure():
         assert euler_characteristic(pair) == k + 2
         assert set(pair.vertex_dets) <= {1, -1}
         assert decide_positive(pair).satisfiable == (k % 2 == 1)
+
+
+def test_cp2_sum_matches_the_fold():
+    for k in range(1, 61):
+        pair, folded = cp2_sum(k), cp2_sum_by_folding(k)
+        assert pair == folded, k
+        assert pair.orientation == folded.orientation, k
+        assert pair.vertex_dets == folded.vertex_dets, k
+        assert pair.polytope.bfs_tree == folded.polytope.bfs_tree, k
+        assert pair.polytope.masks == folded.polytope.masks, k
+        omni = Omniorientation.all_positive(k + 2)
+        text = serialize(PairDocument.from_pair(pair, omni))
+        assert text == serialize(PairDocument.from_pair(folded, omni)), k
+
+
+def test_cp2_sum_is_built_in_linear_time():
+    """The fold would take minutes at k = 5000; the closed form takes about
+    0.1 s, so the bound only catches a return to quadratic cost."""
+    start = time.perf_counter()
+    pair = cp2_sum(5000)
+    assert time.perf_counter() - start < 5.0
+    assert pair.polytope.num_facets == 5002
+    assert len(facet_cycle(pair)) == 5002
+    assert set(pair.vertex_dets) <= {1, -1}
 
 
 def test_connected_sum_signature_additive_at_random_corners():
