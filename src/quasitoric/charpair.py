@@ -75,7 +75,9 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
     Cramer's rule det lambda_w = det lambda_v * (lambda_v^-1 c)_pos *
     (-1)^(pos + wpos). While lambda_v is unimodular its integer inverse is
     updated by an exact rank-one pivot, and only for vertices that have tree
-    children. The walk starts afresh at the root and at vertices whose parent
+    children; a row whose coefficient (lambda_v^-1 c)_r is 0 is the same
+    object in both inverses, which is safe because no row is mutated once
+    built. The walk starts afresh at the root and at vertices whose parent
     is singular: one fraction-free Gauss-Jordan gives the determinant of such
     a vertex and, when it is unimodular, the inverse kept for its children.
     """
@@ -83,6 +85,9 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
     n, m = polytope.dim, polytope.num_facets
     if len(rows) != n or any(len(r) != m for r in rows):
         got = f"{len(rows)}x{len(rows[0]) if rows else 0}"
+        if len({len(r) for r in rows}) > 1:  # ragged: name the first row of the wrong length
+            i = next(i for i, r in enumerate(rows) if len(r) != m)
+            got = f"row {i} of length {len(rows[i])}"
         raise ShapeMismatchError(f"{n}x{m}", got)
     verts = polytope.vertices
     cols = tuple(zip(*rows))
@@ -109,7 +114,10 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
                 step = u[pos]
                 if step in (1, -1):
                     pivot = [step * x for x in inv[pos]]  # row pos over step = +-1
-                    new = [[y - ui * z for y, z in zip(row, pivot)] for row, ui in zip(inv, u)]
+                    new = [
+                        [y - ui * z for y, z in zip(row, pivot)] if ui else row
+                        for row, ui in zip(inv, u)
+                    ]
                     new[pos] = pivot
                     new.insert(wpos, new.pop(pos))
                     inverses[wi] = new

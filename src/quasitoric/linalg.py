@@ -4,7 +4,11 @@ All matrices are tuples of row tuples of Python ints, so every result is exact
 regardless of entry size; nothing here uses fractions or floats. The sizes
 are small (n is the polytope dimension), but validation runs these
 eliminations at the root of its basis-exchange walk and wherever the walk
-restarts, on every input, so their inner loops are kept lean.
+restarts, on every input, so their inner loops are kept lean. Those
+matrices are sparse (a basis-changed cpn(54) root has 170 nonzeros of 2916),
+so ``det_and_inverse`` skips the work that is provably zero: with a pivot
+equal to the previous one, a row is touched only where it meets the pivot
+row's nonzeros.
 """
 
 from __future__ import annotations
@@ -63,6 +67,15 @@ def det_and_inverse(matrix):
     taken as pivots, in the order they were taken (``order``). Until a row is
     taken, its own right-block column holds the previous pivot in that row
     and 0 in every other, so it is brought in at that step.
+
+    Each row r becomes (p*y - x*z) / prev entry by entry, where p is the
+    pivot, x the row's entry in the pivot column and z the pivot row's entry.
+    When p == prev that division is by p, and p divides x*z because the
+    quotient is an integer, so the entry is y - x*z // p exactly: a row with
+    x = 0 only shifts, and any other row changes only where the pivot row is
+    nonzero, so it is updated there in place. A row whose leading entry
+    equals prev is therefore preferred as the next pivot. Any nonzero pivot
+    gives the same determinant and inverse, which are unique.
     """
     k = len(matrix)
     if any(len(row) != k for row in matrix):
@@ -72,26 +85,37 @@ def det_and_inverse(matrix):
     sign = 1
     prev = 1
     for c in range(k):
-        if a[c][0] == 0:
+        if a[c][0] != prev:  # prefer a row led by prev, else any nonzero lead
             for r in range(c + 1, k):
-                if a[r][0] != 0:
-                    a[c], a[r] = a[r], a[c]
-                    order[c], order[r] = order[r], order[c]
-                    sign = -sign
+                if a[r][0] == prev:
                     break
             else:
-                return 0, None
+                r = c
+                if a[c][0] == 0:
+                    for r in range(c + 1, k):
+                        if a[r][0] != 0:
+                            break
+                    else:
+                        return 0, None
+            if r != c:
+                a[c], a[r] = a[r], a[c]
+                order[c], order[r] = order[r], order[c]
+                sign = -sign
         pivot = a[c]
         p = pivot[0]
         rest = pivot[1:] + [prev]
+        support = [(i, z) for i, z in enumerate(rest) if z] if p == prev else None
         for r in range(k):
             if r == c:
                 continue
             row = a[r]
             x = row[0]
-            if x == 0 and p == prev:  # the update leaves the row as it is
+            if support is not None:  # y - x * z // p, only where z != 0
                 del row[0]
                 row.append(0)
+                if x:
+                    for i, z in support:
+                        row[i] -= x * z // p
             else:
                 # stays integral: Sylvester's identity, as in Bareiss
                 a[r] = [(p * y - x * z) // prev for y, z in zip(row[1:], rest)] + [-x]

@@ -50,6 +50,18 @@ def test_shape_mismatch():
         validate_char(TRIANGLE, [[1, 0, -1]])
 
 
+def test_ragged_matrix_names_its_first_row_of_wrong_length():
+    with pytest.raises(ShapeMismatchError) as exc:
+        validate_char(TRIANGLE, [[1, 0, -1], [0, 1]])
+    assert str(exc.value) == "characteristic matrix must be 2x3, got row 1 of length 2"
+    with pytest.raises(ShapeMismatchError) as exc:
+        validate_char(TRIANGLE, [[1, 0, -1], [0, 1, -1, 0], [1]])
+    assert str(exc.value) == "characteristic matrix must be 2x3, got row 1 of length 4"
+    with pytest.raises(ShapeMismatchError) as exc:
+        validate_char(TRIANGLE, [[1, 0], [0, 1]])
+    assert str(exc.value) == "characteristic matrix must be 2x3, got 2x2"
+
+
 def test_interval_signs_formula():
     pair = validate_char(INTERVAL, [[1, -1]])
     omni = Omniorientation.all_positive(2)
@@ -273,3 +285,40 @@ def test_perturbed_matrix_matches_bareiss(seed, data):
         assert list(exc.offenders) == expected
     else:
         assert list(perturbed.vertex_dets) == dets
+
+
+def _disguised(rng: random.Random, pair, steps: int):
+    perm = list(range(pair.polytope.num_facets))
+    rng.shuffle(perm)
+    pair, _ = relabel_facets(pair, perm)
+    return basis_change(pair, random_unimodular(rng, pair.polytope.dim, steps=steps))
+
+
+@pytest.mark.parametrize("name", ["cpn(30)", "cpn(46)", "(CP2)^4"])
+def test_large_exchange_walks_match_bareiss(name):
+    """Pairs well past the oracle's cpn(12), where the root elimination is
+    large and sparse: the walk agrees with Bareiss on every determinant, and
+    on every offender once one entry is perturbed."""
+    rng = random.Random(name)
+    if name == "(CP2)^4":
+        pair = product(product(cpn(2), cpn(2)), product(cpn(2), cpn(2)))
+    else:
+        pair = cpn(int(name[4:-1]))
+    pair = _disguised(rng, pair, pair.polytope.dim)
+    assert list(pair.vertex_dets) == _bareiss_dets(pair.polytope, pair.matrix)
+
+    singular = 0
+    for _ in range(2):
+        rows = [list(row) for row in pair.matrix]
+        # det + 3 * cofactor is +-1 only where the cofactor is 0
+        rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] += 3
+        dets = _bareiss_dets(pair.polytope, rows)
+        expected = [(v, d) for v, d in zip(pair.polytope.vertices, dets) if d not in (1, -1)]
+        try:
+            perturbed = validate_char(pair.polytope, rows)
+        except SingularVertexError as exc:
+            assert list(exc.offenders) == expected
+            singular += 1
+        else:
+            assert list(perturbed.vertex_dets) == dets
+    assert singular

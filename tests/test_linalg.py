@@ -58,3 +58,49 @@ def test_det_and_inverse_matches_bareiss():
             assert mat_mul(a, inv) == _identity(n)
         else:
             assert inv is None
+
+
+def _check_against_bareiss(a):
+    before = [row[:] for row in a]
+    det, inv = det_and_inverse(a)
+    assert a == before
+    assert det == det_bareiss(a)
+    if det in (1, -1):
+        assert mat_mul(a, inv) == _identity(len(a))
+    else:
+        assert inv is None
+    return det
+
+
+def test_det_and_inverse_on_large_sparse_unimodular():
+    """The shape of a basis-changed cpn(n) root: large, sparse, small entries,
+    so most pivots equal the previous one and rows update in place."""
+    rng = random.Random(41)
+    for n in range(20, 61, 4):
+        for _ in range(3):
+            a = [list(row) for row in random_unimodular(rng, n, steps=rng.randint(n, 2 * n))]
+            assert _check_against_bareiss(a) in (1, -1)
+
+
+def test_det_and_inverse_with_a_repeated_pivot_beyond_one():
+    """One row (or column) scaled by d: once it is a pivot, the pivots are
+    +-d, so a pivot equals the previous one with |p| > 1 and the in-place
+    update divides by p. Some draws are made singular."""
+    rng = random.Random(43)
+    singular = 0
+    for _ in range(60):
+        n = rng.randint(3, 24)
+        a = [list(row) for row in random_unimodular(rng, n, steps=rng.randint(n, 2 * n))]
+        d = rng.choice([2, 3, -2, 6, 10**20])
+        i = rng.randrange(n)
+        if rng.random() < 0.5:
+            a[i] = [d * x for x in a[i]]
+        else:
+            for row in a:
+                row[i] *= d
+        if rng.random() < 0.3:
+            j = rng.choice([r for r in range(n) if r != i])
+            a[j] = [rng.choice([-2, 1, 3]) * x for x in a[i]]  # singular
+        det = _check_against_bareiss(a)
+        singular += det == 0
+    assert singular
