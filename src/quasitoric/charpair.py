@@ -7,7 +7,8 @@ fixed point over a vertex v is
     eps0 * orientation(v) * prod_{j in S(v)} eps_j * sgn det lambda_v
 
 with the columns of lambda_v taken in ascending facet order, the same order
-the orientation class (a tuple of +1/-1, one per vertex) refers to. Facet sign
+the orientation class (a tuple of +1/-1, one per vertex) refers to. The base
+sign orientation(v) * det lambda_v is computed once per vertex. Facet sign
 flips are tracked in eps and never folded into the stored matrix.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import mul
+from operator import index, mul
 
 from . import linalg
 from .errors import NotUnimodularError, ShapeMismatchError, SingularVertexError
@@ -26,15 +27,15 @@ from .polytope import SimplePolytope, orient_dual_sphere, validate_polytope
 class CharacteristicPair:
     """Polytope with a validated characteristic matrix (a tuple of rows).
 
-    ``orientation`` (the polytope's orientation class) and ``vertex_dets``
-    (det lambda_v per vertex, in vertex order) are computed once at
-    construction; both are derived data.
+    ``base_signs[i]`` is ``polytope.orientation[i] * det lambda_v`` for
+    ``v = polytope.vertices[i]``: the sign of that fixed point under the
+    all-positive omniorientation. It is derived data, computed once at
+    construction.
     """
 
     polytope: SimplePolytope
     matrix: tuple[tuple[int, ...], ...]
-    orientation: tuple[int, ...]
-    vertex_dets: tuple[int, ...]
+    base_signs: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,8 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
     """Build a CharacteristicPair, checking |det lambda_v| = 1 at every vertex.
 
     SingularVertexError lists every offending vertex with its determinant.
+    Entries must be integers (anything ``operator.index`` accepts); a float
+    or a str raises TypeError rather than being truncated or parsed.
 
     The determinants come from a basis-exchange walk over the polytope's BFS
     tree. Crossing a tree edge v -> w swaps the column of lambda_v at position
@@ -81,7 +84,7 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
     is singular: one fraction-free Gauss-Jordan gives the determinant of such
     a vertex and, when it is unimodular, the inverse kept for its children.
     """
-    rows = tuple(tuple(int(x) for x in row) for row in matrix)
+    rows = tuple(tuple(map(index, row)) for row in matrix)
     n, m = polytope.dim, polytope.num_facets
     if len(rows) != n or any(len(r) != m for r in rows):
         got = f"{len(rows)}x{len(rows[0]) if rows else 0}"
@@ -129,12 +132,7 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
     offenders = [(v, d) for v, d in zip(verts, dets) if d not in (1, -1)]
     if offenders:
         raise SingularVertexError(offenders)
-    return CharacteristicPair(
-        polytope=polytope,
-        matrix=rows,
-        orientation=orient_dual_sphere(polytope),
-        vertex_dets=tuple(dets),
-    )
+    return CharacteristicPair(polytope, rows, tuple(map(mul, orient_dual_sphere(polytope), dets)))
 
 
 def _check_facet_signs(pair: CharacteristicPair, omni: Omniorientation) -> None:
@@ -147,7 +145,7 @@ def vertex_sign(pair: CharacteristicPair, omni: Omniorientation, vertex) -> int:
     """Sign of the fixed point over one vertex, from its own n facet signs."""
     _check_facet_signs(pair, omni)
     vi = pair.polytope.vertex_index(vertex)
-    sign = omni.global_sign * pair.orientation[vi] * pair.vertex_dets[vi]
+    sign = omni.global_sign * pair.base_signs[vi]
     for j in pair.polytope.vertices[vi]:
         sign *= omni.facet_signs[j]
     return sign
@@ -161,8 +159,8 @@ def all_signs(pair: CharacteristicPair, omni: Omniorientation) -> tuple[int, ...
     _check_facet_signs(pair, omni)
     eps = omni.facet_signs
     out = []
-    for v, o, d in zip(pair.polytope.vertices, pair.orientation, pair.vertex_dets):
-        sign = omni.global_sign * o * d
+    for v, base in zip(pair.polytope.vertices, pair.base_signs):
+        sign = omni.global_sign * base
         for j in v:
             sign *= eps[j]
         out.append(sign)
@@ -170,17 +168,21 @@ def all_signs(pair: CharacteristicPair, omni: Omniorientation) -> tuple[int, ...
 
 
 def basis_change(pair: CharacteristicPair, a) -> CharacteristicPair:
-    """Replace lambda by A*lambda for a unimodular integer matrix A."""
-    a = tuple(tuple(int(x) for x in row) for row in a)
+    """Replace lambda by A*lambda for a unimodular integer n x n matrix A.
+
+    ValueError when A is not n x n, TypeError for a non-integer entry.
+    """
+    a = tuple(tuple(map(index, row)) for row in a)
+    n, widths = pair.polytope.dim, {len(row) for row in a}
+    if len(a) != n or widths - {n}:
+        got = f"{len(a)}x{max(widths, default=0)}" if len(widths) < 2 else "a ragged matrix"
+        raise ValueError(f"basis change must be {n}x{n}, got {got}")
     det = linalg.det_bareiss(a)
     if det not in (1, -1):
         raise NotUnimodularError(det)
     # det(A*lambda_v) = det A * det lambda_v, so the pair stays valid
     return CharacteristicPair(
-        polytope=pair.polytope,
-        matrix=linalg.mat_mul(a, pair.matrix),
-        orientation=pair.orientation,
-        vertex_dets=tuple(det * d for d in pair.vertex_dets),
+        pair.polytope, linalg.mat_mul(a, pair.matrix), tuple(det * s for s in pair.base_signs)
     )
 
 
@@ -191,7 +193,8 @@ def relabel_facets(pair: CharacteristicPair, perm, omni: Omniorientation | None 
     rebuilt orientation class is renormalized at the new lex-smallest vertex,
     which can differ from the transported class by one global sign; that sign
     is folded into the transported eps0 so that vertex signs are preserved as
-    a map on vertices. With omni=None the second element is None and the
+    a map on vertices; it is the product of the old and the new base sign at
+    any one vertex. With omni=None the second element is None and the
     compensation is dropped. ValueError when perm is not a permutation or
     omni does not carry one facet sign per facet.
     """
@@ -212,10 +215,8 @@ def relabel_facets(pair: CharacteristicPair, perm, omni: Omniorientation | None 
     if omni is None:
         return new_pair, None
 
-    # global sign between renormalized and transported orientation classes
-    v0 = old.vertices[0]
-    parity = linalg.perm_parity(perm[j] for j in v0)
-    wi = new_poly.vertex_index(perm[j] for j in v0)
-    g = new_pair.orientation[wi] * parity * pair.orientation[0]
+    # the global sign that keeps the sign of the fixed point over v0
+    wi = new_poly.vertex_index(perm[j] for j in old.vertices[0])
+    g = new_pair.base_signs[wi] * pair.base_signs[0]
     new_facet_signs = tuple(omni.facet_signs[j] for j in back)
     return new_pair, Omniorientation(g * omni.global_sign, new_facet_signs)

@@ -84,7 +84,7 @@ def _successors(pair: CharacteristicPair) -> dict[int, int]:
     if pair.polytope.dim != 2:
         raise NotDimension2Error(pair.polytope.dim)
     succ: dict[int, int] = {}
-    for (a, b), sign in zip(pair.polytope.vertices, pair.orientation):
+    for (a, b), sign in zip(pair.polytope.vertices, pair.polytope.orientation):
         if sign == 1:
             succ[a] = b
         else:
@@ -106,8 +106,8 @@ def facet_cycle(pair: CharacteristicPair) -> tuple[int, ...]:
 
 def _corner(pair: CharacteristicPair, succ: dict[int, int], vertex) -> tuple[int, int]:
     """The corner (f, f') of ``vertex`` in the class direction, succ[f] = f'.
-    Walking the class direction, every corner's base sign orient * det equals
-    its cycle determinant det(col_f, col_f')."""
+    Walking the class direction, every corner's base sign (``base_signs``,
+    orientation * det) equals its cycle determinant det(col_f, col_f')."""
     a, b = sorted(vertex)
     if (a, b) not in pair.polytope.vertices:
         raise ValueError(f"{(a, b)} is not a vertex of the polygon")
@@ -171,14 +171,12 @@ def connected_sum_4d(
 
     # The rebuilt orientation class is normalized at the glued polygon's
     # lex-smallest vertex, which need not extend p1's orientation. Anchor the
-    # global gauge at a surviving p1 corner (base signs orient*det must agree);
+    # global gauge at a surviving p1 corner, where the base signs must agree;
     # a det -1 basis change flips every base sign, same data as flipping eps0.
     anchor = next(v for v in p1.polytope.vertices if v != tuple(sorted(v1)))
     i1 = p1.polytope.vertices.index(anchor)
     ig = glued.polytope.vertices.index(anchor)
-    base_p1 = p1.orientation[i1] * p1.vertex_dets[i1]
-    base_glued = glued.orientation[ig] * glued.vertex_dets[ig]
-    if base_p1 != base_glued:
+    if p1.base_signs[i1] != glued.base_signs[ig]:
         glued = basis_change(glued, ((1, 0), (0, -1)))
     return glued
 

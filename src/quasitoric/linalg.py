@@ -141,17 +141,6 @@ def inv_unimodular(matrix):
     return inv
 
 
-def perm_parity(seq) -> int:
-    """Sign (+1/-1) of the permutation that sorts seq ascending."""
-    items = list(seq)
-    sign = 1
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[j] < items[i]:
-                sign = -sign
-    return sign
-
-
 def columns(matrix, indices):
     """Square submatrix formed from the given columns, in the given order."""
     return tuple(tuple(row[j] for j in indices) for row in matrix)

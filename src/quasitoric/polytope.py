@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
+from operator import index
 
 from .errors import (
     DisconnectedError,
@@ -125,7 +126,9 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
     Raises, in scan order: ValidationError for malformed scalars or facet
     indices, WrongVertexSizeError, DuplicateVertexError, UnusedFacetError,
     RidgeViolationError (naming the first vertex/facet pair with 0 or >=2
-    partners), DisconnectedError, NonOrientableError.
+    partners), DisconnectedError, NonOrientableError. Facet indices must be
+    integers (anything ``operator.index`` accepts); a float or a str raises
+    TypeError rather than being truncated or parsed.
     """
     n = int(dim)
     m = int(num_facets)
@@ -136,7 +139,7 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
 
     canon = []
     for raw in vertices:
-        v = tuple(sorted(map(int, raw)))
+        v = tuple(sorted(map(index, raw)))
         if len(set(v)) != n or len(v) != n:
             raise WrongVertexSizeError(tuple(raw), n)
         if v[0] < 0 or v[-1] >= m:

@@ -5,14 +5,15 @@ and eps_j = (-1)^x_j, vertex v demands
 
     x0 + sum_{j in S(v)} x_j = b_v   over GF(2),
 
-where b_v = 1 iff orientation(v) * sgn det lambda_v = -1. The row of vertex v
-is 1 | mask << 1, its facet bitmask shifted past x0. Gaussian elimination
-keeps each row as one integer that also packs its rhs and its history, and
-yields either the lexicographically determined certificate (free variables
-zeroed, pivots at the lowest unknown indices) or, from the history, a set of
-vertices whose equations sum to 0 = 1. Both are re-verified before being
-returned. A brute-force enumeration over all 2^(m+1) omniorientations serves
-as the independent oracle.
+where b_v = 1 iff the base sign orientation(v) * det lambda_v, the sign at
+the all-positive omniorientation (``pair.base_signs``), is -1. The row of
+vertex v is 1 | mask << 1, its facet bitmask shifted past x0. Gaussian
+elimination keeps each row as one integer that also packs its rhs and its
+history, and yields either the lexicographically determined certificate
+(free variables zeroed, pivots at the lowest unknown indices) or, from the
+history, a set of vertices whose equations sum to 0 = 1. Both are
+re-verified before being returned. A brute-force enumeration over all
+2^(m+1) omniorientations serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class BruteForceResult:
 def build_system(pair: CharacteristicPair) -> Gf2System:
     """Linearized all-signs-positive condition, one row per vertex in order."""
     rows = tuple(1 | mask << 1 for mask in pair.polytope.masks)
-    rhs = tuple(int(o * d == -1) for o, d in zip(pair.orientation, pair.vertex_dets))
+    rhs = tuple(int(s == -1) for s in pair.base_signs)
     return Gf2System(pair.polytope.num_facets + 1, rows, rhs)
 
 
@@ -131,7 +132,7 @@ def _verify(pair: CharacteristicPair, result: PositivityResult) -> None:
     base_product = 1
     for vi in result.witness:
         total ^= 1 | pair.polytope.masks[vi] << 1
-        base_product *= pair.orientation[vi] * pair.vertex_dets[vi]
+        base_product *= pair.base_signs[vi]
     if total:
         raise InternalInconsistencyError(
             "witness has odd size or meets some facet an odd number of times"

@@ -2,10 +2,11 @@
 
 The coherence checker here is an independent reimplementation of the
 orientation rule (plain dict sweep over all ridges, no BFS) so library output
-is never checked against itself; the subset count does the same for the
-f-vector, and the iterated connected sum for the closed-form k-fold sum of
-CP^2. The random pair generator only composes validated constructors, so
-every emitted pair is valid by construction.
+is never checked against itself; Bareiss does the same for the vertex
+determinants, the subset count for the f-vector, and the iterated connected
+sum for the closed-form k-fold sum of CP^2. The random pair generator only
+composes validated constructors, so every emitted pair is valid by
+construction.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from quasitoric import (
     product,
     vertex_cut,
 )
+from quasitoric.linalg import columns, det_bareiss
 
 
 def ridge_entries(vertices):
@@ -40,6 +42,12 @@ def assert_coherent(vertices, signs):
         induced_a = (-1) ** ap * signs[ai]
         induced_b = (-1) ** bp * signs[bi]
         assert induced_a == -induced_b, f"incoherent at ridge {ridge}"
+
+
+def bareiss_dets(polytope, rows):
+    """det lambda_v for every vertex by Bareiss, one elimination per vertex,
+    independent of validation's exchange walk."""
+    return [det_bareiss(columns(rows, v)) for v in polytope.vertices]
 
 
 def f_vector_by_subsets(polytope):
@@ -86,8 +94,6 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 6):
 
 
 def random_unimodular_det1(rng: random.Random, n: int):
-    from quasitoric.linalg import det_bareiss
-
     while True:
         a = random_unimodular(rng, n)
         if det_bareiss(a) == 1:

@@ -31,6 +31,7 @@ from quasitoric import (
 from quasitoric.linalg import det_bareiss
 from support import (
     assert_coherent,
+    bareiss_dets,
     random_unimodular_det1,
     random_valid_pair,
 )
@@ -70,11 +71,12 @@ def test_criterion_1_cp2k_parity_law():
             w = result.witness
             ok &= len(w) % 2 == 0
             hits = [0] * pair.polytope.num_facets
+            dets = bareiss_dets(pair.polytope, pair.matrix)
             prod = 1
             for vi in w:
                 for j in pair.polytope.vertices[vi]:
                     hits[j] += 1
-                prod *= pair.orientation[vi] * pair.vertex_dets[vi]
+                prod *= pair.polytope.orientation[vi] * dets[vi]
             ok &= all(h % 2 == 0 for h in hits) and prod == -1
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
@@ -173,7 +175,7 @@ def test_criterion_6_structural_invariants():
     pairs = fixtures() + [random_valid_pair(rng, max_m=10) for _ in range(15)]
     for pair in pairs:
         poly = pair.polytope
-        assert_coherent(poly.vertices, pair.orientation)
+        assert_coherent(poly.vertices, poly.orientation)
         h = h_vector(poly)
         ok &= h == h[::-1]
         omni = Omniorientation.all_positive(poly.num_facets)

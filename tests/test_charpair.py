@@ -19,8 +19,8 @@ from quasitoric import (
     vertex_sign,
 )
 from quasitoric.errors import NotUnimodularError, ShapeMismatchError, SingularVertexError
-from quasitoric.linalg import columns, det_bareiss
-from support import random_unimodular, random_unimodular_det1, random_valid_pair
+from quasitoric.linalg import det_bareiss
+from support import bareiss_dets, random_unimodular, random_unimodular_det1, random_valid_pair
 
 TRIANGLE = validate_polytope(2, 3, [(0, 1), (0, 2), (1, 2)])
 INTERVAL = validate_polytope(1, 2, [(0,), (1,)])
@@ -28,8 +28,9 @@ INTERVAL = validate_polytope(1, 2, [(0,), (1,)])
 
 def test_triangle_dets():
     pair = validate_char(TRIANGLE, [[1, 0, -1], [0, 1, -1]])
-    assert pair.vertex_dets == (1, -1, 1)
-    assert pair.orientation == (1, -1, 1)
+    assert bareiss_dets(TRIANGLE, pair.matrix) == [1, -1, 1]
+    assert pair.polytope.orientation == (1, -1, 1)
+    assert pair.base_signs == (1, 1, 1)
 
 
 def test_singular_vertex_listed():
@@ -40,7 +41,9 @@ def test_singular_vertex_listed():
 
 def test_interval_pair():
     pair = validate_char(INTERVAL, [[1, -1]])
-    assert pair.vertex_dets == (1, -1)
+    assert bareiss_dets(INTERVAL, pair.matrix) == [1, -1]
+    assert pair.polytope.orientation == (1, -1)
+    assert pair.base_signs == (1, 1)
 
 
 def test_shape_mismatch():
@@ -125,10 +128,11 @@ def test_basis_change_identity_and_det_signs():
     pair = validate_char(TRIANGLE, [[1, 0, -1], [0, 1, -1]])
     same = basis_change(pair, ((1, 0), (0, 1)))
     assert same.matrix == pair.matrix
-    assert same.vertex_dets == pair.vertex_dets
+    assert same.base_signs == pair.base_signs
 
     swapped = basis_change(pair, ((0, 1), (1, 0)))  # det -1
-    assert swapped.vertex_dets == tuple(-d for d in pair.vertex_dets)
+    assert bareiss_dets(TRIANGLE, swapped.matrix) == [-1, 1, -1]
+    assert swapped.base_signs == tuple(-s for s in pair.base_signs)
     omni = Omniorientation.all_positive(3)
     # det -1 is the same data as flipping eps0
     assert all_signs(swapped, omni) == all_signs(pair, omni.flip_global())
@@ -191,9 +195,15 @@ def test_basis_change_rejects_non_unimodular():
 
 
 def test_relabel_preserves_signs_as_map():
+    """On random pairs, and on disguised cpn(3..6) and (CP1)^3, whose random
+    permutations move a vertex's n >= 3 facets by odd and even permutations."""
     rng = random.Random(17)
-    for _ in range(25):
-        pair = random_valid_pair(rng)
+    extra = [cpn(n) for n in range(3, 7)] + [product(cpn(1), product(cpn(1), cpn(1)))]
+    for i in range(25 + 4 * len(extra)):
+        if i < 25:
+            pair = random_valid_pair(rng)
+        else:
+            pair = _disguised(rng, extra[i % len(extra)], 6)
         m = pair.polytope.num_facets
         omni = Omniorientation(
             rng.choice([1, -1]), tuple(rng.choice([1, -1]) for _ in range(m))
@@ -208,6 +218,28 @@ def test_relabel_preserves_signs_as_map():
             assert new[wi] == old[vi]
 
 
+def test_basis_change_needs_an_n_by_n_matrix():
+    pair = cpn(2)
+    with pytest.raises(ValueError, match="^basis change must be 2x2, got 0x0$"):
+        basis_change(pair, ())
+    with pytest.raises(ValueError, match="^basis change must be 2x2, got 3x3$"):
+        basis_change(pair, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError, match="^basis change must be 2x2, got 2x3$"):
+        basis_change(pair, ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="^basis change must be 2x2, got a ragged matrix$"):
+        basis_change(pair, ((1, 0), (0, 1, 0)))
+
+
+def test_non_integral_entries_are_refused_not_truncated():
+    for bad in (1.9, 1.0, "1"):
+        with pytest.raises(TypeError):
+            validate_char(TRIANGLE, [[bad, 0, -1], [0, 1, -1]])
+        with pytest.raises(TypeError):
+            basis_change(cpn(2), ((bad, 0), (0, 1)))
+        with pytest.raises(TypeError):
+            validate_polytope(2, 3, [(0, bad), (0, 2), (1, 2)])
+
+
 def test_relabel_rejects_non_permutation():
     pair = validate_char(TRIANGLE, [[1, 0, -1], [0, 1, -1]])
     with pytest.raises(ValueError):
@@ -215,8 +247,6 @@ def test_relabel_rejects_non_permutation():
 
 
 def test_random_unimodular_helper_is_unimodular():
-    from quasitoric.linalg import det_bareiss
-
     rng = random.Random(2)
     for n in (2, 3, 4):
         for _ in range(10):
@@ -256,15 +286,16 @@ def _oracle_pair(rng: random.Random):
     return basis_change(pair, random_unimodular(rng, pair.polytope.dim, steps=20))
 
 
-def _bareiss_dets(polytope, rows):
-    return [det_bareiss(columns(rows, v)) for v in polytope.vertices]
+def _walk_dets(pair):
+    """det lambda_v as the walk found it: the base sign over the orientation."""
+    return [s * o for s, o in zip(pair.base_signs, pair.polytope.orientation)]
 
 
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_exchange_walk_dets_match_bareiss(seed):
     pair = _oracle_pair(random.Random(seed))
-    assert list(pair.vertex_dets) == _bareiss_dets(pair.polytope, pair.matrix)
+    assert _walk_dets(pair) == bareiss_dets(pair.polytope, pair.matrix)
 
 
 @settings(deadline=None)
@@ -277,14 +308,14 @@ def test_perturbed_matrix_matches_bareiss(seed, data):
     i = data.draw(st.integers(0, len(rows) - 1))
     j = data.draw(st.integers(0, len(rows[0]) - 1))
     rows[i][j] += data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3, 10**40]))
-    dets = _bareiss_dets(pair.polytope, rows)
+    dets = bareiss_dets(pair.polytope, rows)
     try:
         perturbed = validate_char(pair.polytope, rows)
     except SingularVertexError as exc:
         expected = [(v, d) for v, d in zip(pair.polytope.vertices, dets) if d not in (1, -1)]
         assert list(exc.offenders) == expected
     else:
-        assert list(perturbed.vertex_dets) == dets
+        assert _walk_dets(perturbed) == dets
 
 
 def _disguised(rng: random.Random, pair, steps: int):
@@ -305,14 +336,14 @@ def test_large_exchange_walks_match_bareiss(name):
     else:
         pair = cpn(int(name[4:-1]))
     pair = _disguised(rng, pair, pair.polytope.dim)
-    assert list(pair.vertex_dets) == _bareiss_dets(pair.polytope, pair.matrix)
+    assert _walk_dets(pair) == bareiss_dets(pair.polytope, pair.matrix)
 
     singular = 0
     for _ in range(2):
         rows = [list(row) for row in pair.matrix]
         # det + 3 * cofactor is +-1 only where the cofactor is 0
         rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] += 3
-        dets = _bareiss_dets(pair.polytope, rows)
+        dets = bareiss_dets(pair.polytope, rows)
         expected = [(v, d) for v, d in zip(pair.polytope.vertices, dets) if d not in (1, -1)]
         try:
             perturbed = validate_char(pair.polytope, rows)
@@ -320,5 +351,5 @@ def test_large_exchange_walks_match_bareiss(name):
             assert list(exc.offenders) == expected
             singular += 1
         else:
-            assert list(perturbed.vertex_dets) == dets
+            assert _walk_dets(perturbed) == dets
     assert singular

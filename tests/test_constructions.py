@@ -23,7 +23,7 @@ from quasitoric import (
     vertex_cut,
 )
 from quasitoric.errors import NotDimension2Error
-from support import cp2_sum_by_folding, random_valid_pair, random_vertex
+from support import bareiss_dets, cp2_sum_by_folding, random_valid_pair, random_vertex
 
 
 def test_cpn_small():
@@ -56,7 +56,7 @@ def test_polygon():
 def test_hirzebruch_valid_all_a():
     for a in range(-3, 4):
         pair = hirzebruch(a)
-        assert set(pair.vertex_dets) <= {1, -1}
+        assert set(bareiss_dets(pair.polytope, pair.matrix)) <= {1, -1}
         assert decide_positive(pair).satisfiable
 
 
@@ -82,12 +82,14 @@ def test_product_dets_multiply():
         p = random_valid_pair(rng, max_m=8)
         q = cpn(rng.randint(1, 2))
         pq = product(p, q)
+        p_dets, q_dets = bareiss_dets(p.polytope, p.matrix), bareiss_dets(q.polytope, q.matrix)
+        pq_dets = bareiss_dets(pq.polytope, pq.matrix)
         m1 = p.polytope.num_facets
         for vi, v in enumerate(p.polytope.vertices):
             for wi, w in enumerate(q.polytope.vertices):
                 combined = v + tuple(j + m1 for j in w)
                 ci = pq.polytope.vertex_index(combined)
-                assert pq.vertex_dets[ci] == p.vertex_dets[vi] * q.vertex_dets[wi]
+                assert pq_dets[ci] == p_dets[vi] * q_dets[wi]
 
 
 def test_product_orientation_single_global_constant():
@@ -102,9 +104,9 @@ def test_product_orientation_single_global_constant():
             for wi, w in enumerate(q.polytope.vertices):
                 ci = pq.polytope.vertex_index(v + tuple(j + m1 for j in w))
                 constants.add(
-                    pq.orientation[ci]
-                    * p.orientation[vi]
-                    * q.orientation[wi]
+                    pq.polytope.orientation[ci]
+                    * p.polytope.orientation[vi]
+                    * q.polytope.orientation[wi]
                 )
         assert len(constants) == 1
 
@@ -163,7 +165,7 @@ def test_cp2_sum_structure():
         pair = cp2_sum(k)
         assert pair.polytope.num_facets == k + 2
         assert euler_characteristic(pair) == k + 2
-        assert set(pair.vertex_dets) <= {1, -1}
+        assert set(bareiss_dets(pair.polytope, pair.matrix)) <= {1, -1}
         assert decide_positive(pair).satisfiable == (k % 2 == 1)
 
 
@@ -171,8 +173,8 @@ def test_cp2_sum_matches_the_fold():
     for k in range(1, 61):
         pair, folded = cp2_sum(k), cp2_sum_by_folding(k)
         assert pair == folded, k
-        assert pair.orientation == folded.orientation, k
-        assert pair.vertex_dets == folded.vertex_dets, k
+        assert pair.polytope.orientation == folded.polytope.orientation, k
+        assert pair.base_signs == folded.base_signs, k
         assert pair.polytope.bfs_tree == folded.polytope.bfs_tree, k
         assert pair.polytope.masks == folded.polytope.masks, k
         omni = Omniorientation.all_positive(k + 2)
@@ -188,7 +190,7 @@ def test_cp2_sum_is_built_in_linear_time():
     assert time.perf_counter() - start < 5.0
     assert pair.polytope.num_facets == 5002
     assert len(facet_cycle(pair)) == 5002
-    assert set(pair.vertex_dets) <= {1, -1}
+    assert set(bareiss_dets(pair.polytope, pair.matrix)) <= {1, -1}
 
 
 def test_connected_sum_signature_additive_at_random_corners():
@@ -248,7 +250,8 @@ def test_connected_sums_pinned():
         b = _random_summand(rng)
         acc = connected_sum_4d(a, random_vertex(rng, a), b, random_vertex(rng, b))
         digest.update(serialize(PairDocument.from_pair(acc)).encode())
-        digest.update(repr((acc.orientation, acc.vertex_dets)).encode())
+        dets = tuple(bareiss_dets(acc.polytope, acc.matrix))
+        digest.update(repr((acc.polytope.orientation, dets)).encode())
     assert digest.hexdigest() == (
         "2252cac7f1439ec48f8b54d4dc4a8c86b09910a2af34be3b2d69b02b2e38055e"
     )

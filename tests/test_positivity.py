@@ -27,7 +27,7 @@ from quasitoric import (
 from quasitoric.charpair import CharacteristicPair
 from quasitoric.errors import InternalInconsistencyError, TooLargeError
 from quasitoric.positivity import PositivityResult, _omni_from_mask, _verify
-from support import random_unimodular, random_valid_pair
+from support import bareiss_dets, random_unimodular, random_valid_pair
 
 
 def test_build_system_interval():
@@ -46,11 +46,11 @@ def test_build_system_triangle():
 
 def test_orientation_renormalization_shifts_rhs_only():
     pair = cpn(2)
+    # the other orientation class negates every base sign
     flipped = CharacteristicPair(
         polytope=pair.polytope,
         matrix=pair.matrix,
-        orientation=tuple(-s for s in pair.orientation),
-        vertex_dets=pair.vertex_dets,
+        base_signs=tuple(-s for s in pair.base_signs),
     )
     s0, s1 = build_system(pair), build_system(flipped)
     assert s1.rows == s0.rows
@@ -117,11 +117,12 @@ def test_witness_conditions():
         w = result.witness
         assert len(w) % 2 == 0
         hits = [0] * pair.polytope.num_facets
+        dets = bareiss_dets(pair.polytope, pair.matrix)
         prod = 1
         for vi in w:
             for j in pair.polytope.vertices[vi]:
                 hits[j] += 1
-            prod *= pair.orientation[vi] * pair.vertex_dets[vi]
+            prod *= pair.polytope.orientation[vi] * dets[vi]
         assert all(h % 2 == 0 for h in hits)
         assert prod == -1
     assert seen_unsat >= 5
