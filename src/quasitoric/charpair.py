@@ -124,7 +124,7 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
                     new[pos] = pivot
                     new.insert(wpos, new.pop(pos))
                     inverses[wi] = new
-            dets[wi] = dets[vi] * step * (-1) ** (pos + wpos)
+            dets[wi] = dets[vi] * (-step if (pos + wpos) & 1 else step)
         children[vi] -= 1
         if not children[vi]:
             inverses.pop(vi, None)
@@ -196,10 +196,11 @@ def relabel_facets(pair: CharacteristicPair, perm, omni: Omniorientation | None 
     a map on vertices; it is the product of the old and the new base sign at
     any one vertex. With omni=None the second element is None and the
     compensation is dropped. ValueError when perm is not a permutation or
-    omni does not carry one facet sign per facet.
+    omni does not carry one facet sign per facet; TypeError for an entry of
+    perm that is not an integer (anything ``operator.index`` accepts).
     """
     m = pair.polytope.num_facets
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(map(index, perm))
     if sorted(perm) != list(range(m)):
         raise ValueError("perm is not a permutation of the facet labels")
     if omni is not None:

@@ -9,6 +9,7 @@ fully validated pair.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import index
 
 from . import linalg
 from .charpair import CharacteristicPair, basis_change, validate_char
@@ -35,8 +36,11 @@ def polygon(m: int) -> SimplePolytope:
 
 
 def hirzebruch(a: int) -> CharacteristicPair:
-    """Hirzebruch surface over the square: columns (1,0),(0,1),(-1,a),(0,-1)."""
-    return validate_char(polygon(4), [[1, 0, -1, 0], [0, 1, int(a), -1]])
+    """Hirzebruch surface over the square: columns (1,0),(0,1),(-1,a),(0,-1).
+
+    TypeError when a is not an integer (anything ``operator.index`` accepts).
+    """
+    return validate_char(polygon(4), [[1, 0, -1, 0], [0, 1, index(a), -1]])
 
 
 def product(p1: CharacteristicPair, p2: CharacteristicPair) -> CharacteristicPair:

@@ -8,7 +8,8 @@ restarts, on every input, so their inner loops are kept lean. Those
 matrices are sparse (a basis-changed cpn(54) root has 170 nonzeros of 2916),
 so ``det_and_inverse`` skips the work that is provably zero: with a pivot
 equal to the previous one, a row is touched only where it meets the pivot
-row's nonzeros.
+row's nonzeros. It takes such a pivot wherever a row is led by the previous
+pivot or by its negative, which it negates.
 """
 
 from __future__ import annotations
@@ -73,9 +74,13 @@ def det_and_inverse(matrix):
     When p == prev that division is by p, and p divides x*z because the
     quotient is an integer, so the entry is y - x*z // p exactly: a row with
     x = 0 only shifts, and any other row changes only where the pivot row is
-    nonzero, so it is updated there in place. A row whose leading entry
-    equals prev is therefore preferred as the next pivot. Any nonzero pivot
-    gives the same determinant and inverse, which are unique.
+    nonzero, so it is updated there in place. The next pivot is therefore a
+    row led by prev, else a row led by -prev, else any nonzero lead. A row
+    led by -prev is negated in [A | I], its own right-block entry with it,
+    and the sign flips: that is elimination on DA with right block D, for D
+    the diagonal matrix negating the row, and it still ends at A^-1 because
+    (DA)^-1 D = A^-1. Any nonzero pivot gives the same determinant and
+    inverse, which are unique.
     """
     k = len(matrix)
     if any(len(row) != k for row in matrix):
@@ -85,25 +90,33 @@ def det_and_inverse(matrix):
     sign = 1
     prev = 1
     for c in range(k):
-        if a[c][0] != prev:  # prefer a row led by prev, else any nonzero lead
+        own = prev  # the pivot row's entry in its own right-block column
+        if a[c][0] != prev:  # prefer a row led by prev, then by -prev, then any nonzero lead
             for r in range(c + 1, k):
                 if a[r][0] == prev:
                     break
             else:
-                r = c
-                if a[c][0] == 0:
-                    for r in range(c + 1, k):
-                        if a[r][0] != 0:
-                            break
-                    else:
-                        return 0, None
+                for r in range(c, k):
+                    if a[r][0] == -prev:  # negated, it is led by prev
+                        a[r] = [-x for x in a[r]]
+                        own = -prev
+                        sign = -sign
+                        break
+                else:
+                    r = c
+                    if a[c][0] == 0:
+                        for r in range(c + 1, k):
+                            if a[r][0] != 0:
+                                break
+                        else:
+                            return 0, None
             if r != c:
                 a[c], a[r] = a[r], a[c]
                 order[c], order[r] = order[r], order[c]
                 sign = -sign
         pivot = a[c]
         p = pivot[0]
-        rest = pivot[1:] + [prev]
+        rest = pivot[1:] + [own]
         support = [(i, z) for i, z in enumerate(rest) if z] if p == prev else None
         for r in range(k):
             if r == c:

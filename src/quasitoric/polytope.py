@@ -126,12 +126,13 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
     Raises, in scan order: ValidationError for malformed scalars or facet
     indices, WrongVertexSizeError, DuplicateVertexError, UnusedFacetError,
     RidgeViolationError (naming the first vertex/facet pair with 0 or >=2
-    partners), DisconnectedError, NonOrientableError. Facet indices must be
-    integers (anything ``operator.index`` accepts); a float or a str raises
-    TypeError rather than being truncated or parsed.
+    partners), DisconnectedError, NonOrientableError. ``dim``, ``num_facets``
+    and the facet indices must be integers (anything ``operator.index``
+    accepts); a float or a str raises TypeError rather than being truncated
+    or parsed.
     """
-    n = int(dim)
-    m = int(num_facets)
+    n = index(dim)
+    m = index(num_facets)
     if n < 1:
         raise ValidationError(f"dim must be >= 1, got {n}")
     if m < n + 1:
@@ -159,22 +160,30 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
         raise UnusedFacetError(missing)
 
     # ridge key (the vertex's facet bitmask without the deleted facet's bit)
-    # -> [(vertex index, deleted position), ...]; a ridge enters the dict at
-    # its first (vertex, position) in scan order, so the first bad ridge in
-    # dict order names the first bad vertex/facet pair
+    # -> the slots on that ridge, slot s = vi*n + pos standing for vertex vi
+    # with its facet at position pos deleted; a ridge enters the dict at its
+    # first slot in scan order, so the first bad ridge in dict order names the
+    # first bad vertex/facet pair. The check pairs the two slots of every
+    # ridge in ``partner``, which the BFS reads instead of hashing the key again.
     masks = []
-    ridges: dict[int, list[tuple[int, int]]] = {}
-    for vi, v in enumerate(canon):
+    ridges: dict[int, list[int]] = {}
+    s = 0
+    for v in canon:
         mask = 0
         for j in v:
             mask |= 1 << j
         masks.append(mask)
-        for pos, j in enumerate(v):
-            ridges.setdefault(mask ^ (1 << j), []).append((vi, pos))
+        for j in v:
+            ridges.setdefault(mask ^ (1 << j), []).append(s)
+            s += 1
+    partner = [0] * s
     for entries in ridges.values():
         if len(entries) != 2:
-            vi, pos = entries[0]
+            vi, pos = divmod(entries[0], n)
             raise RidgeViolationError(canon[vi], canon[vi][pos], len(entries) - 1)
+        a, b = entries
+        partner[a] = b
+        partner[b] = a
 
     # One BFS from vertex 0 checks connectivity and propagates the orientation.
     # A vertex with sign s induces (-1)^p * s on the ridge obtained by deleting
@@ -188,11 +197,12 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
     clash = None
     while queue:
         vi = queue.popleft()
-        mask = masks[vi]
-        for pos, j in enumerate(canon[vi]):
-            a, b = ridges[mask ^ (1 << j)]
-            wi, wpos = b if a[0] == vi else a
-            expected = -((-1) ** (pos + wpos)) * signs[vi]
+        base = vi * n
+        for pos in range(n):
+            other = partner[base + pos]
+            wi = other // n
+            wpos = other - wi * n
+            expected = signs[vi] if (pos + wpos) & 1 else -signs[vi]
             if signs[wi] is None:
                 signs[wi] = expected
                 tree.append((wi, vi, pos, wpos))

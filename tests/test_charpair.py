@@ -11,6 +11,7 @@ from quasitoric import (
     all_signs,
     basis_change,
     cpn,
+    hirzebruch,
     polygon,
     product,
     relabel_facets,
@@ -238,6 +239,12 @@ def test_non_integral_entries_are_refused_not_truncated():
             basis_change(cpn(2), ((bad, 0), (0, 1)))
         with pytest.raises(TypeError):
             validate_polytope(2, 3, [(0, bad), (0, 2), (1, 2)])
+        with pytest.raises(TypeError):
+            relabel_facets(cpn(2), (0, bad, 2))
+        with pytest.raises(TypeError):
+            hirzebruch(bad)
+    with pytest.raises(TypeError):
+        validate_polytope(2.7, 3.2, [(0, 1), (0, 2), (1, 2)])
 
 
 def test_relabel_rejects_non_permutation():

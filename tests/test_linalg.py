@@ -40,6 +40,9 @@ def test_inv_unimodular_rejects_other_determinants():
 
 
 def test_det_and_inverse_matches_bareiss():
+    """Random, singular and huge-entry matrices, then ones whose pivots are led
+    by minus the previous pivot: -I, negated permutation matrices and
+    unimodular matrices with rows negated."""
     rng = random.Random(37)
     for _ in range(400):
         n = rng.randint(0, 7)
@@ -52,12 +55,14 @@ def test_det_and_inverse_matches_bareiss():
                 a[0] = list(a[-1])  # singular
             elif n and kind < 0.8:
                 a[rng.randrange(n)][rng.randrange(n)] = 10**40
-        det, inv = det_and_inverse(a)
-        assert det == det_bareiss(a)
-        if det in (1, -1):
-            assert mat_mul(a, inv) == _identity(n)
-        else:
-            assert inv is None
+        _check_against_bareiss(a)
+    for n in range(1, 8):
+        _check_against_bareiss([[-x for x in row] for row in _identity(n)])
+        for _ in range(10):
+            perm = rng.sample(range(n), n)
+            _check_against_bareiss([[-int(j == perm[i]) for j in range(n)] for i in range(n)])
+            a = [list(row) for row in random_unimodular(rng, n, steps=3 * n)]
+            _check_against_bareiss([[-x for x in row] if rng.random() < 0.5 else row for row in a])
 
 
 def _check_against_bareiss(a):

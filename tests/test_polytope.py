@@ -32,7 +32,13 @@ from quasitoric.errors import (
     ValidationError,
     WrongVertexSizeError,
 )
-from support import assert_coherent, f_vector_by_subsets, random_valid_pair, random_vertex
+from support import (
+    assert_coherent,
+    f_vector_by_subsets,
+    random_valid_pair,
+    random_vertex,
+    ridge_entries,
+)
 
 TRIANGLE = [(0, 1), (0, 2), (1, 2)]
 
@@ -205,22 +211,30 @@ def test_bfs_tree_reaches_every_other_vertex_once():
     cube = [(a, b, c) for a in (0, 3) for b in (1, 4) for c in (2, 5)]
     polys.append(validate_polytope(3, 6, cube))
     for poly in polys:
-        tree = poly.bfs_tree
-        assert sorted(w for w, _, _, _ in tree) == list(range(1, poly.num_vertices))
-        reached = {0}
-        for w, v, pos, wpos in tree:
-            assert v in reached  # each parent is reached before its children
-            reached.add(w)
-            vv, ww = poly.vertices[v], poly.vertices[w]
-            assert vv[:pos] + vv[pos + 1 :] == ww[:wpos] + ww[wpos + 1 :]
-            assert vv[pos] != ww[wpos]
+        _assert_bfs_tree(poly)
+
+
+def _assert_bfs_tree(poly):
+    """Each vertex but 0 is reached once, after its parent, across the ridge
+    its tree edge names."""
+    tree = poly.bfs_tree
+    assert sorted(w for w, _, _, _ in tree) == list(range(1, poly.num_vertices))
+    reached = {0}
+    for w, v, pos, wpos in tree:
+        assert v in reached  # each parent is reached before its children
+        reached.add(w)
+        vv, ww = poly.vertices[v], poly.vertices[w]
+        assert vv[:pos] + vv[pos + 1 :] == ww[:wpos] + ww[wpos + 1 :]
+        assert vv[pos] != ww[wpos]
 
 
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_mutated_vertices_raise_or_orient_coherently(seed, data):
     """Drop, swap or re-index vertex entries of a valid polytope: validation
-    either raises a ValidationError or its orientation passes the oracle."""
+    either raises a ValidationError or its orientation and BFS tree pass the
+    oracles. A RidgeViolationError names the first ridge without exactly two
+    vertices in the plain tuple-keyed ridge map over the canonical vertices."""
     poly = random_valid_pair(random.Random(seed)).polytope
     n, m = poly.dim, poly.num_facets
     verts = [list(v) for v in poly.vertices]
@@ -238,11 +252,20 @@ def test_mutated_vertices_raise_or_orient_coherently(seed, data):
             verts[i][p] = data.draw(st.integers(0, m))  # m itself is out of range
     try:
         result = validate_polytope(n, m, verts)
+    except RidgeViolationError as exc:
+        canon = sorted(tuple(sorted(v)) for v in verts)
+        entries = next(e for e in ridge_entries(canon).values() if len(e) != 2)
+        vi, pos = entries[0]
+        assert exc.vertex == canon[vi]
+        assert exc.facet == canon[vi][pos]
+        assert exc.partners == len(entries) - 1
+        return
     except ValidationError:
         assert edits
         return
     assert result.orientation[0] == 1
     assert_coherent(result.vertices, result.orientation)
+    _assert_bfs_tree(result)
 
 
 def test_f_h_triangle_square():
