@@ -110,14 +110,38 @@ class SimplePolytope:
                             nb[j] = nb.get(j, 0) | bit
                 counts[2] += len(nb)
                 above[a] = tuple(nb)
-                # (last facet, vertex bitset) per face of codimension k - 1 whose first facet is a
-                level = nb.items()
+                if n < 5:  # no level of codimension 3 to n - 2
+                    continue
+                # The faces with first facet a are grouped by their last facet t:
+                # every face in a group extends by the same facets, cand[t], the
+                # later facets j that meet both a and t, each with its bitset.
+                cand = {t: [(j, nb[j]) for j in above[t] if j in nb] for t in nb}
+                # last facet -> vertex bitsets of the faces of codimension k - 1
+                level = {t: [w] for t, w in nb.items()}
                 for k in range(3, n - 1):
-                    level = [
-                        (j, x) for t, w in level for j in above[t] if j in nb and (x := w & nb[j])
-                    ]
-                    counts[k] += len(level)
+                    grown = {}
+                    for t, ws in level.items():
+                        for j, b in cand[t]:
+                            xs = [x for w in ws if (x := w & b)]
+                            if xs:
+                                if j in grown:
+                                    grown[j] += xs
+                                else:
+                                    grown[j] = xs
+                    level = grown
+                    counts[k] += sum(map(len, grown.values()))
         return tuple(reversed(counts[1:]))
+
+
+class _FacetCodes:
+    """Code j is bit j + 64 over fixed pseudo-random low 64 bits. The XOR of
+    the codes of a facet set is that set's bitmask shifted up by 64 over the
+    XOR of their low bits: distinct sets keep distinct values, and the low
+    bits spread the hashes. Each code is computed on use, as a table of them
+    would take O(m^2) bits."""
+
+    def __getitem__(self, j: int) -> int:
+        return 1 << j + 64 | (j + 1) * 0x9E3779B97F4A7C15 & (1 << 64) - 1
 
 
 def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
@@ -159,23 +183,31 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
     if missing:
         raise UnusedFacetError(missing)
 
-    # ridge key (the vertex's facet bitmask without the deleted facet's bit)
-    # -> the slots on that ridge, slot s = vi*n + pos standing for vertex vi
-    # with its facet at position pos deleted; a ridge enters the dict at its
+    # ridge key (the XOR of the codes of the vertex's facets but the deleted
+    # one) -> the slots on that ridge, slot s = vi*n + pos standing for vertex
+    # vi with its facet at position pos deleted; a ridge enters the dict at its
     # first slot in scan order, so the first bad ridge in dict order names the
     # first bad vertex/facet pair. The check pairs the two slots of every
     # ridge in ``partner``, which the BFS reads instead of hashing the key again.
+    # Facet j's code is the bit 1 << j, so a key is a plain bitmask, up to
+    # m = 61. CPython hashes an int as its value mod 2**61 - 1, so past that
+    # bitmasks share hashes in bulk (every single-facet ridge key of an m-gon
+    # lands on one of 61 values), and the codes are _FacetCodes instead.
+    code = [1 << j for j in range(m)] if m <= 61 else _FacetCodes()
     masks = []
     ridges: dict[int, list[int]] = {}
     s = 0
     for v in canon:
         mask = 0
         for j in v:
-            mask |= 1 << j
+            mask ^= code[j]
         masks.append(mask)
         for j in v:
-            ridges.setdefault(mask ^ (1 << j), []).append(s)
+            ridges.setdefault(mask ^ code[j], []).append(s)
             s += 1
+    if m > 61:  # drop the low bits from the coded masks
+        for vi, mask in enumerate(masks):
+            masks[vi] = mask >> 64
     partner = [0] * s
     for entries in ridges.values():
         if len(entries) != 2:
@@ -246,7 +278,9 @@ def f_vector(polytope: SimplePolytope) -> tuple[int, ...]:
     contained in at least one vertex. Counted once per polytope, level by
     level: a set of facets is a face when the AND of their vertex bitsets is
     nonzero, and each face of codimension k >= 3 extends one of codimension
-    k - 1 by a later facet that meets it. The edges (codimension n - 1) are
+    k - 1 by a later facet that meets it. Each level groups its faces by
+    their last facet, so one pass over a group's bitsets extends them all by
+    one candidate facet. The edges (codimension n - 1) are
     not enumerated: validation puts each ridge on exactly two vertices, so
     there are V*n/2 of them.
 

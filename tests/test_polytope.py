@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from quasitoric import (
     Omniorientation,
     adjacent_vertex,
+    cp2_sum,
     cpn,
     f_vector,
     h_vector,
@@ -41,6 +42,7 @@ from support import (
 )
 
 TRIANGLE = [(0, 1), (0, 2), (1, 2)]
+SQUARE = [(0, 1), (1, 2), (2, 3), (0, 3)]
 
 # hemi-icosahedron: the 6-vertex triangulation of the real projective plane;
 # a valid pseudomanifold (every edge in exactly two faces) that cannot be
@@ -84,6 +86,25 @@ def test_ridge_violation():
     assert exc.value.vertex == (0, 1)
     assert exc.value.facet == 0
     assert exc.value.partners == 2
+
+
+@pytest.mark.parametrize("m", [61, 62, 70, 200])
+def test_ridge_violation_past_61_facets(m):
+    """Ridge keys past m = 61 are built from other facet codes; the first bad
+    ridge in scan order is still the one named."""
+    cycle = [(i, (i + 1) % m) for i in range(m)]
+    # (0, m - 1) missing: the ridge (0,) of vertex (0, 1) has no partner
+    with pytest.raises(RidgeViolationError) as exc:
+        validate_polytope(2, m, cycle[:-1])
+    assert (exc.value.vertex, exc.value.facet, exc.value.partners) == ((0, 1), 1, 0)
+    # (0, m // 2) added: the ridge (0,) lies in three vertices
+    with pytest.raises(RidgeViolationError) as exc:
+        validate_polytope(2, m, cycle + [(0, m // 2)])
+    assert (exc.value.vertex, exc.value.facet, exc.value.partners) == ((0, 1), 1, 2)
+    # (5, 6) missing: the ridges met before the ridge (5,) of vertex (4, 5) are sound
+    with pytest.raises(RidgeViolationError) as exc:
+        validate_polytope(2, m, cycle[:5] + cycle[6:])
+    assert (exc.value.vertex, exc.value.facet, exc.value.partners) == ((4, 5), 4, 0)
 
 
 def test_duplicate_vertex():
@@ -163,6 +184,9 @@ def test_masks_are_the_vertex_facet_bitmasks():
         assert len(poly.masks) == poly.num_vertices
         for i, v in enumerate(poly.vertices):
             assert poly.masks[i] == sum(1 << j for j in v)
+    # past m = 61 the ridge keys use other facet codes; the masks do not
+    for poly in (cp2_sum(70).polytope, product(cpn(3), cp2_sum(64)).polytope):
+        assert poly.masks == tuple(sum(1 << j for j in v) for v in poly.vertices)
 
 
 def test_adjacent_vertex_rejects_interval():
@@ -306,6 +330,37 @@ def test_torus_dual_keeps_its_non_palindromic_h_vector():
     assert (poly.num_vertices, f_vector(poly)) == (14, (14, 21, 7))
     h = h_vector(poly)
     assert h == (1, 4, 10, -1)
+    assert h != h[::-1]
+
+
+def _join(*factors):
+    """The dual of the product of the given polytopes, each factor a
+    (dim, num_facets, vertices) triple: the join of their dual complexes,
+    a pseudomanifold dual exactly when every factor is one."""
+    n, m, verts = 0, 0, [()]
+    for dim, num_facets, vertices in factors:
+        verts = [v + tuple(w + m for w in u) for v in verts for u in vertices]
+        n += dim
+        m += num_facets
+    return validate_polytope(n, m, verts)
+
+
+@pytest.mark.parametrize(
+    "factors, expected",
+    [
+        # dim 4: one level of codimension 2 and none after it
+        ([(3, 7, TORUS_7), (1, 2, [(0,), (1,)])], (28, 56, 35, 9)),
+        ([(3, 7, TORUS_7), (2, 3, TRIANGLE)], (42, 105, 98, 45, 10)),
+        ([(3, 7, TORUS_7), (3, 7, TORUS_7)], (196, 588, 637, 322, 91, 14)),
+        ([(3, 7, TORUS_7), (2, 4, SQUARE), (2, 4, SQUARE)], (224, 784, 1120, 856, 382, 101, 15)),
+    ],
+)
+def test_f_vector_of_non_sphere_joins_matches_the_subset_oracle(factors, expected):
+    """Joins with the torus dual are pseudomanifolds but not spheres, and
+    from dim 5 on their faces pass through the grouped level loop."""
+    poly = _join(*factors)
+    assert f_vector(poly) == f_vector_by_subsets(poly) == expected
+    h = h_vector(poly)
     assert h != h[::-1]
 
 
