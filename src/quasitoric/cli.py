@@ -2,13 +2,16 @@
 
 Subcommands: validate, signs, decide, invariants, construct, report. File
 arguments accept ``-`` for stdin/stdout. Exit codes: 0 success (SAT where a
-decision is involved), 1 UNSAT, 2 invalid input, 3 usage error. All output is
-a pure function of the input; diagnostics go to stderr.
+decision is involved), 1 UNSAT, 2 invalid input, 3 usage error, 141 (128 +
+SIGPIPE) when the reader of stdout closed it before all output was written,
+with nothing on stderr. All output is a pure function of the input;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -29,7 +32,9 @@ def _read(path: str) -> str:
 
 def _write(path: str, text: str) -> None:
     if path == "-":
-        sys.stdout.write(text)
+        # line by line: one large write to a pipe whose reader has gone can
+        # return short without raising, and the rest is dropped unnoticed
+        sys.stdout.writelines(text.splitlines(keepends=True))
     else:
         Path(path).write_text(text, encoding="utf-8")
 
@@ -205,9 +210,22 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 3
+    except BrokenPipeError:
+        # The reader stopped early. Point stdout at devnull, so the flush at
+        # exit cannot fail again (the recipe in Python's signal docs).
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # stdout is not a file
+            return 141
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 141
     except (QuasitoricError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

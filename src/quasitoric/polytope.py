@@ -10,9 +10,10 @@ orientation class it finds is a plain tuple of +1/-1, one per vertex.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import comb
 from operator import index
 
@@ -79,58 +80,157 @@ class SimplePolytope:
     @cached_property
     def _f_vector(self) -> tuple[int, ...]:
         n, m, verts = self.dim, self.num_facets, self.vertices
-        counts = [0] * (n + 1)  # counts[k]: faces of codimension k
-        counts[n] = len(verts)  # the codimension-n faces are the vertices
-        counts[1] = m
-        if n > 2:  # each ridge lies on exactly two vertices, each vertex on n ridges
-            counts[n - 1] = len(verts) * n // 2
-        if n > 3:
-            on = [[] for _ in range(m)]  # on[j]: the vertices on facet j, ascending
-            for vi, v in enumerate(verts):
-                for j in v:
-                    on[j].append(vi)
-            # A face is counted once, at its first facet in this order (fewest
-            # vertices first), and grows only by facets later in the order.
-            # Its vertex bitset indexes the vertices of that first facet, and
-            # each later facet has at least as many, so the bitsets one facet
-            # keeps for its neighbours take at most n*V bits together; bitsets
-            # over all V vertices took 1.8 GB on polygon(300)^2 (V = 90000).
-            order = sorted(range(m), key=lambda j: len(on[j]))
-            rank = [0] * m
-            for r, j in enumerate(order):
-                rank[j] = r
-            above = [()] * m  # above[j]: the facets later than j that meet it
-            for a in reversed(order):  # so above[t] is known for every t later than a
-                ra = rank[a]
-                nb = {}  # j -> bitset of the vertices on[a][x] that lie on j
-                for x, vi in enumerate(on[a]):
-                    bit = 1 << x
-                    for j in verts[vi]:
-                        if rank[j] > ra:
-                            nb[j] = nb.get(j, 0) | bit
-                counts[2] += len(nb)
-                above[a] = tuple(nb)
-                if n < 5:  # no level of codimension 3 to n - 2
-                    continue
-                # The faces with first facet a are grouped by their last facet t:
-                # every face in a group extends by the same facets, cand[t], the
-                # later facets j that meet both a and t, each with its bitset.
-                cand = {t: [(j, nb[j]) for j in above[t] if j in nb] for t in nb}
-                # last facet -> vertex bitsets of the faces of codimension k - 1
-                level = {t: [w] for t, w in nb.items()}
-                for k in range(3, n - 1):
-                    grown = {}
-                    for t, ws in level.items():
-                        for j, b in cand[t]:
-                            xs = [x for w in ws if (x := w & b)]
-                            if xs:
-                                if j in grown:
-                                    grown[j] += xs
-                                else:
-                                    grown[j] = xs
-                    level = grown
-                    counts[k] += sum(map(len, grown.values()))
-        return tuple(reversed(counts[1:]))
+        if n < 5 or m == n + 1:  # no level loop to split, or a closed form
+            g = _face_counts(n, m, verts)
+        else:
+            on = _incidence(m, verts)
+            factors = _join_factors(verts, self.masks, on)
+            if factors is None:
+                g = _face_counts(n, m, verts, on)
+            else:
+                g = [1]
+                for factor in factors:
+                    g = _polymul(g, _face_counts(*factor))
+        return tuple(reversed(g[1:]))
+
+
+def _incidence(m: int, verts) -> list[list[int]]:
+    """on[j]: the indices of the vertices on facet j, ascending."""
+    on = [[] for _ in range(m)]
+    for vi, v in enumerate(verts):
+        for j in v:
+            on[j].append(vi)
+    return on
+
+
+def _polymul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two polynomials given by their coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _join_factors(verts, masks, on):
+    """The join factors of a dual complex, as (dim, num_facets, vertices)
+    triples with each factor's facets renumbered in order, when its vertex
+    set is the full product of at least two of them; None otherwise.
+
+    Facets i and j of different factors are independent over the vertices,
+    |N(i) & N(j)| * V == |N(i)| * |N(j)|, where N(i) is the set of vertices
+    on facet i, so joining dependent pairs gives groups never coarser than
+    the factors. Every factor has a facet at vertex 0, so only the pairs with
+    i there are tested: O(n^2 V + n m) work, and no V-bit facet bitsets. The
+    groups are then checked exactly, whatever they are: a vertex is the
+    union of its projections onto the groups, so the vertex set is their
+    full product exactly when the product of the groups' distinct projection
+    counts is V. Then every choice of one projection per group is a vertex
+    of n facets, so the projections onto a group all have one size, the
+    factor's dimension.
+    """
+    num = len(verts)
+    m = len(on)
+    root = list(range(m))
+    left = m  # the number of groups
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for i in verts[0]:
+        # meet[j] = |N(i) & N(j)|
+        meet = Counter(chain.from_iterable(map(verts.__getitem__, on[i])))
+        ni = len(on[i])
+        for j, nj in enumerate(map(len, on)):
+            if meet[j] * num != ni * nj:
+                a, b = find(i), find(j)
+                if a != b:
+                    root[b] = a
+                    left -= 1
+        if left == 1:  # no split: stop before the other facets of vertex 0
+            return None
+    groups = {}
+    for j in range(m):
+        groups.setdefault(find(j), []).append(j)
+    projections = []
+    total = 1
+    for facets in groups.values():
+        group = 0
+        for j in facets:
+            group |= 1 << j
+        proj = {mask & group for mask in masks}
+        total *= len(proj)
+        projections.append((facets, proj))
+    if total != num:
+        return None
+    factors = []
+    for facets, proj in projections:
+        vertices = sorted(tuple(x for x, j in enumerate(facets) if p >> j & 1) for p in proj)
+        factors.append((len(vertices[0]), len(facets), vertices))
+    return factors
+
+
+def _face_counts(n: int, m: int, verts, on=None) -> list[int]:
+    """[g_0, ..., g_n]: g_k is the number of faces of codimension k, the
+    k-subsets of facets contained in some vertex. ``verts`` are n-subsets of
+    range(m), ascending tuples in any order, with every facet on a vertex and
+    every ridge on exactly two vertices; ``on`` is their _incidence, built
+    here when not given."""
+    if m == n + 1:  # validation admits only the simplex boundary: all subsets
+        return [comb(m, k) for k in range(n + 1)]
+    counts = [0] * (n + 1)  # counts[k]: faces of codimension k
+    counts[0] = 1
+    counts[n] = len(verts)  # the codimension-n faces are the vertices
+    counts[1] = m
+    if n > 2:  # each ridge lies on exactly two vertices, each vertex on n ridges
+        counts[n - 1] = len(verts) * n // 2
+    if n > 3:
+        if on is None:
+            on = _incidence(m, verts)
+        # A face is counted once, at its first facet in this order (fewest
+        # vertices first), and grows only by facets later in the order.
+        # Its vertex bitset indexes the vertices of that first facet, and
+        # each later facet has at least as many, so the bitsets one facet
+        # keeps for its neighbours take at most n*V bits together; bitsets
+        # over all V vertices took 1.8 GB on polygon(300)^2 (V = 90000).
+        order = sorted(range(m), key=lambda j: len(on[j]))
+        rank = [0] * m
+        for r, j in enumerate(order):
+            rank[j] = r
+        above = [()] * m  # above[j]: the facets later than j that meet it
+        for a in reversed(order):  # so above[t] is known for every t later than a
+            ra = rank[a]
+            nb = {}  # j -> bitset of the vertices on[a][x] that lie on j
+            for x, vi in enumerate(on[a]):
+                bit = 1 << x
+                for j in verts[vi]:
+                    if rank[j] > ra:
+                        nb[j] = nb.get(j, 0) | bit
+            counts[2] += len(nb)
+            above[a] = tuple(nb)
+            if n < 5:  # no level of codimension 3 to n - 2
+                continue
+            # The faces with first facet a are grouped by their last facet t:
+            # every face in a group extends by the same facets, cand[t], the
+            # later facets j that meet both a and t, each with its bitset.
+            cand = {t: [(j, nb[j]) for j in above[t] if j in nb] for t in nb}
+            # last facet -> vertex bitsets of the faces of codimension k - 1
+            level = {t: [w] for t, w in nb.items()}
+            for k in range(3, n - 1):
+                grown = {}
+                for t, ws in level.items():
+                    for j, b in cand[t]:
+                        xs = [x for w in ws if (x := w & b)]
+                        if xs:
+                            if j in grown:
+                                grown[j] += xs
+                            else:
+                                grown[j] = xs
+                level = grown
+                counts[k] += sum(map(len, grown.values()))
+    return counts
 
 
 class _FacetCodes:
@@ -275,18 +375,31 @@ def orient_dual_sphere(polytope: SimplePolytope) -> tuple[int, ...]:
 
 def f_vector(polytope: SimplePolytope) -> tuple[int, ...]:
     """(f_0, ..., f_{n-1}): faces of codimension k are the k-subsets of facets
-    contained in at least one vertex. Counted once per polytope, level by
-    level: a set of facets is a face when the AND of their vertex bitsets is
-    nonzero, and each face of codimension k >= 3 extends one of codimension
-    k - 1 by a later facet that meets it. Each level groups its faces by
-    their last facet, so one pass over a group's bitsets extends them all by
-    one candidate facet. The edges (codimension n - 1) are
-    not enumerated: validation puts each ridge on exactly two vertices, so
-    there are V*n/2 of them.
+    contained in at least one vertex. Counted once per polytope, as the face
+    polynomial g(t) = sum_k (codim-k faces) t^k:
+
+    - With m = n + 1 facets validation admits only the simplex, and
+      g_k = C(n + 1, k).
+    - From dim 5 on, the polytope is first split into join factors: the dual
+      of P x Q is the join of the duals, so g is the product of the factors'
+      polynomials. The split is accepted only when the vertex set is exactly
+      the product of the factors' vertex sets (see _join_factors), so it
+      holds however the facets are numbered, and each factor is counted on
+      its own.
+    - Otherwise, and within each factor, the faces are counted level by
+      level: a set of facets is a face when the AND of their vertex bitsets
+      is nonzero, and each face of codimension k >= 3 extends one of
+      codimension k - 1 by a later facet that meets it. Each level groups its
+      faces by their last facet, so one pass over a group's bitsets extends
+      them all by one candidate facet. The edges (codimension n - 1) are not
+      enumerated: validation puts each ridge on exactly two vertices, so
+      there are V*n/2 of them.
 
     Raises TooLargeError, before counting anything, when the V*(2^n - 1)
-    vertex subsets, a worst-case estimate of the work, exceed
-    F_VECTOR_MAX_SUBSETS.
+    vertex subsets, a worst-case estimate of the level-by-level work, exceed
+    F_VECTOR_MAX_SUBSETS. The refusal does not look at the shortcuts above:
+    it accepts and refuses the same polytopes, with the same message, as
+    when every polytope was counted level by level.
     """
     v, n = polytope.num_vertices, polytope.dim
     if v * ((1 << n) - 1) > F_VECTOR_MAX_SUBSETS:

@@ -309,6 +309,40 @@ def test_import_does_not_load_numpy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def _qtm(argv, stdout, stdin=None):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen(
+        [sys.executable, "-m", "quasitoric", *argv],
+        stdin=stdin, stdout=stdout, stderr=subprocess.PIPE, env=env,
+    )
+
+
+def test_a_closed_pipe_exits_141_quietly(tmp_path):
+    """Every subcommand whose stdout has no reader left exits 141 (128 +
+    SIGPIPE), with nothing on stderr: no traceback, no error line."""
+    path = tmp_path / "cp2.qtm"
+    path.write_text(CP2_TEXT + "omniorientation 1 1 1 1\n")
+    argvs = [[cmd, str(path)] for cmd in ("validate", "signs", "decide", "invariants", "report")]
+    argvs.append(["construct", "cpn", "3"])
+    for argv in argvs:
+        r, w = os.pipe()
+        os.close(r)  # the reader is gone before anything is written
+        proc = _qtm(argv, w)
+        os.close(w)
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b""), argv
+    # a reader that takes one byte of a construction longer than the pipe's
+    # buffer and closes: the rest must not be dropped with exit 0
+    r, w = os.pipe()
+    proc = _qtm(["construct", "cpn", "150"], w)
+    os.close(w)
+    assert len(os.read(r, 1)) == 1
+    os.close(r)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_f_vector_refusal_leaves_stdout_empty(capsys, monkeypatch):
     """qtm construct cpn 40 | qtm validate - (or report -): the f-vector's
     41 * (2^40 - 1) subsets are refused up front, exit 2, nothing on stdout."""

@@ -15,6 +15,7 @@ from quasitoric import (
     cpn,
     f_vector,
     h_vector,
+    hirzebruch,
     orient_dual_sphere,
     polygon,
     polytope,
@@ -362,6 +363,120 @@ def test_f_vector_of_non_sphere_joins_matches_the_subset_oracle(factors, expecte
     assert f_vector(poly) == f_vector_by_subsets(poly) == expected
     h = h_vector(poly)
     assert h != h[::-1]
+
+
+def _triple(piece):
+    """(dim, num_facets, vertices) of a polytope or a pair; a triple as is."""
+    if isinstance(piece, tuple):
+        return piece
+    poly = getattr(piece, "polytope", piece)
+    return poly.dim, poly.num_facets, poly.vertices
+
+
+def _relabelled(poly, rng):
+    """The polytope with its facets renumbered at random, so that the facets
+    of the factors of a product interleave."""
+    perm = list(range(poly.num_facets))
+    rng.shuffle(perm)
+    return validate_polytope(
+        poly.dim, poly.num_facets, [tuple(perm[j] for j in v) for v in poly.vertices]
+    )
+
+
+def _split(poly):
+    return polytope._join_factors(
+        poly.vertices, poly.masks, polytope._incidence(poly.num_facets, poly.vertices)
+    )
+
+
+HEXAGON = polygon(6)
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [
+        [cpn(2), cpn(3)],
+        [cpn(1)] * 5,
+        [cpn(2), cpn(1), cpn(2)],
+        [vertex_cut(cpn(3), (0, 1, 2)), cpn(2)],
+        [hirzebruch(1), cpn(1), cpn(2)],
+        [HEXAGON, cpn(3)],
+        [cp2_sum(4), cpn(1), cpn(1), cpn(1)],
+        [cp2_sum(3), HEXAGON, cpn(1)],
+        [(3, 7, TORUS_7), cpn(1), cpn(1)],
+        [(3, 7, TORUS_7), cpn(2)],
+        [(3, 7, TORUS_7), (2, 4, SQUARE), cpn(1)],
+        [(3, 7, TORUS_7), HEXAGON, cpn(1)],
+        [(3, 7, TORUS_7), (3, 7, TORUS_7)],
+    ],
+)
+def test_f_vector_of_interleaved_products_matches_the_subset_oracle(pieces):
+    """Products whose facets are renumbered at random are still split into
+    join factors, and counted by them, from dim 5 on; the torus dual, a
+    polygon and the simplex pass through the factor counts."""
+    poly = _join(*map(_triple, pieces))
+    assert poly.dim >= 5
+    rng = random.Random(poly.num_vertices)
+    for shuffled in (poly, _relabelled(poly, rng), _relabelled(poly, rng)):
+        assert len(_split(shuffled)) >= len(pieces)
+        assert f_vector(shuffled) == f_vector_by_subsets(shuffled)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        reduce(product, [cpn(1)] * 5),
+        product(cp2_sum(4), cpn(3)),
+        product(product(cp2_sum(3), cpn(1)), cpn(2)),
+        product(cpn(2), cpn(3)),
+    ],
+)
+def test_f_vector_of_a_cut_product_falls_back_to_the_whole_count(pair):
+    """A vertex cut of a product is no product: the split is refused and the
+    whole polytope is counted."""
+    for vertex in (pair.polytope.vertices[0], pair.polytope.vertices[-1]):
+        poly = vertex_cut(pair, vertex).polytope
+        assert poly.dim >= 5
+        assert _split(poly) is None
+        assert f_vector(poly) == f_vector_by_subsets(poly)
+
+
+def test_the_projection_check_refuses_pairwise_independent_vertices():
+    """In these four vertices every facet of a pair {0,1}, {2,3}, {4,5} is
+    independent of the other pairs' facets, but the vertex set is half of
+    the product: only the projection count tells them apart. They are no
+    pseudomanifold; no validated polytope was found that passes the pair
+    test without being a product, so the helper is called directly."""
+    verts = [(0, 2, 4), (0, 3, 5), (1, 2, 5), (1, 3, 4)]
+    masks = [sum(1 << j for j in v) for v in verts]
+    assert polytope._join_factors(verts, masks, polytope._incidence(6, verts)) is None
+    full = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+    masks = [sum(1 << j for j in v) for v in full]
+    factors = polytope._join_factors(full, masks, polytope._incidence(6, full))
+    assert sorted(factors) == [(1, 2, [(0,), (1,)])] * 3
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [reduce(product, [cpn(1)] * k) for k in (5, 7, 9)]
+    + [reduce(product, [cpn(2)] * k) for k in (3, 4, 5)]
+    + [
+        product(three, other)
+        for three in (cpn(3), vertex_cut(cpn(3), (0, 1, 2)), product(cpn(1), hirzebruch(-2)))
+        for other in (cpn(3), reduce(product, [cpn(1)] * 3), product(cpn(2), cpn(2)))
+    ]
+    + [product(product(cpn(3), product(cpn(1), hirzebruch(2))), cpn(2))],
+)
+def test_the_split_finds_the_factors_of_the_benchmark_shapes(pair):
+    """(CP1)^k, (CP2)^k and the 3-fold products take the factor path: a
+    refused split would fall back silently to the slower whole count."""
+    poly = _relabelled(pair.polytope, random.Random(pair.polytope.num_vertices))
+    factors = _split(poly)
+    assert factors is not None and len(factors) >= 2
+    assert sum(d for d, _, _ in factors) == poly.dim
+    assert sum(m for _, m, _ in factors) == poly.num_facets
+    assert reduce(lambda a, f: a * len(f[2]), factors, 1) == poly.num_vertices
+    assert f_vector(poly) == f_vector_by_subsets(poly)
 
 
 def test_f_vector_refuses_over_the_subset_limit(monkeypatch):
