@@ -177,7 +177,7 @@ def basis_change(pair: CharacteristicPair, a) -> CharacteristicPair:
     if len(a) != n or widths - {n}:
         got = f"{len(a)}x{max(widths, default=0)}" if len(widths) < 2 else "a ragged matrix"
         raise ValueError(f"basis change must be {n}x{n}, got {got}")
-    det = linalg.det_bareiss(a)
+    det = linalg.det_and_inverse(a)[0]
     if det not in (1, -1):
         raise NotUnimodularError(det)
     # det(A*lambda_v) = det A * det lambda_v, so the pair stays valid

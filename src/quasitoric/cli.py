@@ -172,8 +172,19 @@ def cmd_construct(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops an OSError from its writes. Help goes to stdout, and a
+        # closed pipe must reach main even when stdout is unbuffered, where
+        # the write raises at once and not at main's flush.
+        if file is sys.stdout and message:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qtm", description=__doc__)
+    parser = _Parser(prog="qtm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     for cmd, func in (
@@ -209,12 +220,13 @@ _PARSER = _build_parser()
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-        code = args.func(args)
+        try:
+            args = _PARSER.parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:  # argparse after --help, or a usage error
+            code = 0 if exc.code in (0, None) else 3
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 3
     except BrokenPipeError:
         # The reader stopped early. Point stdout at devnull, so the flush at
         # exit cannot fail again (the recipe in Python's signal docs).

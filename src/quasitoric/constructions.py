@@ -144,8 +144,11 @@ def connected_sum_4d(
     (xg, xh), (yg, yh) = source
     twist = -(xf * yn - yf * xn) * (xg * yh - yg * xh)
     target = ((xn, twist * xf), (yn, twist * yf))
-    align = linalg.mat_mul(target, linalg.inv_unimodular(source))
-    if linalg.det_bareiss(align) != 1:  # pragma: no cover - defect guard
+    inv = linalg.det_and_inverse(source)[1]
+    if inv is None:  # pragma: no cover - defect guard: v2 is a vertex of a valid pair
+        raise InternalInconsistencyError(f"corner {v2} of the second pair is not unimodular")
+    align = linalg.mat_mul(target, inv)
+    if linalg.det_and_inverse(align)[0] != 1:  # pragma: no cover - defect guard
         raise InternalInconsistencyError(f"no det +1 alignment at {v1} / {v2}")
 
     # p1 keeps its labels and p2's survivors take m1, m1 + 1, ... in ascending

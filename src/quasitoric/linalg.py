@@ -9,14 +9,26 @@ matrices are sparse (a basis-changed cpn(54) root has 170 nonzeros of 2916),
 so ``det_and_inverse`` skips the work that is provably zero: with a pivot
 equal to the previous one, a row is touched only where it meets the pivot
 row's nonzeros. It takes such a pivot wherever a row is led by the previous
-pivot or by its negative, which it negates.
+pivot or by its negative, which it negates. ``mat_mul`` skips zero entries
+too, and adds whole scaled rows at a time.
+
+Every determinant of a matrix the library takes (a vertex's lambda_v, a
+basis change, a connected sum's alignment) comes from one ``det_and_inverse``
+call. ``det_bareiss`` is the independent oracle the tests check it against.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, mul
+
 
 def det_bareiss(matrix) -> int:
-    """Exact determinant via Bareiss fraction-free elimination."""
+    """Exact determinant via Bareiss fraction-free elimination.
+
+    The library takes its determinants from ``det_and_inverse``; this dense
+    O(k^3) elimination is the tests' independent oracle for them.
+    """
     a = [list(row) for row in matrix]
     k = len(a)
     if k == 0:
@@ -44,16 +56,28 @@ def det_bareiss(matrix) -> int:
 
 
 def mat_mul(a, b):
-    """Product of two integer matrices as nested tuples."""
-    rows_a = len(a)
+    """Product of two integer matrices as nested tuples.
+
+    Row i of the product is the sum of the rows of b scaled by the nonzero
+    entries of row i of a: zero entries are skipped, and each row is scaled
+    and added in C-level ``map`` calls, not entry by entry. ValueError
+    ("incompatible shapes") when a row of a is not as long as b or b is
+    ragged.
+    """
     inner = len(b)
-    cols_b = len(b[0]) if inner else 0
-    if any(len(row) != inner for row in a):
+    cols = len(b[0]) if inner else 0
+    if any(len(row) != inner for row in a) or any(len(row) != cols for row in b):
         raise ValueError("incompatible shapes")
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols_b))
-        for i in range(rows_a)
-    )
+    zero = (0,) * cols
+    out = []
+    for row in a:
+        acc = zero
+        for x, brow in zip(row, b):
+            if x:
+                term = tuple(brow) if x == 1 else tuple(map(mul, repeat(x), brow))
+                acc = term if acc is zero else tuple(map(add, acc, term))
+        out.append(acc)
+    return tuple(out)
 
 
 def det_and_inverse(matrix):
@@ -141,17 +165,6 @@ def det_and_inverse(matrix):
         for j, x in zip(order, row):
             inv[i][j] = prev * x
     return sign * prev, tuple(map(tuple, inv))
-
-
-def inv_unimodular(matrix):
-    """Integer inverse of a square integer matrix with det +-1.
-
-    Raises ValueError when det A is not +-1.
-    """
-    det, inv = det_and_inverse(matrix)
-    if inv is None:
-        raise ValueError(f"matrix has det {det}, expected +-1")
-    return inv
 
 
 def columns(matrix, indices):

@@ -3,10 +3,10 @@
 The coherence checker here is an independent reimplementation of the
 orientation rule (plain dict sweep over all ridges, no BFS) so library output
 is never checked against itself; Bareiss does the same for the vertex
-determinants, the subset count for the f-vector, and the iterated connected
-sum for the closed-form k-fold sum of CP^2. The random pair generator only
-composes validated constructors, so every emitted pair is valid by
-construction.
+determinants, the triple loop for matrix products, the subset count for the
+f-vector, and the iterated connected sum for the closed-form k-fold sum of
+CP^2. The random pair generator only composes validated constructors, so
+every emitted pair is valid by construction.
 """
 
 from __future__ import annotations
@@ -48,6 +48,15 @@ def bareiss_dets(polytope, rows):
     """det lambda_v for every vertex by Bareiss, one elimination per vertex,
     independent of validation's exchange walk."""
     return [det_bareiss(columns(rows, v)) for v in polytope.vertices]
+
+
+def mat_mul_by_loops(a, b):
+    """The product by the textbook triple loop, every term taken: the
+    reference for ``linalg.mat_mul``, which skips zeros and adds whole rows."""
+    cols = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum(row[t] * b[t][j] for t in range(len(b))) for j in range(cols)) for row in a
+    )
 
 
 def f_vector_by_subsets(polytope):

@@ -10,6 +10,7 @@ from quasitoric import (
     Omniorientation,
     all_signs,
     basis_change,
+    connected_sum_4d,
     cpn,
     hirzebruch,
     polygon,
@@ -20,8 +21,15 @@ from quasitoric import (
     vertex_sign,
 )
 from quasitoric.errors import NotUnimodularError, ShapeMismatchError, SingularVertexError
+from quasitoric import linalg
 from quasitoric.linalg import det_bareiss
-from support import bareiss_dets, random_unimodular, random_unimodular_det1, random_valid_pair
+from support import (
+    bareiss_dets,
+    mat_mul_by_loops,
+    random_unimodular,
+    random_unimodular_det1,
+    random_valid_pair,
+)
 
 TRIANGLE = validate_polytope(2, 3, [(0, 1), (0, 2), (1, 2)])
 INTERVAL = validate_polytope(1, 2, [(0,), (1,)])
@@ -360,3 +368,55 @@ def test_large_exchange_walks_match_bareiss(name):
         else:
             assert _walk_dets(perturbed) == dets
     assert singular
+
+
+def test_basis_change_matches_the_product_and_bareiss():
+    """On random_valid_pair draws and disguised cpn(n <= 20), with unimodular
+    A and with A of another determinant: the matrix is the triple-loop
+    product, the base signs are det A times the old ones and agree with
+    revalidating that product, and a refusal carries Bareiss's det A."""
+    rng = random.Random(53)
+    refused = 0
+    for i in range(150):
+        if i % 3:
+            pair = random_valid_pair(rng)
+        else:
+            pair = _disguised(rng, cpn(rng.randint(1, 20)), rng.randint(1, 30))
+        n = pair.polytope.dim
+        a = [list(row) for row in random_unimodular(rng, n, steps=rng.randint(0, 3 * n))]
+        kind = rng.random()
+        if kind < 0.2:  # one row scaled: det A = +-d
+            r = rng.randrange(n)
+            a[r] = [rng.choice([0, 2, -3, 10**40]) * x for x in a[r]]
+        elif kind < 0.4:  # small random entries: mostly singular or |det| > 1
+            a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        det = det_bareiss(a)
+        if det not in (1, -1):
+            with pytest.raises(NotUnimodularError) as exc:
+                basis_change(pair, a)
+            assert exc.value.det == det
+            refused += 1
+            continue
+        changed = basis_change(pair, a)
+        assert changed.polytope is pair.polytope
+        assert changed.matrix == mat_mul_by_loops(a, pair.matrix)
+        assert changed.base_signs == tuple(det * s for s in pair.base_signs)
+        assert changed.base_signs == validate_char(pair.polytope, changed.matrix).base_signs
+    assert 20 < refused < 100
+
+
+def test_basis_change_and_connected_sum_take_no_bareiss(monkeypatch):
+    """Their determinants come from det_and_inverse: with linalg.det_bareiss
+    made to raise, both still give the results they give without it."""
+    a = random_unimodular(random.Random(59), 5, steps=15)
+    h = hirzebruch(1)
+    expected = basis_change(cpn(5), a), connected_sum_4d(cpn(2), (0, 1), h, h.polytope.vertices[2])
+
+    def refuse(matrix):
+        raise AssertionError("det_bareiss called")
+
+    monkeypatch.setattr(linalg, "det_bareiss", refuse)
+    assert basis_change(cpn(5), a) == expected[0]
+    with pytest.raises(NotUnimodularError):
+        basis_change(cpn(2), ((2, 0), (0, 1)))
+    assert connected_sum_4d(cpn(2), (0, 1), h, h.polytope.vertices[2]) == expected[1]

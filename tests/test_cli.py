@@ -309,9 +309,14 @@ def test_import_does_not_load_numpy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
-def _qtm(argv, stdout, stdin=None):
+def _qtm(argv, stdout, stdin=None, unbuffered=False):
+    """``python -m quasitoric argv``; with unbuffered, each write to stdout
+    reaches the pipe at once (PYTHONUNBUFFERED), else at the flush."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen(
         [sys.executable, "-m", "quasitoric", *argv],
         stdin=stdin, stdout=stdout, stderr=subprocess.PIPE, env=env,
@@ -320,18 +325,22 @@ def _qtm(argv, stdout, stdin=None):
 
 def test_a_closed_pipe_exits_141_quietly(tmp_path):
     """Every subcommand whose stdout has no reader left exits 141 (128 +
-    SIGPIPE), with nothing on stderr: no traceback, no error line."""
+    SIGPIPE), with nothing on stderr: no traceback, no error line. So does
+    --help, whose write argparse itself would swallow. Both hold whether
+    stdout is buffered (the pipe error comes at the flush) or not (at the
+    write)."""
     path = tmp_path / "cp2.qtm"
     path.write_text(CP2_TEXT + "omniorientation 1 1 1 1\n")
     argvs = [[cmd, str(path)] for cmd in ("validate", "signs", "decide", "invariants", "report")]
-    argvs.append(["construct", "cpn", "3"])
+    argvs += [["construct", "cpn", "3"], ["--help"]]
     for argv in argvs:
-        r, w = os.pipe()
-        os.close(r)  # the reader is gone before anything is written
-        proc = _qtm(argv, w)
-        os.close(w)
-        _, err = proc.communicate(timeout=60)
-        assert (proc.returncode, err) == (141, b""), argv
+        for unbuffered in (False, True):
+            r, w = os.pipe()
+            os.close(r)  # the reader is gone before anything is written
+            proc = _qtm(argv, w, unbuffered=unbuffered)
+            os.close(w)
+            _, err = proc.communicate(timeout=60)
+            assert (proc.returncode, err) == (141, b""), (argv, unbuffered)
     # a reader that takes one byte of a construction longer than the pipe's
     # buffer and closes: the rest must not be dropped with exit 0
     r, w = os.pipe()

@@ -4,39 +4,75 @@ import random
 
 import pytest
 
-from quasitoric.linalg import det_and_inverse, det_bareiss, inv_unimodular, mat_mul
-from support import random_unimodular
+from quasitoric.linalg import det_and_inverse, det_bareiss, mat_mul
+from support import mat_mul_by_loops, random_unimodular
 
 
 def _identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def test_inv_unimodular_inverts_random_unimodular():
+def test_det_and_inverse_inverts_random_unimodular():
     rng = random.Random(29)
     for n in range(1, 15):
         for _ in range(12):
             a = [list(row) for row in random_unimodular(rng, n, steps=rng.randrange(3 * n + 1))]
             before = [row[:] for row in a]
-            inv = inv_unimodular(a)
+            det, inv = det_and_inverse(a)
             assert a == before
+            assert det in (1, -1)
             assert mat_mul(a, inv) == _identity(n)
             assert mat_mul(inv, a) == _identity(n)
 
 
-def test_inv_unimodular_rejects_other_determinants():
+def test_det_and_inverse_gives_no_inverse_for_other_determinants():
     rng = random.Random(31)
     for _ in range(300):
         n = rng.randint(1, 5)
         a = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
-        det = det_bareiss(a)
+        det, inv = det_and_inverse(a)
+        assert det == det_bareiss(a)
         if det in (1, -1):
-            assert mat_mul(a, inv_unimodular(a)) == _identity(n)
+            assert mat_mul(a, inv) == _identity(n)
         else:
-            with pytest.raises(ValueError, match=f"matrix has det {det}, expected"):
-                inv_unimodular(a)
+            assert inv is None
     with pytest.raises(ValueError, match="square"):
-        inv_unimodular(((1, 0),))
+        det_and_inverse(((1, 0),))
+
+
+def _random_matrix(rng, rows, cols, entries):
+    return tuple(tuple(rng.choice(entries) for _ in range(cols)) for _ in range(rows))
+
+
+def test_mat_mul_matches_the_triple_loop():
+    """1x1, inner dimension 0, sparse unimodular, dense, negative and huge
+    entries: the zero-skipping product equals the textbook one, as tuples of
+    tuples even from lists."""
+    rng = random.Random(47)
+    cases = [(((0,),), ((5,),)), (((-3,),), ((10**40,),)), (((), ()), ()), ((), ((1, 2),))]
+    cases.append(([[1, 0], [2, 1]], [[1, 2], [3, 4]]))
+    for n in range(1, 25):
+        cases.append((random_unimodular(rng, n, steps=2 * n), random_unimodular(rng, n, steps=n)))
+    for _ in range(200):
+        r, k, c = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 9)
+        entries = rng.choice([(-1, 0, 1), range(-9, 10), (0, 0, 0, 2, -10**40, 10**40)])
+        cases.append((_random_matrix(rng, r, k, entries), _random_matrix(rng, k, c, entries)))
+    for a, b in cases:
+        assert mat_mul(a, b) == mat_mul_by_loops(a, b)
+
+
+def test_mat_mul_refuses_incompatible_shapes():
+    """A row of the left factor that is not as long as the right factor is
+    high, or a ragged right factor (which the row sums would otherwise
+    silently cut to its shortest row)."""
+    for a, b in [
+        (((1, 2),), ((1, 0),)),
+        (((1,), (1, 2)), ((1, 0),)),
+        (((1, 1),), ((1, 0), (0,))),
+        (((1, 1),), ((1,), (0, 1))),
+    ]:
+        with pytest.raises(ValueError, match="^incompatible shapes$"):
+            mat_mul(a, b)
 
 
 def test_det_and_inverse_matches_bareiss():
