@@ -40,13 +40,18 @@ class CharacteristicPair:
 
 @dataclass(frozen=True)
 class Omniorientation:
-    """Global orientation sign and one sign per characteristic submanifold."""
+    """Global orientation sign and one sign per characteristic submanifold.
+
+    Each sign is read through ``operator.index``: a float or a str raises
+    TypeError, and True is stored as 1.
+    """
 
     global_sign: int
     facet_signs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "facet_signs", tuple(self.facet_signs))
+        object.__setattr__(self, "global_sign", index(self.global_sign))
+        object.__setattr__(self, "facet_signs", tuple(map(index, self.facet_signs)))
         if self.global_sign not in (1, -1):
             raise ValueError("global sign must be +1 or -1")
         if any(s not in (1, -1) for s in self.facet_signs):

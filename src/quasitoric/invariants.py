@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .charpair import CharacteristicPair, Omniorientation, all_signs
 from .errors import InternalInconsistencyError, NotDimension2Error
@@ -106,10 +107,16 @@ def signature(form) -> int:
     When every remaining diagonal entry vanishes but some off-diagonal a does
     not, the congruence e_i += e_j makes the diagonal 2a and the hyperbolic
     block contributes (+1, -1), as it must by Sylvester's law.
+
+    A matrix that is not square (ragged included) raises ValueError. Entries
+    must be integers (anything ``operator.index`` accepts); a float or a str
+    raises TypeError.
     """
     matrix = form.matrix if isinstance(form, IntersectionForm) else form
     k = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(k)] for i in range(k)]
+    if any(len(row) != k for row in matrix):
+        raise ValueError("signature needs a square matrix")
+    a = [[Fraction(index(x)) for x in row] for row in matrix]
     for i in range(k):
         for j in range(i + 1, k):
             if a[i][j] != a[j][i]:

@@ -4,13 +4,13 @@ All matrices are tuples of row tuples of Python ints, so every result is exact
 regardless of entry size; nothing here uses fractions or floats. The sizes
 are small (n is the polytope dimension), but validation runs these
 eliminations at the root of its basis-exchange walk and wherever the walk
-restarts, on every input, so their inner loops are kept lean. Those
-matrices are sparse (a basis-changed cpn(54) root has 170 nonzeros of 2916),
-so ``det_and_inverse`` skips the work that is provably zero: with a pivot
-equal to the previous one, a row is touched only where it meets the pivot
-row's nonzeros. It takes such a pivot wherever a row is led by the previous
-pivot or by its negative, which it negates. ``mat_mul`` skips zero entries
-too, and adds whole scaled rows at a time.
+restarts, on every input, so their inner loops are kept lean.
+``det_and_inverse`` is fraction-free Gauss-Jordan on the whole [A | I] that
+skips the work that is provably zero: those matrices are sparse (a
+basis-changed cpn(54) root has 170 nonzeros of 2916), and with a pivot equal
+to the previous one a row is touched only where it meets the pivot row's
+nonzeros. ``mat_mul`` skips zero entries too, and adds whole scaled rows at
+a time.
 
 Every determinant of a matrix the library takes (a vertex's lambda_v, a
 basis change, a connected sum's alignment) comes from one ``det_and_inverse``
@@ -84,87 +84,73 @@ def det_and_inverse(matrix):
     """Determinant of a square integer matrix and, when it is +-1, its integer
     inverse (None otherwise), from one elimination.
 
-    Fraction-free Gauss-Jordan on [A | I]: every division is exact, and the
-    elimination ends at [d*I | d*A^-1], where d, the last pivot, is det A up
-    to the sign of the row swaps. A^-1 is the right block times d when
-    d = +-1. Settled columns are not stored. Each row holds the left columns
-    still to eliminate, then the right-block columns of the rows already
-    taken as pivots, in the order they were taken (``order``). Until a row is
-    taken, its own right-block column holds the previous pivot in that row
-    and 0 in every other, so it is brought in at that step.
+    Fraction-free Gauss-Jordan on the k x 2k matrix [A | I], pivoting in
+    column c at step c: every division is exact, and the elimination ends at
+    [d*I | d*A^-1], where d, the last pivot, is det A up to the sign of the
+    row swaps. A^-1 is the right block times d when d = +-1.
 
     Each row r becomes (p*y - x*z) / prev entry by entry, where p is the
     pivot, x the row's entry in the pivot column and z the pivot row's entry.
     When p == prev that division is by p, and p divides x*z because the
     quotient is an integer, so the entry is y - x*z // p exactly: a row with
-    x = 0 only shifts, and any other row changes only where the pivot row is
-    nonzero, so it is updated there in place. The next pivot is therefore a
-    row led by prev, else a row led by -prev, else any nonzero lead. A row
-    led by -prev is negated in [A | I], its own right-block entry with it,
-    and the sign flips: that is elimination on DA with right block D, for D
-    the diagonal matrix negating the row, and it still ends at A^-1 because
+    x = 0 is left as it is, and any other row changes only where the pivot
+    row is nonzero, so it is updated there in place. The next pivot is
+    therefore a row led by prev, else a row led by -prev, else any nonzero
+    lead. A row led by -prev is negated, right block included, and the sign
+    flips: that is elimination on DA with right block D, for D the diagonal
+    matrix negating the row, and it still ends at A^-1 because
     (DA)^-1 D = A^-1. Any nonzero pivot gives the same determinant and
     inverse, which are unique.
     """
     k = len(matrix)
     if any(len(row) != k for row in matrix):
         raise ValueError("inverse needs a square matrix")
-    a = [list(row) for row in matrix]
-    order = list(range(k))
+    a = [list(row) + [0] * k for row in matrix]
+    for i in range(k):
+        a[i][k + i] = 1
     sign = 1
     prev = 1
     for c in range(k):
-        own = prev  # the pivot row's entry in its own right-block column
-        if a[c][0] != prev:  # prefer a row led by prev, then by -prev, then any nonzero lead
+        if a[c][c] != prev:  # prefer a row led by prev, then by -prev, then any nonzero lead
             for r in range(c + 1, k):
-                if a[r][0] == prev:
+                if a[r][c] == prev:
                     break
             else:
                 for r in range(c, k):
-                    if a[r][0] == -prev:  # negated, it is led by prev
+                    if a[r][c] == -prev:  # negated, it is led by prev
                         a[r] = [-x for x in a[r]]
-                        own = -prev
                         sign = -sign
                         break
                 else:
                     r = c
-                    if a[c][0] == 0:
+                    if a[c][c] == 0:
                         for r in range(c + 1, k):
-                            if a[r][0] != 0:
+                            if a[r][c] != 0:
                                 break
                         else:
                             return 0, None
             if r != c:
                 a[c], a[r] = a[r], a[c]
-                order[c], order[r] = order[r], order[c]
                 sign = -sign
         pivot = a[c]
-        p = pivot[0]
-        rest = pivot[1:] + [own]
-        support = [(i, z) for i, z in enumerate(rest) if z] if p == prev else None
+        p = pivot[c]
+        support = [(i, z) for i, z in enumerate(pivot) if z] if p == prev else None
         for r in range(k):
             if r == c:
                 continue
             row = a[r]
-            x = row[0]
+            x = row[c]
             if support is not None:  # y - x * z // p, only where z != 0
-                del row[0]
-                row.append(0)
                 if x:
                     for i, z in support:
                         row[i] -= x * z // p
             else:
                 # stays integral: Sylvester's identity, as in Bareiss
-                a[r] = [(p * y - x * z) // prev for y, z in zip(row[1:], rest)] + [-x]
-        a[c] = rest
+                a[r] = [(p * y - x * z) // prev for y, z in zip(row, pivot)]
         prev = p
     if prev not in (1, -1):
         return sign * prev, None
-    inv = [[0] * k for _ in range(k)]
-    for i, row in enumerate(a):
-        for j, x in zip(order, row):
-            inv[i][j] = prev * x
-    return sign * prev, tuple(map(tuple, inv))
+    return sign * prev, tuple(tuple(prev * x for x in row[k:]) for row in a)
 
 
 def columns(matrix, indices):

@@ -414,18 +414,14 @@ def h_vector(polytope: SimplePolytope) -> tuple[int, ...]:
     """h-vector via the substitution sum_i g_i (t-1)^(n-i), exact integers.
 
     g_i is the number of codimension-i faces (the count of (i-1)-simplices of
-    the dual sphere), with g_0 = 1; h_k is the coefficient of t^(n-k).
+    the dual sphere), with g_0 = 1; h_k is the coefficient of t^(n-k), that
+    is h_k = sum_{i<=k} (-1)^(k-i) C(n-i, k-i) g_i.
     Indexing by codimension, not face dimension, is what makes the result
     palindromic; the n = 2 cases agree either way and hide the distinction.
     """
     n = polytope.dim
     g = (1,) + tuple(reversed(f_vector(polytope)))  # g[i] = codim-i face count
-    h = []
-    for k in range(n + 1):
-        j = n - k  # coefficient of t^j
-        total = 0
-        for i in range(n + 1):
-            if j <= n - i:
-                total += g[i] * comb(n - i, j) * (-1) ** ((n - i) - j)
-        h.append(total)
-    return tuple(h)
+    return tuple(
+        sum((-1) ** (k - i) * comb(n - i, k - i) * g[i] for i in range(k + 1))
+        for k in range(n + 1)
+    )

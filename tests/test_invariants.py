@@ -114,6 +114,32 @@ def test_signature_rejects_asymmetric():
         signature(((0, 1), (2, 0)))
 
 
+def test_signature_refuses_a_matrix_that_is_not_square_or_not_integer():
+    """A 2x3, a ragged and a column matrix raise ValueError instead of
+    counting the first rows' pivots or indexing past a short row; a float or
+    a str entry raises TypeError instead of being taken as a Fraction."""
+    for matrix in ([[1, 0, 5], [0, 1, 7]], [[1, 2], [2]], [[1], [0]]):
+        with pytest.raises(ValueError, match="^signature needs a square matrix$"):
+            signature(matrix)
+    for matrix in ([[1.5]], [[1, 0], [0, 1.0]], [["1"]]):
+        with pytest.raises(TypeError):
+            signature(matrix)
+
+
+def test_omniorientation_signs_are_integers():
+    """A float or str sign raises TypeError, where it used to reach the
+    invariants (Chern number 3.0, a TypeError from Fraction); True is 1."""
+    for args in ((1.0, (1, 1, 1)), ("1", (1, 1, 1)), (1, (1.0, 1, 1)), (1, (1, "-1", 1))):
+        with pytest.raises(TypeError):
+            Omniorientation(*args)
+    omni = Omniorientation(True, (1, True, 1))
+    assert omni == Omniorientation.all_positive(3)
+    assert type(omni.global_sign) is int
+    assert all(type(s) is int for s in omni.facet_signs)
+    c = chern_top_number(cpn(2), omni)
+    assert (c, type(c)) == (3, int)
+
+
 def test_signature_invariant_under_basis_permutation():
     rng = random.Random(64)
     for _ in range(15):
