@@ -12,7 +12,7 @@ from itertools import combinations
 from operator import index
 
 from . import linalg
-from .charpair import CharacteristicPair, basis_change, validate_char
+from .charpair import CharacteristicPair, validate_char
 from .errors import InternalInconsistencyError, NotDimension2Error, ValidationError
 from .polytope import SimplePolytope, validate_polytope
 
@@ -112,10 +112,10 @@ def _corner(pair: CharacteristicPair, succ: dict[int, int], vertex) -> tuple[int
     """The corner (f, f') of ``vertex`` in the class direction, succ[f] = f'.
     Walking the class direction, every corner's base sign (``base_signs``,
     orientation * det) equals its cycle determinant det(col_f, col_f')."""
-    a, b = sorted(vertex)
-    if (a, b) not in pair.polytope.vertices:
-        raise ValueError(f"{(a, b)} is not a vertex of the polygon")
-    return (a, b) if succ[a] == b else (b, a)
+    v = tuple(sorted(vertex))
+    if v not in pair.polytope.vertices:
+        raise ValueError(f"{v} is not a vertex of the polygon")
+    return v if succ[v[0]] == v[1] else v[::-1]
 
 
 def connected_sum_4d(
@@ -134,22 +134,21 @@ def connected_sum_4d(
     summand's corner data orientation-true, so signatures add. Any other sign
     convention inserts the second summand reversed and breaks the behaviour
     of the k-fold sums.
+
+    A = T S^-1, S = (col g, col g') and T = (col f', +-col f). d = det S = +-1
+    (v2 is a vertex of a validated pair) gives S^-1 = d adj S, and det T = d,
+    so det A = d^2 = +1 by construction; the gauge is fixed before validation.
     """
     succ1, succ2 = _successors(p1), _successors(p2)
     f, f_next = _corner(p1, succ1, v1)
     g, g_next = _corner(p2, succ2, v2)
 
     (xf, xn), (yf, yn) = linalg.columns(p1.matrix, (f, f_next))
-    source = linalg.columns(p2.matrix, (g, g_next))
-    (xg, xh), (yg, yh) = source
-    twist = -(xf * yn - yf * xn) * (xg * yh - yg * xh)
+    (xg, xh), (yg, yh) = linalg.columns(p2.matrix, (g, g_next))
+    d = xg * yh - yg * xh
+    twist = -(xf * yn - yf * xn) * d
     target = ((xn, twist * xf), (yn, twist * yf))
-    inv = linalg.det_and_inverse(source)[1]
-    if inv is None:  # pragma: no cover - defect guard: v2 is a vertex of a valid pair
-        raise InternalInconsistencyError(f"corner {v2} of the second pair is not unimodular")
-    align = linalg.mat_mul(target, inv)
-    if linalg.det_and_inverse(align)[0] != 1:  # pragma: no cover - defect guard
-        raise InternalInconsistencyError(f"no det +1 alignment at {v1} / {v2}")
+    align = linalg.mat_mul(target, ((d * yh, -d * xh), (-d * yg, d * xg)))
 
     # p1 keeps its labels and p2's survivors take m1, m1 + 1, ... in ascending
     # order, so the glued matrix is p1's columns followed by the moved ones.
@@ -170,22 +169,19 @@ def connected_sum_4d(
     moved = linalg.mat_mul(align, linalg.columns(p2.matrix, survivors))
     lam = [row + new for row, new in zip(p1.matrix, moved)]
 
+    # The rebuilt orientation class is normalized at the glued polygon's
+    # lex-smallest vertex, which need not extend p1's. Base signs must agree at
+    # a surviving p1 corner, whose columns are p1's: where the orientations
+    # differ there, negating row 1 (det -1, same as flipping eps0) fixes that.
+    verts1 = p1.polytope.vertices
+    i1 = next(i for i, v in enumerate(verts1) if v != tuple(sorted(v1)))
     try:
         poly = validate_polytope(2, len(labels), vertices)
-        glued = validate_char(poly, lam)
+        if poly.orientation[poly.vertices.index(verts1[i1])] != p1.polytope.orientation[i1]:
+            lam[1] = [-x for x in lam[1]]
+        return validate_char(poly, lam)
     except ValidationError as exc:  # pragma: no cover - defect guard
         raise InternalInconsistencyError(f"connected sum produced invalid data: {exc}") from exc
-
-    # The rebuilt orientation class is normalized at the glued polygon's
-    # lex-smallest vertex, which need not extend p1's orientation. Anchor the
-    # global gauge at a surviving p1 corner, where the base signs must agree;
-    # a det -1 basis change flips every base sign, same data as flipping eps0.
-    anchor = next(v for v in p1.polytope.vertices if v != tuple(sorted(v1)))
-    i1 = p1.polytope.vertices.index(anchor)
-    ig = glued.polytope.vertices.index(anchor)
-    if p1.base_signs[i1] != glued.base_signs[ig]:
-        glued = basis_change(glued, ((1, 0), (0, -1)))
-    return glued
 
 
 def cp2_sum(k: int) -> CharacteristicPair:

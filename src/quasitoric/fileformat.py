@@ -9,12 +9,12 @@ Grammar, one directive per line, ``#`` starts a comment, blank lines ignored::
     <m integers>                      # (n times)
     omniorientation <s0> <s1> ... <sm>   # optional; eps0 then m facet signs
 
-Integers are parsed exactly, up to Python's limit on int/str conversion
-(``sys.get_int_max_str_digits()``, 4300 digits by default); longer integers
-raise ParseError on reading and TooLargeError on writing. Parsing
-canonicalizes (each vertex ascending, vertex list sorted lexicographically)
-without validating, so serialize(parse(x)) is idempotent and documents
-round-trip byte-for-byte.
+Integers, an optional + or - and ASCII digits, are parsed exactly up to
+Python's limit on int/str conversion (``sys.get_int_max_str_digits()``,
+4300 digits by default); longer integers raise ParseError on reading and
+TooLargeError on writing. Parsing canonicalizes (each vertex ascending,
+vertex list sorted lexicographically) without validating, so
+serialize(parse(x)) is idempotent and documents round-trip byte-for-byte.
 """
 
 from __future__ import annotations
@@ -62,21 +62,22 @@ class PairDocument:
 
 
 def parse_int(token: str) -> int:
-    """Exact value of a decimal integer token.
+    """Exact value of a decimal integer: an optional + or - and ASCII digits.
 
     ValueError names Python's int/str digit limit for a decimal token too long
-    to convert, without echoing it, and says "not an integer" otherwise.
+    to convert, without echoing it, and says "not an integer" otherwise, also
+    for the underscores and non-ASCII digits that ``int`` reads.
     """
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
     try:
-        return int(token, 10)
-    except ValueError:
-        digits = token[1:] if token[:1] in ("+", "-") else token
-        if digits.isdecimal():  # only the digit limit rejects a decimal string
-            limit = sys.get_int_max_str_digits()
-            raise ValueError(
-                f"integer has {len(digits)} digits, over the int/str limit of {limit}"
-            ) from None
-        raise ValueError(f"not an integer: {token!r}") from None
+        return int(token)
+    except ValueError:  # only the digit limit rejects a decimal string
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"integer has {len(digits)} digits, over the int/str limit of {limit}"
+        ) from None
 
 
 def _int(token: str, lineno: int) -> int:
@@ -86,12 +87,14 @@ def _int(token: str, lineno: int) -> int:
         raise ParseError(lineno, str(exc)) from None
 
 
-def _ints(tokens: list[str], lineno: int) -> tuple[int, ...]:
+def _ints(line: str, tokens: list[str], lineno: int) -> tuple[int, ...]:
     """All tokens as ints; a bad token raises the ParseError ``_int`` words."""
-    try:
-        return tuple(map(int, tokens))
-    except ValueError:
-        return tuple(_int(t, lineno) for t in tokens)
+    if line.isascii() and "_" not in line:  # int() reads only decimals there
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:
+            pass
+    return tuple(_int(t, lineno) for t in tokens)
 
 
 def _sign(token: str, lineno: int) -> int:
@@ -117,7 +120,7 @@ def parse(text: str) -> PairDocument:
         if rows_needed:
             if len(tokens) != facets:
                 raise ArityError(lineno, f"lambda row needs {facets} integers, got {len(tokens)}")
-            matrix.append(_ints(tokens, lineno))
+            matrix.append(_ints(line, tokens, lineno))
             rows_needed -= 1
             continue
         directive, args = tokens[0], tokens[1:]
@@ -138,7 +141,7 @@ def parse(text: str) -> PairDocument:
                 raise ParseError(lineno, "vertex before dim")
             if len(args) != dim:
                 raise ArityError(lineno, f"vertex takes {dim} indices, got {len(args)}")
-            vertices.append(tuple(sorted(_ints(args, lineno))))
+            vertices.append(tuple(sorted(_ints(line, args, lineno))))
         elif directive == "lambda":
             if matrix is not None:
                 raise DuplicateDirectiveError(lineno, "lambda given twice")

@@ -224,6 +224,9 @@ def test_usage_errors_exit_3(capsys, cp2_file):
         ["construct", "cpn"],
         ["construct", "cpn", "0"],
         ["construct", "cpn", "x"],
+        ["construct", "cpn", "1_0"],  # int() reads these three
+        ["construct", "hirzebruch", "\u0663"],
+        ["construct", "cp2k", "\uff13"],
         ["construct", "cpn", "2", "3"],
         ["construct", "hirzebruch", "1", "2"],
         ["construct", "cp2k"],
@@ -268,9 +271,12 @@ def test_input_errors_exit_2(capsys, tmp_path):
     cp1.write_text(serialize(PairDocument.from_pair(cpn(1))))
     empty = tmp_path / "empty.qtm"
     empty.write_text("dim 1\nfacets 2\nlambda\n1 -1\n")
+    underscore = tmp_path / "underscore.qtm"  # int() reads 1_0 as 10
+    underscore.write_text(serialize(PairDocument.from_pair(hirzebruch(1))).replace(" 1 -1", " 1_0 -1"))
     for argv, message in (
         (["construct", "vertex-cut", str(cp1), "0"], "a vertex cut needs dim >= 2, got dim 1"),
         (["validate", str(empty)], "polytope has no vertices"),
+        (["validate", str(underscore)], "error: line 9: not an integer: '1_0'\n"),
     ):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, ""), argv

@@ -8,6 +8,7 @@ import pytest
 
 from quasitoric import (
     Omniorientation,
+    basis_change,
     connected_sum_4d,
     cp2_sum,
     cpn,
@@ -23,7 +24,13 @@ from quasitoric import (
     vertex_cut,
 )
 from quasitoric.errors import NotDimension2Error
-from support import bareiss_dets, cp2_sum_by_folding, random_valid_pair, random_vertex
+from support import (
+    bareiss_dets,
+    cp2_sum_by_folding,
+    random_unimodular,
+    random_valid_pair,
+    random_vertex,
+)
 
 
 def test_cpn_small():
@@ -218,6 +225,12 @@ def test_connected_sum_requires_dim2():
 def test_connected_sum_rejects_a_non_vertex():
     with pytest.raises(ValueError, match="not a vertex"):
         connected_sum_4d(hirzebruch(1), (0, 2), cpn(2), (0, 1))
+    # a vertex with too many or too few facets, on either side
+    for vertex in ((0, 1, 2), (0,)):
+        for args in ((cpn(2), vertex, cpn(2), (0, 1)), (cpn(2), (0, 1), cpn(2), vertex)):
+            with pytest.raises(ValueError) as exc:
+                connected_sum_4d(*args)
+            assert str(exc.value) == f"{vertex} is not a vertex of the polygon"
 
 
 def test_facet_cycle():
@@ -255,3 +268,45 @@ def test_connected_sums_pinned():
     assert digest.hexdigest() == (
         "2252cac7f1439ec48f8b54d4dc4a8c86b09910a2af34be3b2d69b02b2e38055e"
     )
+
+
+def _any_summand(rng):
+    """CP^2, a Hirzebruch surface or cp2_sum(k), cut at a vertex or changed
+    by a random basis change some of the time."""
+    r = rng.random()
+    if r < 0.2:
+        pair = cpn(2)
+    elif r < 0.55:
+        pair = hirzebruch(rng.randint(-4, 4))
+    else:
+        pair = cp2_sum(rng.randint(1, 5))
+    if rng.random() < 0.4:
+        pair = vertex_cut(pair, random_vertex(rng, pair))
+    if rng.random() < 0.5:
+        pair = basis_change(pair, random_unimodular(rng, 2))
+    return pair
+
+
+def test_connected_sum_keeps_every_surviving_fixed_point_sign():
+    """Every vertex of p1 other than v1, and every vertex of p2 that avoids
+    both facets of v2 (its facets relabelled to m1 + rank among p2's
+    survivors), keeps its base sign in the sum, running sums included."""
+    rng = random.Random(61)
+    acc = None
+    for _ in range(240):
+        a = acc if acc is not None and rng.random() < 0.3 else _any_summand(rng)
+        b = _any_summand(rng)
+        v1, v2 = random_vertex(rng, a), random_vertex(rng, b)
+        acc = connected_sum_4d(a, v1, b, v2)
+        m1 = a.polytope.num_facets
+        survivors = [h for h in range(b.polytope.num_facets) if h not in v2]
+        rank = {h: m1 + i for i, h in enumerate(survivors)}
+        kept = [(v, s) for v, s in zip(a.polytope.vertices, a.base_signs) if v != v1]
+        kept += [
+            (tuple(rank[h] for h in w), s)
+            for w, s in zip(b.polytope.vertices, b.base_signs)
+            if not set(w) & set(v2)
+        ]
+        signs = dict(zip(acc.polytope.vertices, acc.base_signs))
+        assert len(kept) == acc.polytope.num_vertices - 2
+        assert [signs[v] for v, _ in kept] == [s for _, s in kept]

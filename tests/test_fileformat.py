@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasitoric import Omniorientation, PairDocument, cpn, hirzebruch, parse, serialize
+from quasitoric.fileformat import parse_int
 from quasitoric.errors import (
     ArityError,
     DuplicateDirectiveError,
@@ -110,6 +111,25 @@ def test_bad_token_in_a_row_names_its_line(lineno, place):
     )
     # two bad tokens: the first one is named
     assert parse_error({-2: "1.5", -1: "x"}) == f"line {lineno}: not an integer: '1.5'"
+
+
+@pytest.mark.parametrize("token", ["1_0", "+1_0", "\u0661", "-\uff11", "1\u0660"])
+def test_integers_are_ascii_decimals(token):
+    """int() reads underscores and every Unicode decimal digit; an integer in a
+    document is an optional sign and ASCII digits, wherever it is read."""
+    with pytest.raises(ValueError, match="not an integer"):
+        parse_int(token)
+    assert (parse_int("+007"), parse_int("-0")) == (7, 0)
+    lines = (CP2_TEXT + "omniorientation +1 +1 +1 +1\n").splitlines()
+    for lineno, k in ((1, 1), (2, 1), (3, 2), (7, 0), (8, 2), (9, 1)):
+        tokens = lines[lineno - 1].split()
+        tokens[k] = token
+        text = "\n".join(lines[: lineno - 1] + [" ".join(tokens)] + lines[lineno:]) + "\n"
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"line {lineno}: not an integer: {token!r}"
+    # only the tokens count: a non-ASCII comment leaves a row as it is
+    assert parse(CP2_TEXT.replace("1 0 -1", "1 0 -1  # \u03bb row")) == parse(CP2_TEXT)
 
 
 def test_serialize_refuses_integers_over_the_digit_limit():
