@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import index, mul
+from itertools import repeat
+from operator import add, index, itemgetter, mul, neg, sub
 
 from . import linalg
 from .errors import NotUnimodularError, ShapeMismatchError, SingularVertexError
@@ -70,6 +71,29 @@ class Omniorientation:
         return Omniorientation(self.global_sign, tuple(signs))
 
 
+def _exchange(t, u, pos, wpos):
+    """The rows of T_w (or lambda_w^-1) from those of T_v (or lambda_v^-1),
+    for u = lambda_v^-1 c_j and u[pos] = +-1: the pivot row is row pos over
+    u[pos], every other row r loses u_r times it, and the pivot row moves to
+    wpos. Rows with u_r = 0 are kept as they are.
+
+    New rows are lists: CPython keeps freed tuples of up to 19 entries on
+    free lists, one per length, which the tableau's many row widths would
+    fill and hold."""
+    pivot = t[pos] if u[pos] == 1 else list(map(neg, t[pos]))
+    u[pos] = 0  # row pos is replaced by the pivot row below
+    new = [
+        row if not ui
+        else list(map(sub, row, pivot)) if ui == 1
+        else list(map(add, row, pivot)) if ui == -1
+        else list(map(sub, row, map(mul, repeat(ui), pivot)))
+        for row, ui in zip(t, u)
+    ]
+    new[pos] = pivot
+    new.insert(wpos, new.pop(pos))
+    return new
+
+
 def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
     """Build a CharacteristicPair, checking |det lambda_v| = 1 at every vertex.
 
@@ -79,15 +103,21 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
 
     The determinants come from a basis-exchange walk over the polytope's BFS
     tree. Crossing a tree edge v -> w swaps the column of lambda_v at position
-    pos for the new facet's column c, which then moves to position wpos; by
-    Cramer's rule det lambda_w = det lambda_v * (lambda_v^-1 c)_pos *
-    (-1)^(pos + wpos). While lambda_v is unimodular its integer inverse is
-    updated by an exact rank-one pivot, and only for vertices that have tree
-    children; a row whose coefficient (lambda_v^-1 c)_r is 0 is the same
-    object in both inverses, which is safe because no row is mutated once
-    built. The walk starts afresh at the root and at vertices whose parent
-    is singular: one fraction-free Gauss-Jordan gives the determinant of such
-    a vertex and, when it is unimodular, the inverse kept for its children.
+    pos for the new facet's column c_j, which then moves to position wpos; by
+    Cramer's rule det lambda_w = det lambda_v * u_pos * (-1)^(pos + wpos) for
+    u = lambda_v^-1 c_j. While lambda_v is unimodular the walk carries, for
+    vertices that have tree children, either the tableau T_v = lambda_v^-1
+    lambda (n x m) or, when m > 2n, the inverse lambda_v^-1 (n x n). On the
+    tableau u is column j, so a leaf costs the one entry T_v[pos][j]; on the
+    inverse each entry of u is a dot product with c_j, O(n) for a leaf and
+    O(n^2) for a vertex with children. Either is updated by the exact
+    rank-one pivot on row pos, which rebuilds only the rows with u_r != 0;
+    the others are the same objects in both, which is safe because no row is
+    mutated once built. The walk starts afresh at the root and at vertices
+    whose parent is singular: one fraction-free Gauss-Jordan, on lambda
+    pivoting in the vertex's columns or on [lambda_v | I], gives the
+    determinant of such a vertex and, when it is unimodular, the tableau or
+    inverse kept for its children.
     """
     rows = tuple(tuple(map(index, row)) for row in matrix)
     n, m = polytope.dim, polytope.num_facets
@@ -98,41 +128,43 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
             got = f"row {i} of length {len(rows[i])}"
         raise ShapeMismatchError(f"{n}x{m}", got)
     verts = polytope.vertices
-    cols = tuple(zip(*rows))
-    children = Counter(parent for _, parent, _, _ in polytope.bfs_tree)
+    # a tableau row is m wide: past m = 2n it costs more than an inverse row
+    # of n plus the O(n) dot products it saves (long polygons, mostly)
+    tableau = m <= 2 * n
+    cols = None if tableau else tuple(zip(*rows))
+    children = Counter(map(itemgetter(1), polytope.bfs_tree))  # vertex index -> tree children
     dets = [0] * len(verts)
-    inverses = {}  # vertex index -> rows of lambda_v^-1 or None, while children remain
+    carried = {}  # vertex index -> rows of T_v or lambda_v^-1, or None, while children remain
 
     def restart(vi):
-        dets[vi], inv = linalg.det_and_inverse(linalg.columns(rows, verts[vi]))
+        if tableau:
+            dets[vi], t = linalg.det_and_reduce(rows, verts[vi])
+        else:
+            dets[vi], t = linalg.det_and_inverse(linalg.columns(rows, verts[vi]))
         if children[vi]:
-            inverses[vi] = inv
+            carried[vi] = t
 
     restart(0)
     for wi, vi, pos, wpos in polytope.bfs_tree:
-        inv = inverses.get(vi)
-        if inv is None:
+        t = carried.get(vi)
+        if t is None:
             restart(wi)
         else:
-            c = cols[verts[wi][wpos]]
+            j = verts[wi][wpos]
             if not children[wi]:  # a leaf needs only its determinant
-                step = sum(map(mul, inv[pos], c))
+                step = t[pos][j] if tableau else sum(map(mul, t[pos], cols[j]))
             else:
-                u = [sum(map(mul, row, c)) for row in inv]
+                if tableau:
+                    u = [row[j] for row in t]
+                else:
+                    u = [sum(map(mul, row, cols[j])) for row in t]
                 step = u[pos]
                 if step in (1, -1):
-                    pivot = [step * x for x in inv[pos]]  # row pos over step = +-1
-                    new = [
-                        [y - ui * z for y, z in zip(row, pivot)] if ui else row
-                        for row, ui in zip(inv, u)
-                    ]
-                    new[pos] = pivot
-                    new.insert(wpos, new.pop(pos))
-                    inverses[wi] = new
+                    carried[wi] = _exchange(t, u, pos, wpos)
             dets[wi] = dets[vi] * (-step if (pos + wpos) & 1 else step)
         children[vi] -= 1
         if not children[vi]:
-            inverses.pop(vi, None)
+            carried.pop(vi, None)
 
     offenders = [(v, d) for v, d in zip(verts, dets) if d not in (1, -1)]
     if offenders:
@@ -182,7 +214,7 @@ def basis_change(pair: CharacteristicPair, a) -> CharacteristicPair:
     if len(a) != n or widths - {n}:
         got = f"{len(a)}x{max(widths, default=0)}" if len(widths) < 2 else "a ragged matrix"
         raise ValueError(f"basis change must be {n}x{n}, got {got}")
-    det = linalg.det_and_inverse(a)[0]
+    det = linalg.det_and_reduce(a, range(n))[0]
     if det not in (1, -1):
         raise NotUnimodularError(det)
     # det(A*lambda_v) = det A * det lambda_v, so the pair stays valid

@@ -3,7 +3,9 @@
 Projective spaces, polygons, Hirzebruch surfaces, products, vertex cuts
 (combinatorial blow-ups) and 4-dimensional equivariant connected sums,
 including the k-fold sum of CP^2 with itself. Every constructor returns a
-fully validated pair.
+fully validated pair. ``cpn``, ``cp2_sum`` and ``product`` raise
+TooLargeError, before building anything, for a pair over
+``polytope.CONSTRUCTION_MAX_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -13,14 +15,33 @@ from operator import index
 
 from . import linalg
 from .charpair import CharacteristicPair, validate_char
-from .errors import InternalInconsistencyError, NotDimension2Error, ValidationError
-from .polytope import SimplePolytope, validate_polytope
+from .errors import (
+    InternalInconsistencyError,
+    NotDimension2Error,
+    TooLargeError,
+    ValidationError,
+    _int_text,
+)
+from .polytope import CONSTRUCTION_MAX_ENTRIES, SimplePolytope, validate_polytope
+
+
+def _check_size(v: int, n: int, m: int) -> None:
+    """TooLargeError when a pair with v vertices and m facets in dim n holds
+    more than CONSTRUCTION_MAX_ENTRIES entries, V*n + n*m."""
+    entries = v * n + n * m
+    if entries > CONSTRUCTION_MAX_ENTRIES:
+        raise TooLargeError(
+            f"{_int_text(v)} vertices and {_int_text(m)} facets in dim {_int_text(n)} mean"
+            f" {_int_text(entries)} entries, over the limit of {CONSTRUCTION_MAX_ENTRIES};"
+            " refusing"
+        )
 
 
 def cpn(n: int) -> CharacteristicPair:
     """Complex projective space: simplex boundary with lambda = [I | -1]."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_size(n + 1, n, n + 1)
     vertices = list(combinations(range(n + 1), n))
     poly = validate_polytope(n, n + 1, vertices)
     rows = [[1 if j == i else 0 for j in range(n)] + [-1] for i in range(n)]
@@ -47,6 +68,7 @@ def product(p1: CharacteristicPair, p2: CharacteristicPair) -> CharacteristicPai
     """Product pair: combinatorial product polytope, block-diagonal lambda."""
     n1, m1 = p1.polytope.dim, p1.polytope.num_facets
     n2, m2 = p2.polytope.dim, p2.polytope.num_facets
+    _check_size(p1.polytope.num_vertices * p2.polytope.num_vertices, n1 + n2, m1 + m2)
     vertices = [
         v + tuple(j + m1 for j in w)
         for v in p1.polytope.vertices
@@ -202,6 +224,7 @@ def cp2_sum(k: int) -> CharacteristicPair:
     if k < 1:
         raise ValueError("k must be >= 1")
     m = k + 2
+    _check_size(m, 2, m)
     eps = 1 if k % 2 else -1
     vertices = [(0, k), (0, k + 1), (1, 2)] + [(j, j + 2) for j in range(1, k)]
     x = [1, 0] + [-((-1) ** ((j - 1) // 2)) * (j // 2) for j in range(2, m)]

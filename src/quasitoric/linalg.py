@@ -5,28 +5,31 @@ regardless of entry size; nothing here uses fractions or floats. The sizes
 are small (n is the polytope dimension), but validation runs these
 eliminations at the root of its basis-exchange walk and wherever the walk
 restarts, on every input, so their inner loops are kept lean.
-``det_and_inverse`` is fraction-free Gauss-Jordan on the whole [A | I] that
+``det_and_reduce`` is fraction-free Gauss-Jordan on the rows of a k x m
+matrix, pivoting in k given columns (those of a square submatrix A), that
 skips the work that is provably zero: those matrices are sparse (a
 basis-changed cpn(54) root has 170 nonzeros of 2916), and with a pivot equal
 to the previous one a row is touched only where it meets the pivot row's
 nonzeros. ``mat_mul`` skips zero entries too, and adds whole scaled rows at
 a time.
 
-Every determinant of a matrix the library takes (a vertex's lambda_v, a
-basis change, a connected sum's alignment) comes from one ``det_and_inverse``
-call. ``det_bareiss`` is the independent oracle the tests check it against.
+Every determinant the library takes (a vertex's lambda_v at the root of
+validation's walk and where it restarts, a basis change) comes from one
+``det_and_reduce`` call, which also leaves A^-1 times the matrix;
+``det_and_inverse`` is that call on [A | I]. ``det_bareiss`` is the
+independent oracle the tests check them against.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from operator import add, mul
+from operator import add, mul, neg
 
 
 def det_bareiss(matrix) -> int:
     """Exact determinant via Bareiss fraction-free elimination.
 
-    The library takes its determinants from ``det_and_inverse``; this dense
+    The library takes its determinants from ``det_and_reduce``; this dense
     O(k^3) elimination is the tests' independent oracle for them.
     """
     a = [list(row) for row in matrix]
@@ -80,14 +83,16 @@ def mat_mul(a, b):
     return tuple(out)
 
 
-def det_and_inverse(matrix):
-    """Determinant of a square integer matrix and, when it is +-1, its integer
-    inverse (None otherwise), from one elimination.
+def det_and_reduce(matrix, basis):
+    """Determinant of A, the square submatrix of a k x m integer matrix formed
+    by the columns in ``basis`` (in that order), and, when it is +-1, the
+    reduced rows A^-1 * matrix (None otherwise), from one elimination.
 
-    Fraction-free Gauss-Jordan on the k x 2k matrix [A | I], pivoting in
-    column c at step c: every division is exact, and the elimination ends at
-    [d*I | d*A^-1], where d, the last pivot, is det A up to the sign of the
-    row swaps. A^-1 is the right block times d when d = +-1.
+    Fraction-free Gauss-Jordan on the k rows, pivoting in column basis[c] at
+    step c: every division is exact, and the elimination ends at
+    d * A^-1 * matrix, where d, the last pivot, is det A up to the sign of the
+    row swaps. The reduced rows, a new list of k row lists, are that times d
+    when d = +-1; their columns in ``basis`` form the identity.
 
     Each row r becomes (p*y - x*z) / prev entry by entry, where p is the
     pivot, x the row's entry in the pivot column and z the pivot row's entry.
@@ -96,36 +101,34 @@ def det_and_inverse(matrix):
     x = 0 is left as it is, and any other row changes only where the pivot
     row is nonzero, so it is updated there in place. The next pivot is
     therefore a row led by prev, else a row led by -prev, else any nonzero
-    lead. A row led by -prev is negated, right block included, and the sign
-    flips: that is elimination on DA with right block D, for D the diagonal
-    matrix negating the row, and it still ends at A^-1 because
-    (DA)^-1 D = A^-1. Any nonzero pivot gives the same determinant and
-    inverse, which are unique.
+    lead. A row led by -prev is negated and the sign flips: that is
+    elimination on DA and D * matrix, for D the diagonal matrix negating the
+    row, and it still ends at A^-1 * matrix because (DA)^-1 D = A^-1. Any
+    nonzero pivot gives the same determinant and reduced rows, which are
+    unique.
     """
     k = len(matrix)
-    if any(len(row) != k for row in matrix):
-        raise ValueError("inverse needs a square matrix")
-    a = [list(row) + [0] * k for row in matrix]
-    for i in range(k):
-        a[i][k + i] = 1
+    if len(basis) != k:
+        raise ValueError("the basis needs one column per row")
+    a = [list(row) for row in matrix]
     sign = 1
     prev = 1
-    for c in range(k):
-        if a[c][c] != prev:  # prefer a row led by prev, then by -prev, then any nonzero lead
+    for c, col in enumerate(basis):
+        if a[c][col] != prev:  # prefer a row led by prev, then by -prev, then any nonzero lead
             for r in range(c + 1, k):
-                if a[r][c] == prev:
+                if a[r][col] == prev:
                     break
             else:
                 for r in range(c, k):
-                    if a[r][c] == -prev:  # negated, it is led by prev
+                    if a[r][col] == -prev:  # negated, it is led by prev
                         a[r] = [-x for x in a[r]]
                         sign = -sign
                         break
                 else:
                     r = c
-                    if a[c][c] == 0:
+                    if a[c][col] == 0:
                         for r in range(c + 1, k):
-                            if a[r][c] != 0:
+                            if a[r][col] != 0:
                                 break
                         else:
                             return 0, None
@@ -133,13 +136,13 @@ def det_and_inverse(matrix):
                 a[c], a[r] = a[r], a[c]
                 sign = -sign
         pivot = a[c]
-        p = pivot[c]
+        p = pivot[col]
         support = [(i, z) for i, z in enumerate(pivot) if z] if p == prev else None
         for r in range(k):
             if r == c:
                 continue
             row = a[r]
-            x = row[c]
+            x = row[col]
             if support is not None:  # y - x * z // p, only where z != 0
                 if x:
                     for i, z in support:
@@ -150,7 +153,24 @@ def det_and_inverse(matrix):
         prev = p
     if prev not in (1, -1):
         return sign * prev, None
-    return sign * prev, tuple(tuple(prev * x for x in row[k:]) for row in a)
+    if prev == -1:
+        return -sign, [list(map(neg, row)) for row in a]
+    return sign, a
+
+
+def det_and_inverse(matrix):
+    """Determinant of a square integer matrix and, when it is +-1, its integer
+    inverse (None otherwise): ``det_and_reduce`` on [A | I], pivoting in the
+    columns of A, whose reduced rows are [I | A^-1].
+    """
+    k = len(matrix)
+    if any(len(row) != k for row in matrix):
+        raise ValueError("inverse needs a square matrix")
+    unit = (0,) * k
+    det, reduced = det_and_reduce(
+        [(*row, *unit[:i], 1, *unit[i + 1:]) for i, row in enumerate(matrix)], range(k)
+    )
+    return det, None if reduced is None else tuple(tuple(row[k:]) for row in reduced)
 
 
 def columns(matrix, indices):

@@ -36,6 +36,13 @@ from .errors import (
 # vertices) has 1,179,072.
 F_VECTOR_MAX_SUBSETS = 1 << 24
 
+# cpn, cp2_sum and product refuse, before building anything, a pair whose
+# vertex lists and matrix hold more than this many entries, V*n + n*m.
+# cpn(n) holds 2n(n + 1), so cpn(1023) is the largest projective space they
+# build (2,095,104 entries, a few seconds); cp2_sum(k) holds 4(k + 2), and
+# the benchmark's largest pair, cp2_sum(199) squared, 161,604.
+CONSTRUCTION_MAX_ENTRIES = 1 << 21
+
 
 @dataclass(frozen=True)
 class SimplePolytope:

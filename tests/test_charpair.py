@@ -18,6 +18,7 @@ from quasitoric import (
     relabel_facets,
     validate_char,
     validate_polytope,
+    vertex_cut,
     vertex_sign,
 )
 from quasitoric.errors import NotUnimodularError, ShapeMismatchError, SingularVertexError
@@ -29,6 +30,7 @@ from support import (
     random_unimodular,
     random_unimodular_det1,
     random_valid_pair,
+    random_vertex,
 )
 
 TRIANGLE = validate_polytope(2, 3, [(0, 1), (0, 2), (1, 2)])
@@ -433,3 +435,84 @@ def test_basis_change_and_connected_sum_take_no_bareiss(monkeypatch):
                 calls.clear()
                 connected_sum_4d(p1, v1, p2, v2)
                 assert len(calls) == 1, (v1, v2)
+
+
+def _offenders_or_dets(polytope, rows):
+    """What validate_char returns for rows, next to Bareiss's answer."""
+    dets = bareiss_dets(polytope, rows)
+    expected = [(v, d) for v, d in zip(polytope.vertices, dets) if d not in (1, -1)]
+    try:
+        got = _walk_dets(validate_char(polytope, rows))
+    except SingularVertexError as exc:
+        return list(exc.offenders), expected
+    return got, dets
+
+
+def test_both_walk_forms_match_bareiss_at_the_boundary(monkeypatch):
+    """(CP1)^k has m = 2n facets, the widest pairs the walk carries as the
+    tableau lambda_v^-1 lambda; one vertex cut makes m = 2n + 1, where it
+    carries lambda_v^-1 instead. Both forms, disguised and with one entry
+    perturbed, agree with Bareiss on every determinant or offender, and each
+    pair takes the form its shape names: det_and_inverse runs only for
+    m > 2n."""
+    rng = random.Random(61)
+    inverses = []
+    det_and_inverse = linalg.det_and_inverse
+    monkeypatch.setattr(
+        linalg, "det_and_inverse", lambda a: inverses.append(a) or det_and_inverse(a)
+    )
+    pair = cpn(1)
+    for k in range(2, 8):
+        pair = product(pair, cpn(1))
+        cut = vertex_cut(pair, random_vertex(rng, pair))
+        for base in (pair, cut):
+            n, m = base.polytope.dim, base.polytope.num_facets
+            assert m == 2 * n + (base is cut)
+            disguised = _disguised(rng, base, 2 * n)
+            for trial in range(4):
+                rows = [list(row) for row in disguised.matrix]
+                if trial:
+                    rows[rng.randrange(n)][rng.randrange(m)] += rng.choice([-2, -1, 1, 3])
+                inverses.clear()
+                got, expected = _offenders_or_dets(disguised.polytope, rows)
+                assert got == expected, (k, m, trial)
+                assert bool(inverses) == (base is cut), (k, m, trial)
+
+
+def test_tableau_walk_restarts_below_a_singular_internal_vertex(monkeypatch):
+    """A perturbed entry that makes a vertex with tree children singular: the
+    tableau walk cannot pivot there, so it starts afresh at each child, with
+    one det_and_reduce per child, and its offenders are Bareiss's, in vertex
+    order."""
+    rng = random.Random(67)
+    calls = []
+    det_and_reduce = linalg.det_and_reduce
+    monkeypatch.setattr(
+        linalg, "det_and_reduce", lambda a, basis: calls.append(basis) or det_and_reduce(a, basis)
+    )
+    restarted = 0
+    cp1_squared, cp2_squared = product(cpn(1), cpn(1)), product(cpn(2), cpn(2))
+    for base in (
+        product(cp1_squared, cp1_squared), product(cp2_squared, cpn(1)), product(cpn(2), cpn(3))
+    ):
+        pair = _disguised(rng, base, 12)
+        poly = pair.polytope
+        assert poly.num_facets <= 2 * poly.dim
+        parents = {vi for _, vi, _, _ in poly.bfs_tree}
+        for i in range(poly.dim):
+            for j in range(poly.num_facets):
+                rows = [list(row) for row in pair.matrix]
+                rows[i][j] += 2
+                dets = bareiss_dets(poly, rows)
+                singular = {vi for vi in parents if vi and dets[vi] not in (1, -1)}
+                if not singular:
+                    continue
+                calls.clear()
+                with pytest.raises(SingularVertexError) as exc:
+                    validate_char(poly, rows)
+                expected = [(v, d) for v, d in zip(poly.vertices, dets) if d not in (1, -1)]
+                assert list(exc.value.offenders) == expected
+                below = [wi for wi, vi, _, _ in poly.bfs_tree if dets[vi] not in (1, -1)]
+                assert calls == [poly.vertices[0]] + [poly.vertices[wi] for wi in below]
+                restarted += 1
+    assert restarted > 10

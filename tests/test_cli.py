@@ -441,3 +441,24 @@ def test_mutated_documents_never_raise(seed, data):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = main([command, "-"])
     assert code in (0, 1, 2)
+
+
+def test_construction_over_the_budget_exits_2_at_once(capsys):
+    """A few bytes of argv asking for a pair over CONSTRUCTION_MAX_ENTRIES
+    (V*n + n*m) are refused before anything is built: exit 2, nothing on
+    stdout, the entry count and the limit on stderr."""
+    huge = "9" * 20
+    cases = [
+        (["cpn", "1024"], "1025 vertices and 1025 facets in dim 1024 mean 2099200 entries"),
+        (["cpn", huge], "mean 19999999999999999999800000000000000000000 entries"),
+        (["cp2k", "524287"], "524289 vertices and 524289 facets in dim 2 mean 2097156 entries"),
+        (["cp2k", huge], "100000000000000000001 vertices"),
+        (["cpn", "9" * 4000], "mean <8001-digit integer> entries"),
+    ]
+    for params, message in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["construct", *params])
+        assert time.perf_counter() - start < 1.0, params
+        assert (code, out) == (2, ""), params
+        assert message in err, params
+        assert "over the limit of 2097152; refusing" in err, params

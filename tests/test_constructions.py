@@ -23,7 +23,8 @@ from quasitoric import (
     serialize,
     vertex_cut,
 )
-from quasitoric.errors import NotDimension2Error
+from quasitoric import constructions
+from quasitoric.errors import NotDimension2Error, TooLargeError
 from support import (
     bareiss_dets,
     cp2_sum_by_folding,
@@ -310,3 +311,25 @@ def test_connected_sum_keeps_every_surviving_fixed_point_sign():
         signs = dict(zip(acc.polytope.vertices, acc.base_signs))
         assert len(kept) == acc.polytope.num_vertices - 2
         assert [signs[v] for v, _ in kept] == [s for _, s in kept]
+
+
+def test_constructions_refuse_a_pair_over_the_entry_budget(monkeypatch):
+    """cpn, cp2_sum and product refuse a pair with more than
+    CONSTRUCTION_MAX_ENTRIES entries, V*n + n*m, and build one with exactly
+    that many: cpn(5) has 6*5 + 5*6 = 60, cp2_sum(13) 15*2 + 2*15 = 60 and
+    CP^2 x CP^2 9*4 + 4*6 = 60."""
+    monkeypatch.setattr(constructions, "CONSTRUCTION_MAX_ENTRIES", 60)
+    assert cpn(5).polytope.num_vertices == 6
+    assert cp2_sum(13).polytope.num_facets == 15
+    assert product(cpn(2), cpn(2)).polytope.num_vertices == 9
+    for build in (lambda: cpn(6), lambda: cp2_sum(14), lambda: product(cpn(2), cp2_sum(2))):
+        with pytest.raises(TooLargeError, match="over the limit of 60; refusing"):
+            build()
+    monkeypatch.undo()
+    # the real budget: refused at once, before any vertex list is built
+    s = cp2_sum(1000)
+    start = time.perf_counter()
+    for build in (lambda: cpn(1024), lambda: cp2_sum(10**20), lambda: product(s, s)):
+        with pytest.raises(TooLargeError, match="over the limit of 2097152; refusing"):
+            build()
+    assert time.perf_counter() - start < 1.0

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quasitoric.linalg import det_and_inverse, det_bareiss, mat_mul
+from quasitoric.linalg import columns, det_and_inverse, det_and_reduce, det_bareiss, mat_mul
 from support import mat_mul_by_loops, random_unimodular
 
 
@@ -145,3 +145,50 @@ def test_det_and_inverse_with_a_repeated_pivot_beyond_one():
         det = _check_against_bareiss(a)
         singular += det == 0
     assert singular
+
+
+def test_det_and_reduce_matches_bareiss_on_any_basis():
+    """Random k x m matrices and random bases (distinct columns in random
+    order, or a repeated column): det is Bareiss's det of those columns, and
+    when it is +-1 the reduced rows times those columns give the matrix back
+    and hold the identity in the basis columns. Half the draws are U times
+    a matrix with the identity in the basis columns, so unimodular; some have
+    a row negated, a row scaled or a 10**40 entry."""
+    rng = random.Random(71)
+    unimodular = 0
+    for _ in range(600):
+        k = rng.randint(0, 7)
+        m = rng.randint(k, 2 * k + 3)
+        basis = rng.sample(range(m), k)
+        if k > 1 and rng.random() < 0.1:
+            basis[0] = basis[-1]  # a repeated column: det 0
+        entries = rng.choice([(-1, 0, 1), range(-3, 4), (0, 0, 0, 1, -1, 2)])
+        a = [[rng.choice(entries) for _ in range(m)] for _ in range(k)]
+        kind = rng.random()
+        if kind < 0.5:
+            for i, j in enumerate(basis):
+                for r in range(k):
+                    a[r][j] = int(r == i)
+            if k:
+                a = [list(row) for row in mat_mul(random_unimodular(rng, k, steps=3 * k), a)]
+            if k and kind < 0.2:
+                r = rng.randrange(k)
+                a[r] = [-x for x in a[r]]
+        elif k and kind < 0.6:
+            r = rng.randrange(k)
+            a[r] = [rng.choice([2, -3]) * x for x in a[r]]
+        elif k and kind < 0.7:
+            a[rng.randrange(k)][rng.randrange(m)] = 10**40
+        before = [row[:] for row in a]
+        det, reduced = det_and_reduce(a, basis)
+        assert a == before
+        assert det == det_bareiss(columns(a, basis))
+        if det in (1, -1):
+            unimodular += 1
+            assert mat_mul_by_loops(columns(a, basis), reduced) == tuple(map(tuple, a))
+            assert columns(reduced, basis) == _identity(k)
+        else:
+            assert reduced is None
+    assert 200 < unimodular < 500
+    with pytest.raises(ValueError, match="one column per row"):
+        det_and_reduce(((1, 0),), (0, 1))
