@@ -5,7 +5,8 @@ arguments accept ``-`` for stdin/stdout. Exit codes: 0 success (SAT where a
 decision is involved), 1 UNSAT, 2 invalid input, 3 usage error, 141 (128 +
 SIGPIPE) when the reader of stdout closed it before all output was written,
 with nothing on stderr. All output is a pure function of the input;
-diagnostics go to stderr.
+diagnostics go to stderr. A command writes stdout only once it has its whole
+answer, so an error leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -28,15 +29,6 @@ def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text(encoding="utf-8")
-
-
-def _write(path: str, text: str) -> None:
-    if path == "-":
-        # line by line: one large write to a pipe whose reader has gone can
-        # return short without raising, and the rest is dropped unnoticed
-        sys.stdout.writelines(text.splitlines(keepends=True))
-    else:
-        Path(path).write_text(text, encoding="utf-8")
 
 
 def _load(path: str) -> PairDocument:
@@ -79,43 +71,30 @@ def _invariant_lines(report) -> list[str]:
     return lines
 
 
-def cmd_validate(args) -> int:
-    pair = _load(args.file).to_pair()
-    # summarize before printing "valid", so a refused f-vector leaves stdout empty
-    lines = ["valid", *_summary_lines(pair)]
-    for line in lines:
-        print(line)
-    return 0
+def cmd_validate(args) -> tuple[int, list[str]]:
+    return 0, ["valid", *_summary_lines(_load(args.file).to_pair())]
 
 
-def cmd_signs(args) -> int:
+def cmd_signs(args) -> tuple[int, list[str]]:
     doc = _load(args.file)
     if doc.omniorientation is None:
         raise ValueError("signs requires an omniorientation directive")
-    pair = doc.to_pair()
-    for line in _sign_lines(pair, doc.omniorientation):
-        print(line)
-    return 0
+    return 0, _sign_lines(doc.to_pair(), doc.omniorientation)
 
 
-def cmd_decide(args) -> int:
-    pair = _load(args.file).to_pair()
-    result = decide_positive(pair)
-    for line in _decide_lines(result):
-        print(line)
-    return 0 if result.satisfiable else 1
+def cmd_decide(args) -> tuple[int, list[str]]:
+    result = decide_positive(_load(args.file).to_pair())
+    return 0 if result.satisfiable else 1, _decide_lines(result)
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> tuple[int, list[str]]:
     doc = _load(args.file)
     pair = doc.to_pair()
     omni = doc.omniorientation or Omniorientation.all_positive(pair.polytope.num_facets)
-    for line in _invariant_lines(compute_invariants(pair, omni)):
-        print(line)
-    return 0
+    return 0, _invariant_lines(compute_invariants(pair, omni))
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[int, list[str]]:
     doc = _load(args.file)
     pair = doc.to_pair()
     lines = _summary_lines(pair)
@@ -126,9 +105,7 @@ def cmd_report(args) -> int:
     lines.append(f"positive_count = {result.solution_count}")
     omni = doc.omniorientation or Omniorientation.all_positive(pair.polytope.num_facets)
     lines += _invariant_lines(compute_invariants(pair, omni))
-    for line in lines:
-        print(line)
-    return 0 if result.satisfiable else 1
+    return 0 if result.satisfiable else 1, lines
 
 
 def _integer(token: str) -> int:
@@ -167,9 +144,12 @@ _CONSTRUCTIONS = {
 }
 
 
-def cmd_construct(args) -> int:
-    _write(args.output, serialize(PairDocument.from_pair(args.build(args))))
-    return 0
+def cmd_construct(args) -> tuple[int, list[str]]:
+    text = serialize(PairDocument.from_pair(args.build(args)))
+    if args.output == "-":
+        return 0, text.splitlines()
+    Path(args.output).write_text(text, encoding="utf-8")
+    return 0, []
 
 
 class _Parser(argparse.ArgumentParser):
@@ -222,7 +202,10 @@ def main(argv=None) -> int:
     try:
         try:
             args = _PARSER.parse_args(argv)
-            code = args.func(args)
+            code, lines = args.func(args)
+            # line by line: one large write to a pipe whose reader has gone can
+            # return short without raising, and the rest is dropped unnoticed
+            sys.stdout.writelines(line + "\n" for line in lines)
         except SystemExit as exc:  # argparse after --help, or a usage error
             code = 0 if exc.code in (0, None) else 3
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

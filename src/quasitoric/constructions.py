@@ -4,8 +4,8 @@ Projective spaces, polygons, Hirzebruch surfaces, products, vertex cuts
 (combinatorial blow-ups) and 4-dimensional equivariant connected sums,
 including the k-fold sum of CP^2 with itself. Every constructor returns a
 fully validated pair. ``cpn``, ``cp2_sum`` and ``product`` raise
-TooLargeError, before building anything, for a pair over
-``polytope.CONSTRUCTION_MAX_ENTRIES``.
+TooLargeError, before building anything, for a pair whose entries and
+vertex masks are over ``polytope.CONSTRUCTION_MAX_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -27,13 +27,16 @@ from .polytope import CONSTRUCTION_MAX_ENTRIES, SimplePolytope, validate_polytop
 
 def _check_size(v: int, n: int, m: int) -> None:
     """TooLargeError when a pair with v vertices and m facets in dim n holds
-    more than CONSTRUCTION_MAX_ENTRIES entries, V*n + n*m."""
+    more than CONSTRUCTION_MAX_ENTRIES entries and mask words, V*n + n*m +
+    V*ceil(m/64)."""
     entries = v * n + n * m
-    if entries > CONSTRUCTION_MAX_ENTRIES:
+    words = v * -(-m // 64)
+    if entries + words > CONSTRUCTION_MAX_ENTRIES:
         raise TooLargeError(
             f"{_int_text(v)} vertices and {_int_text(m)} facets in dim {_int_text(n)} mean"
-            f" {_int_text(entries)} entries, over the limit of {CONSTRUCTION_MAX_ENTRIES};"
-            " refusing"
+            f" {_int_text(entries)} entries and {_int_text(words)} mask words,"
+            f" {_int_text(entries + words)} in all, over the limit of"
+            f" {CONSTRUCTION_MAX_ENTRIES}; refusing"
         )
 
 

@@ -15,11 +15,10 @@ def _int_text(x: int) -> str:
         return str(x)
     except ValueError:
         x = abs(x)
-        digits = x.bit_length() * 30103 // 100000 + 1  # log10(2) ~ 0.30103
+        # 0.30103 > log10(2), so this never undershoots the digit count
+        digits = x.bit_length() * 30103 // 100000 + 1
         while 10 ** (digits - 1) > x:
             digits -= 1
-        while 10**digits <= x:
-            digits += 1
         return f"<{digits}-digit integer>"
 
 

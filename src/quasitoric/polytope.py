@@ -37,10 +37,10 @@ from .errors import (
 F_VECTOR_MAX_SUBSETS = 1 << 24
 
 # cpn, cp2_sum and product refuse, before building anything, a pair whose
-# vertex lists and matrix hold more than this many entries, V*n + n*m.
-# cpn(n) holds 2n(n + 1), so cpn(1023) is the largest projective space they
-# build (2,095,104 entries, a few seconds); cp2_sum(k) holds 4(k + 2), and
-# the benchmark's largest pair, cp2_sum(199) squared, 161,604.
+# vertex lists, matrix and vertex facet masks hold more than this many entries
+# and 64-bit words, V*n + n*m + V*ceil(m/64). The masks grow as k^2 in
+# cp2_sum(k), which stops at k = 11454; cpn stops at n = 1019 (a few seconds).
+# The benchmark's largest pair (dim 11, 576 vertices) holds 7,110.
 CONSTRUCTION_MAX_ENTRIES = 1 << 21
 
 

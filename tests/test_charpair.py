@@ -1,6 +1,8 @@
 """Characteristic matrices, omniorientations, sign calculus."""
 
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,12 @@ from quasitoric import (
     vertex_cut,
     vertex_sign,
 )
-from quasitoric.errors import NotUnimodularError, ShapeMismatchError, SingularVertexError
+from quasitoric.errors import (
+    NotUnimodularError,
+    ShapeMismatchError,
+    SingularVertexError,
+    _int_text,
+)
 from quasitoric import linalg
 from quasitoric.linalg import det_bareiss
 from support import (
@@ -284,6 +291,21 @@ def test_not_unimodular_error_over_the_digit_limit():
         basis_change(pair, ((10**5000, 0), (0, 1)))
     assert exc.value.det == 10**5000
     assert "det <5001-digit integer>" in str(exc.value)
+
+
+def test_int_text_counts_digits_at_the_boundaries():
+    """Up to the int/str digit limit an integer is its decimal text; past it,
+    "<N-digit integer>" with N exact at 10^k - 1, 10^k and 2^b, where the
+    bit-length estimate overshoots by one or not at all."""
+    limit = sys.get_int_max_str_digits()
+    assert _int_text(-(10**limit - 1)) == "-" + "9" * limit
+    for k in (limit, limit + 1, 2 * limit):
+        assert _int_text(10**k - 1) == ("9" * k if k == limit else f"<{k}-digit integer>")
+        assert _int_text(-(10**k)) == f"<{k + 1}-digit integer>"
+    for b in range(int(limit / math.log10(2)) + 1, int(limit / math.log10(2)) + 200):
+        digits = int(b * math.log10(2)) + 1
+        assert 10 ** (digits - 1) <= 2**b < 10**digits
+        assert _int_text(2**b) == f"<{digits}-digit integer>"
 
 
 def _oracle_pair(rng: random.Random):

@@ -26,7 +26,9 @@ from quasitoric import (
     serialize,
     vertex_cut,
 )
+from quasitoric import cli
 from quasitoric.cli import main
+from quasitoric.errors import TooLargeError
 from support import random_valid_pair
 
 CP2_TEXT = """\
@@ -371,6 +373,26 @@ def test_f_vector_refusal_leaves_stdout_empty(capsys, monkeypatch):
         assert "vertex subsets for the f-vector, over the limit of 16777216" in err
 
 
+@pytest.mark.parametrize("command, last_step", [
+    ("validate", "h_vector"),
+    ("signs", "all_signs"),
+    ("decide", "decide_positive"),
+    ("invariants", "compute_invariants"),
+    ("report", "compute_invariants"),
+])
+def test_a_refusal_at_the_last_step_leaves_stdout_empty(capsys, monkeypatch, command, last_step):
+    """Each read subcommand refused at the last step it computes, with every
+    other line of its answer already known: exit 2, nothing on stdout."""
+
+    def refuse(*args):
+        raise TooLargeError("refused at the last step")
+
+    monkeypatch.setattr(cli, last_step, refuse)
+    text = CP2_TEXT + "omniorientation 1 1 1 1\n"
+    code, out, err = run(capsys, [command, "-"], text, monkeypatch)
+    assert (code, out, err) == (2, "", "error: refused at the last step\n")
+
+
 def test_construct_names_the_digit_limit(capsys):
     token = "7" * 5000
     code, out, err = run(capsys, ["construct", "hirzebruch", token])
@@ -445,8 +467,9 @@ def test_mutated_documents_never_raise(seed, data):
 
 def test_construction_over_the_budget_exits_2_at_once(capsys):
     """A few bytes of argv asking for a pair over CONSTRUCTION_MAX_ENTRIES
-    (V*n + n*m) are refused before anything is built: exit 2, nothing on
-    stdout, the entry count and the limit on stderr."""
+    (V*n + n*m entries and V*ceil(m/64) mask words) are refused before
+    anything is built: exit 2, nothing on stdout, the entry count and the
+    limit on stderr."""
     huge = "9" * 20
     cases = [
         (["cpn", "1024"], "1025 vertices and 1025 facets in dim 1024 mean 2099200 entries"),

@@ -315,21 +315,26 @@ def test_connected_sum_keeps_every_surviving_fixed_point_sign():
 
 def test_constructions_refuse_a_pair_over_the_entry_budget(monkeypatch):
     """cpn, cp2_sum and product refuse a pair with more than
-    CONSTRUCTION_MAX_ENTRIES entries, V*n + n*m, and build one with exactly
-    that many: cpn(5) has 6*5 + 5*6 = 60, cp2_sum(13) 15*2 + 2*15 = 60 and
-    CP^2 x CP^2 9*4 + 4*6 = 60."""
-    monkeypatch.setattr(constructions, "CONSTRUCTION_MAX_ENTRIES", 60)
-    assert cpn(5).polytope.num_vertices == 6
-    assert cp2_sum(13).polytope.num_facets == 15
-    assert product(cpn(2), cpn(2)).polytope.num_vertices == 9
-    for build in (lambda: cpn(6), lambda: cp2_sum(14), lambda: product(cpn(2), cp2_sum(2))):
-        with pytest.raises(TooLargeError, match="over the limit of 60; refusing"):
-            build()
+    CONSTRUCTION_MAX_ENTRIES entries and mask words, V*n + n*m + V*ceil(m/64),
+    and build one with exactly that many: cpn(4) has 5*4 + 4*5 + 5 = 45,
+    cp2_sum(7) 9*2 + 2*9 + 9 = 45 and CP^2 x CP^2 9*4 + 4*6 + 9 = 69."""
+    for fits, over, limit in (
+        (lambda: cpn(4), lambda: cpn(5), 45),
+        (lambda: cp2_sum(7), lambda: cp2_sum(8), 45),
+        (lambda: product(cpn(2), cpn(2)), lambda: product(cpn(2), cp2_sum(2)), 69),
+    ):
+        monkeypatch.setattr(constructions, "CONSTRUCTION_MAX_ENTRIES", limit)
+        fits()
+        with pytest.raises(TooLargeError, match=f"over the limit of {limit}; refusing"):
+            over()
     monkeypatch.undo()
-    # the real budget: refused at once, before any vertex list is built
+    # the real budget: the mask words stop cp2_sum at k = 11454 and cpn at
+    # n = 1019; over it, refused at once, before any vertex list is built
+    assert cp2_sum(11454).polytope.num_vertices == 11456
     s = cp2_sum(1000)
     start = time.perf_counter()
-    for build in (lambda: cpn(1024), lambda: cp2_sum(10**20), lambda: product(s, s)):
+    for build in (lambda: cpn(1020), lambda: cpn(1024), lambda: cp2_sum(11455),
+                  lambda: cp2_sum(524286), lambda: cp2_sum(10**20), lambda: product(s, s)):
         with pytest.raises(TooLargeError, match="over the limit of 2097152; refusing"):
             build()
     assert time.perf_counter() - start < 1.0

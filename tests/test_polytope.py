@@ -190,6 +190,12 @@ def test_masks_are_the_vertex_facet_bitmasks():
         assert poly.masks == tuple(sum(1 << j for j in v) for v in poly.vertices)
 
 
+def test_adjacent_vertex_refuses_a_facet_not_at_the_vertex():
+    poly = validate_polytope(2, 3, TRIANGLE)
+    with pytest.raises(ValueError, match=r"^facet 2 is not incident to vertex \(0, 1\)$"):
+        adjacent_vertex(poly, (0, 1), 2)
+
+
 def test_adjacent_vertex_rejects_interval():
     poly = validate_polytope(1, 2, [(0,), (1,)])
     with pytest.raises(ValueError):
