@@ -66,6 +66,10 @@ class Omniorientation:
         return Omniorientation(-self.global_sign, self.facet_signs)
 
     def flip_facet(self, j: int) -> "Omniorientation":
+        """ValueError for j outside [0, m), where a list index would wrap."""
+        m = len(self.facet_signs)
+        if not 0 <= j < m:
+            raise ValueError(f"facet index {j} out of range [0, {m})")
         signs = list(self.facet_signs)
         signs[j] = -signs[j]
         return Omniorientation(self.global_sign, tuple(signs))

@@ -164,7 +164,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qtm", description=__doc__)
+    # a description of its own, so that editing the module docstring leaves
+    # --help as it is
+    parser = _Parser(
+        prog="qtm",
+        description="Validate, decide and compute invariants of quasitoric pairs "
+        "(.qtm files, - for stdin), or construct one. Exit codes: 0 success or SAT, "
+        "1 UNSAT, 2 invalid input, 3 usage error.",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     for cmd, func in (

@@ -12,8 +12,12 @@ Grammar, one directive per line, ``#`` starts a comment, blank lines ignored::
 Integers, an optional + or - and ASCII digits, are parsed exactly up to
 Python's limit on int/str conversion (``sys.get_int_max_str_digits()``,
 4300 digits by default); longer integers raise ParseError on reading and
-TooLargeError on writing. Parsing canonicalizes (each vertex ascending,
-vertex list sorted lexicographically) without validating, so
+TooLargeError on writing. Each token is read with one table lookup: the
+table holds the canonical text ``str(i)`` of every i in [-256, 1024), and
+any other token (another spelling such as ``+1``, ``007`` or ``-0``, a
+larger value, a bad token) goes through ``parse_int``, so the value and the
+error are the same on both paths. Parsing canonicalizes (each vertex
+ascending, vertex list sorted lexicographically) without validating, so
 serialize(parse(x)) is idempotent and documents round-trip byte-for-byte.
 """
 
@@ -22,7 +26,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .charpair import CharacteristicPair, Omniorientation, validate_char
+from .charpair import CharacteristicPair, Omniorientation, _check_facet_signs, validate_char
 from .errors import (
     ArityError,
     DuplicateDirectiveError,
@@ -52,6 +56,9 @@ class PairDocument:
     def from_pair(
         cls, pair: CharacteristicPair, omni: Omniorientation | None = None
     ) -> "PairDocument":
+        """ValueError when omni does not carry one facet sign per facet."""
+        if omni is not None:
+            _check_facet_signs(pair, omni)
         return cls(
             dim=pair.polytope.dim,
             num_facets=pair.polytope.num_facets,
@@ -80,28 +87,17 @@ def parse_int(token: str) -> int:
         ) from None
 
 
-def _int(token: str, lineno: int) -> int:
-    try:
+class _Decimals(dict):
+    """``str(i) -> i`` over the range that the facet indices and lambda
+    entries of all but the largest pairs fall in; a miss is read by
+    ``parse_int`` and not stored, so the table never grows."""
+
+    def __missing__(self, token: str) -> int:
         return parse_int(token)
-    except ValueError as exc:
-        raise ParseError(lineno, str(exc)) from None
 
 
-def _ints(line: str, tokens: list[str], lineno: int) -> tuple[int, ...]:
-    """All tokens as ints; a bad token raises the ParseError ``_int`` words."""
-    if line.isascii() and "_" not in line:  # int() reads only decimals there
-        try:
-            return tuple(map(int, tokens))
-        except ValueError:
-            pass
-    return tuple(_int(t, lineno) for t in tokens)
-
-
-def _sign(token: str, lineno: int) -> int:
-    value = _int(token, lineno)
-    if value not in (1, -1):
-        raise ParseError(lineno, f"sign must be +1 or -1, got {token!r}")
-    return value
+# read by parse through one lookup per token; nothing writes to it after import
+_DECIMALS = _Decimals((str(i), i) for i in range(-256, 1024))
 
 
 def parse(text: str) -> PairDocument:
@@ -112,58 +108,68 @@ def parse(text: str) -> PairDocument:
     matrix: list[tuple[int, ...]] | None = None
     rows_needed = 0
     omni = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if rows_needed:
-            if len(tokens) != facets:
-                raise ArityError(lineno, f"lambda row needs {facets} integers, got {len(tokens)}")
-            matrix.append(_ints(line, tokens, lineno))
-            rows_needed -= 1
-            continue
-        directive, args = tokens[0], tokens[1:]
-        if directive == "dim":
-            if dim is not None:
-                raise DuplicateDirectiveError(lineno, "dim given twice")
-            if len(args) != 1:
-                raise ArityError(lineno, "dim takes one integer")
-            dim = _int(args[0], lineno)
-        elif directive == "facets":
-            if facets is not None:
-                raise DuplicateDirectiveError(lineno, "facets given twice")
-            if len(args) != 1:
-                raise ArityError(lineno, "facets takes one integer")
-            facets = _int(args[0], lineno)
-        elif directive == "vertex":
-            if dim is None:
-                raise ParseError(lineno, "vertex before dim")
-            if len(args) != dim:
-                raise ArityError(lineno, f"vertex takes {dim} indices, got {len(args)}")
-            vertices.append(tuple(sorted(_ints(line, args, lineno))))
-        elif directive == "lambda":
-            if matrix is not None:
-                raise DuplicateDirectiveError(lineno, "lambda given twice")
-            if dim is None or facets is None:
-                raise ParseError(lineno, "lambda before dim/facets")
-            if args:
-                raise ArityError(lineno, "lambda takes no arguments")
-            matrix = []
-            rows_needed = dim
-        elif directive == "omniorientation":
-            if omni is not None:
-                raise DuplicateDirectiveError(lineno, "omniorientation given twice")
-            if facets is None:
-                raise ParseError(lineno, "omniorientation before facets")
-            if len(args) != facets + 1:
-                raise ArityError(
-                    lineno, f"omniorientation takes {facets + 1} signs, got {len(args)}"
-                )
-            signs = [_sign(t, lineno) for t in args]
-            omni = Omniorientation(signs[0], tuple(signs[1:]))
-        else:
-            raise UnknownDirectiveError(lineno, f"unknown directive {directive!r}")
+    read = _DECIMALS.__getitem__
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            if rows_needed:
+                if len(tokens) != facets:
+                    raise ArityError(
+                        lineno, f"lambda row needs {facets} integers, got {len(tokens)}"
+                    )
+                matrix.append(tuple(map(read, tokens)))
+                rows_needed -= 1
+                continue
+            directive, args = tokens[0], tokens[1:]
+            if directive == "dim":
+                if dim is not None:
+                    raise DuplicateDirectiveError(lineno, "dim given twice")
+                if len(args) != 1:
+                    raise ArityError(lineno, "dim takes one integer")
+                dim = read(args[0])
+            elif directive == "facets":
+                if facets is not None:
+                    raise DuplicateDirectiveError(lineno, "facets given twice")
+                if len(args) != 1:
+                    raise ArityError(lineno, "facets takes one integer")
+                facets = read(args[0])
+            elif directive == "vertex":
+                if dim is None:
+                    raise ParseError(lineno, "vertex before dim")
+                if len(args) != dim:
+                    raise ArityError(lineno, f"vertex takes {dim} indices, got {len(args)}")
+                vertices.append(tuple(sorted(map(read, args))))
+            elif directive == "lambda":
+                if matrix is not None:
+                    raise DuplicateDirectiveError(lineno, "lambda given twice")
+                if dim is None or facets is None:
+                    raise ParseError(lineno, "lambda before dim/facets")
+                if args:
+                    raise ArityError(lineno, "lambda takes no arguments")
+                matrix = []
+                rows_needed = dim
+            elif directive == "omniorientation":
+                if omni is not None:
+                    raise DuplicateDirectiveError(lineno, "omniorientation given twice")
+                if facets is None:
+                    raise ParseError(lineno, "omniorientation before facets")
+                if len(args) != facets + 1:
+                    raise ArityError(
+                        lineno, f"omniorientation takes {facets + 1} signs, got {len(args)}"
+                    )
+                signs = []
+                for token in args:  # token by token: the first bad one is named
+                    sign = read(token)
+                    if sign not in (1, -1):
+                        raise ParseError(lineno, f"sign must be +1 or -1, got {token!r}")
+                    signs.append(sign)
+                omni = Omniorientation(signs[0], tuple(signs[1:]))
+            else:
+                raise UnknownDirectiveError(lineno, f"unknown directive {directive!r}")
+    except ValueError as exc:  # from parse_int, through the table, on a bad token
+        raise ParseError(lineno, str(exc)) from None
     end = text.count("\n") + 1
     if dim is None or facets is None:
         raise ParseError(end, "missing dim or facets directive")

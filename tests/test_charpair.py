@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from quasitoric import (
     Omniorientation,
+    PairDocument,
     all_signs,
     basis_change,
     connected_sum_4d,
@@ -190,6 +191,19 @@ def test_omniorientation_of_wrong_length_is_rejected():
             vertex_sign(pair, omni, (0, 1))
         with pytest.raises(ValueError, match=msg):
             relabel_facets(pair, (2, 0, 1), omni)
+        # its text would not parse back: the omniorientation line has m + 1 signs
+        with pytest.raises(ValueError, match=msg):
+            PairDocument.from_pair(pair, omni)
+
+
+def test_flip_facet_refuses_an_index_out_of_range():
+    """A list index would wrap, so flip_facet(-1) would flip the last facet."""
+    omni = Omniorientation(1, (1, -1, 1))
+    assert omni.flip_facet(0) == Omniorientation(1, (-1, -1, 1))
+    assert omni.flip_facet(2) == Omniorientation(1, (1, -1, -1))
+    for j in (-1, -3, 3, 10**30):
+        with pytest.raises(ValueError, match=rf"facet index {j} out of range \[0, 3\)"):
+            omni.flip_facet(j)
 
 
 def test_omniorientation_rejects_a_sign_other_than_pm1():

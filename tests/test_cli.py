@@ -294,6 +294,18 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
 
 
+def test_help_does_not_print_the_module_docstring(capsys, monkeypatch):
+    """--help prints a short description, so the module's developer
+    documentation can change without changing stdout."""
+    code, out, _ = run(capsys, ["--help"])
+    assert code == 0 and out.startswith("usage: qtm")
+    words = " ".join(out.split())
+    for sentence in cli.__doc__.split(". "):
+        assert " ".join(sentence.split()) not in words
+    monkeypatch.setattr(cli, "__doc__", "Edited documentation.")
+    assert cli._build_parser().format_help() == out
+
+
 def test_reused_parser_leaks_no_state(capsys, tmp_path):
     """main reuses one parser per process: a repeated call gives the same exit
     code and the same stdout and stderr, byte for byte, as its first run."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasitoric import Omniorientation, PairDocument, cpn, hirzebruch, parse, serialize
-from quasitoric.fileformat import parse_int
+from quasitoric.fileformat import _DECIMALS, parse_int
 from quasitoric.errors import (
     ArityError,
     DuplicateDirectiveError,
@@ -194,6 +194,57 @@ def test_from_pair_round_trip():
     doc = PairDocument.from_pair(pair, Omniorientation.all_positive(3))
     assert parse(serialize(doc)) == doc
     assert doc.to_pair() == pair
+
+
+def _integer_tokens():
+    """Values inside and outside parse's table, plainly written, with a sign
+    and leading zeros, over the digit limit, and tokens that are no integer."""
+    limit = sys.get_int_max_str_digits()
+    values = st.integers(-300, 1100) | st.integers(-(10**30), 10**30)
+    sign = st.sampled_from(["", "+", "-"])
+    spelled = st.tuples(sign, st.integers(0, 3), values).map(
+        lambda t: t[0] + "0" * t[1] + str(abs(t[2]))
+    )
+    over = st.tuples(sign, st.integers(limit + 1, limit + 3)).map(lambda t: t[0] + "9" * t[1])
+    odd = st.sampled_from(["-0", "+0", "-00", "+", "-", "--1", "+-1", "x", "1.5", "1_0", "\u0661"])
+    return values.map(str) | spelled | over | odd
+
+
+@settings(deadline=None)
+@given(token=_integer_tokens(), place=st.sampled_from(["row", "vertex", "sign"]))
+def test_parse_reads_every_integer_token_as_parse_int_does(token, place):
+    """Through the table or past it, a token in a lambda row, a vertex line
+    or an omniorientation line gives parse_int's value, or its message as a
+    ParseError on the token's line."""
+    size = len(_DECIMALS)
+    assert all(type(v) is int and key == str(v) for key, v in _DECIMALS.items())
+    lines = ["dim 1", "facets 2", "vertex 0", "vertex 1", "lambda", "1 -1"]
+    lineno = {"row": 6, "vertex": 4, "sign": 7}[place]
+    if place == "row":
+        lines[5] = f"1 {token}"
+    elif place == "vertex":
+        lines[3] = f"vertex {token}"
+    else:
+        lines.append(f"omniorientation +1 {token} -1")
+    text = "\n".join(lines) + "\n"
+    try:
+        value = parse_int(token)
+    except ValueError as exc:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert type(err.value) is ParseError
+        assert (err.value.line, str(err.value)) == (lineno, f"line {lineno}: {exc}")
+    else:
+        if place == "row":
+            assert parse(text).matrix == ((1, value),)
+        elif place == "vertex":
+            assert parse(text).vertices == tuple(sorted([(0,), (value,)]))
+        elif value in (1, -1):
+            assert parse(text).omniorientation == Omniorientation(1, (value, -1))
+        else:
+            with pytest.raises(ParseError, match="line 7: sign must be"):
+                parse(text)
+    assert len(_DECIMALS) == size  # a miss is not stored
 
 
 @settings(deadline=None)
