@@ -99,6 +99,10 @@ class _Decimals(dict):
 # read by parse through one lookup per token; nothing writes to it after import
 _DECIMALS = _Decimals((str(i), i) for i in range(-256, 1024))
 
+# the omniorientation signs as serialize writes them; "+1" is not str(1), so
+# the table alone would send every positive sign through parse_int
+_SIGNS = {"+1": 1, "-1": -1}
+
 
 def parse(text: str) -> PairDocument:
     """Parse a .qtm document, raising line-numbered ParseError subclasses."""
@@ -161,7 +165,7 @@ def parse(text: str) -> PairDocument:
                     )
                 signs = []
                 for token in args:  # token by token: the first bad one is named
-                    sign = read(token)
+                    sign = _SIGNS.get(token) or read(token)
                     if sign not in (1, -1):
                         raise ParseError(lineno, f"sign must be +1 or -1, got {token!r}")
                     signs.append(sign)

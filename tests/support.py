@@ -2,16 +2,18 @@
 
 The coherence checker here is an independent reimplementation of the
 orientation rule (plain dict sweep over all ridges, no BFS) so library output
-is never checked against itself; Bareiss does the same for the vertex
-determinants, the triple loop for matrix products, the subset count for the
-f-vector, and the iterated connected sum for the closed-form k-fold sum of
-CP^2. The random pair generator only composes validated constructors, so
-every emitted pair is valid by construction.
+is never checked against itself, and a tuple-keyed ridge map with a deque BFS
+redoes validation's orientation, tree and masks; Bareiss does the same for
+the vertex determinants, the triple loop for matrix products, the subset
+count for the f-vector, and the iterated connected sum for the closed-form
+k-fold sum of CP^2. The random pair generator only composes validated
+constructors, so every emitted pair is valid by construction.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 from quasitoric import (
@@ -32,6 +34,39 @@ def ridge_entries(vertices):
         for pos in range(len(v)):
             ridges.setdefault(v[:pos] + v[pos + 1 :], []).append((vi, pos))
     return ridges
+
+
+def validate_by_ridge_map(vertices):
+    """(vertices, orientation, bfs_tree, masks) of a valid dual sphere, the
+    textbook way: canonical vertex tuples, the tuple-keyed ridge map above
+    and a deque BFS from vertex 0 in position order. The reference for
+    ``validate_polytope``, whose bitmask keys and closed-form simplex it
+    never shares."""
+    verts = sorted(tuple(sorted(v)) for v in vertices)
+    partner = {}
+    for ridge, entries in ridge_entries(verts).items():
+        assert len(entries) == 2, f"ridge {ridge} lies in {len(entries)} vertices"
+        a, b = entries
+        partner[a] = b
+        partner[b] = a
+    signs = {0: 1}
+    tree = []
+    queue = deque([0])
+    while queue:
+        vi = queue.popleft()
+        for pos in range(len(verts[vi])):
+            wi, wpos = partner[vi, pos]
+            # the two vertices of a ridge induce opposite signs on it
+            sign = -((-1) ** pos) * signs[vi] * (-1) ** wpos
+            if wi not in signs:
+                signs[wi] = sign
+                tree.append((wi, vi, pos, wpos))
+                queue.append(wi)
+            assert signs[wi] == sign, f"not orientable at {verts[wi]}"
+    assert len(signs) == len(verts), "disconnected"
+    orientation = tuple(signs[vi] for vi in range(len(verts)))
+    masks = tuple(sum(1 << j for j in v) for v in verts)
+    return tuple(verts), orientation, tuple(tree), masks
 
 
 def assert_coherent(vertices, signs):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasitoric import Omniorientation, PairDocument, cpn, hirzebruch, parse, serialize
+from quasitoric import Omniorientation, PairDocument, cpn, fileformat, hirzebruch, parse, serialize
 from quasitoric.fileformat import _DECIMALS, parse_int
 from quasitoric.errors import (
     ArityError,
@@ -194,6 +194,47 @@ def test_from_pair_round_trip():
     doc = PairDocument.from_pair(pair, Omniorientation.all_positive(3))
     assert parse(serialize(doc)) == doc
     assert doc.to_pair() == pair
+
+
+@pytest.mark.parametrize(
+    "token, expected",
+    [
+        ("+1", 1),
+        ("-1", -1),
+        ("1", 1),
+        ("+01", 1),
+        ("-001", -1),
+        ("01", 1),
+        ("+2", "line 10: sign must be +1 or -1, got '+2'"),
+        ("0", "line 10: sign must be +1 or -1, got '0'"),
+        ("-0", "line 10: sign must be +1 or -1, got '-0'"),
+        ("+", "line 10: not an integer: '+'"),
+        ("+1.0", "line 10: not an integer: '+1.0'"),
+        ("1_0", "line 10: not an integer: '1_0'"),
+        ("x", "line 10: not an integer: 'x'"),
+    ],
+)
+def test_omniorientation_sign_spellings(token, expected):
+    """A sign reads as its value, whether spelled +1/-1 as serialize writes
+    it or any other way; a token that is not +-1 keeps its ParseError."""
+    text = CP2_TEXT + "# signs\n" + f"omniorientation +1 -1 {token} +1\n"
+    if isinstance(expected, int):
+        assert parse(text).omniorientation == Omniorientation(1, (-1, expected, 1))
+    else:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert type(exc.value) is ParseError
+        assert (exc.value.line, str(exc.value)) == (10, expected)
+
+
+def test_serialized_signs_are_read_without_parse_int(monkeypatch):
+    """Every token that serialize writes for cpn(2) with mixed signs is read
+    by lookup: parse_int, the slow path, is never called."""
+    calls = []
+    monkeypatch.setattr(fileformat, "parse_int", lambda token: calls.append(token))
+    doc = PairDocument.from_pair(cpn(2), Omniorientation(-1, (1, -1, 1)))
+    assert parse(serialize(doc)) == doc
+    assert calls == []
 
 
 def _integer_tokens():

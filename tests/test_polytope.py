@@ -40,6 +40,7 @@ from support import (
     random_valid_pair,
     random_vertex,
     ridge_entries,
+    validate_by_ridge_map,
 )
 
 TRIANGLE = [(0, 1), (0, 2), (1, 2)]
@@ -233,6 +234,74 @@ def test_orientation_coherent_and_normalized():
         assert_coherent(poly.vertices, oc)
         # the flipped class is the only other coherent one
         assert_coherent(poly.vertices, tuple(-s for s in oc))
+
+
+def _result(poly):
+    return poly.vertices, poly.orientation, poly.bfs_tree, poly.masks
+
+
+def test_simplex_matches_the_ridge_map_oracle():
+    """Validation's closed form for the simplex gives the vertices,
+    orientation, BFS tree and masks of the tuple-keyed ridge map and deque
+    BFS, below and past m = 61, from shuffled vertex lists with each
+    vertex's entries permuted."""
+    rng = random.Random(23)
+    for n in range(1, 71):
+        verts = [list(v) for v in combinations(range(n + 1), n)]
+        for v in verts:
+            rng.shuffle(v)
+        rng.shuffle(verts)
+        assert _result(validate_polytope(n, n + 1, verts)) == validate_by_ridge_map(verts)
+
+
+def test_other_polytopes_match_the_ridge_map_oracle():
+    """The oracle also agrees with the generic path, with bitmask ridge
+    keys and, on the two large pairs, the coded keys past m = 61."""
+    rng = random.Random(29)
+    polys = [random_valid_pair(rng).polytope for _ in range(30)]
+    polys += [cp2_sum(70).polytope, product(cpn(60), cpn(1)).polytope]
+    for poly in polys:
+        assert _result(poly) == validate_by_ridge_map(poly.vertices)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 60, 61, 70])
+def test_simplex_inputs_that_are_not_the_simplex_raise(n):
+    """m = n + 1 facets but not the whole simplex: the checks before the
+    closed form, or the generic ones, name the fault."""
+    m = n + 1
+    verts = list(combinations(range(m), n))  # canonical: vertex i omits facet n - i
+    # the last vertex, which omits facet 0, dropped
+    err = UnusedFacetError if n == 1 else RidgeViolationError
+    with pytest.raises(err) as exc:
+        validate_polytope(n, m, verts[:-1])
+    if n == 1:
+        assert exc.value.facets == (1,)
+    else:  # vertex 0's ridge without facet 0 has lost its partner
+        assert (exc.value.vertex, exc.value.facet, exc.value.partners) == (verts[0], 0, 0)
+    # the first vertex, which omits facet n, dropped: the ridge without
+    # facet n of the new vertex 0 has lost its partner
+    with pytest.raises(err) as exc:
+        validate_polytope(n, m, verts[1:])
+    if n == 1:
+        assert exc.value.facets == (0,)
+    else:
+        assert (exc.value.vertex, exc.value.facet, exc.value.partners) == (verts[1], n, 0)
+    # one vertex duplicated, with the others all there or one of them dropped
+    for dup in (verts + [verts[-1]], verts[:-1] + [verts[0]]):
+        with pytest.raises(DuplicateVertexError) as exc:
+            validate_polytope(n, m, dup)
+        assert exc.value.vertex == dup[-1]
+    # an index equal to m
+    bad = verts[:-1] + [verts[-1][:-1] + (m,)]
+    with pytest.raises(ValidationError) as exc:
+        validate_polytope(n, m, bad)
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == f"vertex {bad[-1]} has a facet index outside [0, {m})"
+    # a vertex of size n - 1
+    bad = verts[:-1] + [verts[-1][1:]]
+    with pytest.raises(WrongVertexSizeError) as exc:
+        validate_polytope(n, m, bad)
+    assert (exc.value.vertex, exc.value.expected) == (bad[-1], n)
 
 
 def test_bfs_tree_reaches_every_other_vertex_once():
