@@ -16,9 +16,11 @@ TooLargeError on writing. Each token is read with one table lookup: the
 table holds the canonical text ``str(i)`` of every i in [-256, 1024), and
 any other token (another spelling such as ``+1``, ``007`` or ``-0``, a
 larger value, a bad token) goes through ``parse_int``, so the value and the
-error are the same on both paths. Parsing canonicalizes (each vertex
-ascending, vertex list sorted lexicographically) without validating, so
-serialize(parse(x)) is idempotent and documents round-trip byte-for-byte.
+error are the same on both paths. Parsing refuses a ``dim`` or ``facets``
+below 1 on its own line, as the count would size the vertex and lambda
+lines after it, and otherwise canonicalizes (each vertex ascending, vertex
+list sorted lexicographically) without validating, so serialize(parse(x))
+is idempotent and documents round-trip byte-for-byte.
 """
 
 from __future__ import annotations
@@ -133,12 +135,16 @@ def parse(text: str) -> PairDocument:
                 if len(args) != 1:
                     raise ArityError(lineno, "dim takes one integer")
                 dim = read(args[0])
+                if dim < 1:
+                    raise ParseError(lineno, f"dim must be >= 1, got {dim}")
             elif directive == "facets":
                 if facets is not None:
                     raise DuplicateDirectiveError(lineno, "facets given twice")
                 if len(args) != 1:
                     raise ArityError(lineno, "facets takes one integer")
                 facets = read(args[0])
+                if facets < 1:
+                    raise ParseError(lineno, f"facets must be >= 1, got {facets}")
             elif directive == "vertex":
                 if dim is None:
                     raise ParseError(lineno, "vertex before dim")

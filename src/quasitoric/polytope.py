@@ -92,8 +92,7 @@ class SimplePolytope:
         if n < 5 or m == n + 1:  # no level loop to split, or a closed form
             g = _face_counts(n, m, verts)
         else:
-            on = _incidence(m, verts)
-            factors = _join_factors(verts, self.masks, on)
+            factors, on = _join_factors(m, verts, self.masks, self.bfs_tree)
             if factors is None:
                 g = _face_counts(n, m, verts, on)
             else:
@@ -121,25 +120,42 @@ def _polymul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _join_factors(verts, masks, on):
+def _join_factors(m, verts, masks, tree):
     """The join factors of a dual complex, as (dim, num_facets, vertices)
     triples with each factor's facets renumbered in order, when its vertex
-    set is the full product of at least two of them; None otherwise.
+    set is the full product of at least two of them; None otherwise. Returned
+    with the _incidence of ``verts`` when the meet test below built it, else
+    with None.
 
-    Facets i and j of different factors are independent over the vertices,
-    |N(i) & N(j)| * V == |N(i)| * |N(j)|, where N(i) is the set of vertices
-    on facet i, so joining dependent pairs gives groups never coarser than
-    the factors. Every factor has a facet at vertex 0, so only the pairs with
-    i there are tested: O(n^2 V + n m) work, and no V-bit facet bitsets. The
-    groups are then checked exactly, whatever they are: a vertex is the
-    union of its projections onto the groups, so the vertex set is their
-    full product exactly when the product of the groups' distinct projection
-    counts is V. Then every choice of one projection per group is a vertex
-    of n facets, so the projections onto a group all have one size, the
-    factor's dimension.
+    The facets are grouped by a union-find that is never coarser than any
+    join split, so the true factors are unions of groups. It is seeded with
+    the facet exchanges of ``tree``, validation's BFS tree: each edge
+    crosses a ridge, and in a join K1 * K2 the two simplices on a ridge of
+    K1's part share all of K2's part, so the facet swapped out and the one
+    swapped in lie in the same factor. An empty tree leaves every facet in
+    a group of its own. Then:
+
+    1. One group left: no split, at once (a vertex cut of a product ends
+       here).
+    2. The groups are checked exactly, whatever they are: a vertex is the
+       union of its projections onto the groups, so the vertex set is their
+       full product exactly when the product of the groups' distinct
+       projection counts is V. Then every choice of one projection per
+       group is a vertex of n facets, so the projections onto a group all
+       have one size, the factor's dimension. Before the projections are
+       built, the check refuses groups that cannot pass: the m_C facets of a
+       group with d_C facets at vertex 0 need at least ceil(m_C / d_C)
+       projections, all of size d_C, to cover them, and the product of these
+       bounds may not exceed V. The exchanges of an m-gon join only facets
+       of one parity when m is even, which this refuses from m = 6 on.
+    3. Otherwise the groups are joined further by the meet test and checked
+       again: facets i and j of different factors are independent over the
+       vertices, |N(i) & N(j)| * V == |N(i)| * |N(j)|, where N(i) is the set
+       of vertices on facet i. Every factor has a facet at vertex 0, so only
+       the pairs with i there are tested: O(n^2 V + n m) work, and no V-bit
+       facet bitsets.
     """
     num = len(verts)
-    m = len(on)
     root = list(range(m))
     left = m  # the number of groups
 
@@ -148,37 +164,60 @@ def _join_factors(verts, masks, on):
             root[x] = x = root[root[x]]
         return x
 
+    def join(i, j):
+        nonlocal left
+        a, b = find(i), find(j)
+        if a != b:
+            root[b] = a
+            left -= 1
+
+    def split():
+        groups = {}
+        for j in range(m):
+            groups.setdefault(find(j), []).append(j)
+        at_first = Counter(map(find, verts[0]))
+        bound = 1
+        for r, facets in groups.items():
+            if r not in at_first:  # every projection would be empty, as vertex 0's is
+                return None
+            bound *= -(-len(facets) // at_first[r])
+        if bound > num:
+            return None
+        projections = []
+        total = 1
+        for facets in groups.values():
+            group = 0
+            for j in facets:
+                group |= 1 << j
+            proj = {mask & group for mask in masks}
+            total *= len(proj)
+            projections.append((facets, proj))
+        if total != num:
+            return None
+        factors = []
+        for facets, proj in projections:
+            vertices = sorted(tuple(x for x, j in enumerate(facets) if p >> j & 1) for p in proj)
+            factors.append((len(vertices[0]), len(facets), vertices))
+        return factors
+
+    for i, j in {(verts[vi][pos], verts[wi][wpos]) for wi, vi, pos, wpos in tree}:
+        join(i, j)
+        if left == 1:
+            return None, None
+    factors = split()
+    if factors is not None:
+        return factors, None
+    on = _incidence(m, verts)
     for i in verts[0]:
         # meet[j] = |N(i) & N(j)|
         meet = Counter(chain.from_iterable(map(verts.__getitem__, on[i])))
         ni = len(on[i])
         for j, nj in enumerate(map(len, on)):
             if meet[j] * num != ni * nj:
-                a, b = find(i), find(j)
-                if a != b:
-                    root[b] = a
-                    left -= 1
+                join(i, j)
         if left == 1:  # no split: stop before the other facets of vertex 0
-            return None
-    groups = {}
-    for j in range(m):
-        groups.setdefault(find(j), []).append(j)
-    projections = []
-    total = 1
-    for facets in groups.values():
-        group = 0
-        for j in facets:
-            group |= 1 << j
-        proj = {mask & group for mask in masks}
-        total *= len(proj)
-        projections.append((facets, proj))
-    if total != num:
-        return None
-    factors = []
-    for facets, proj in projections:
-        vertices = sorted(tuple(x for x, j in enumerate(facets) if p >> j & 1) for p in proj)
-        factors.append((len(vertices[0]), len(facets), vertices))
-    return factors
+            return None, on
+    return split(), on
 
 
 def _face_counts(n: int, m: int, verts, on=None) -> list[int]:
@@ -414,10 +453,13 @@ def f_vector(polytope: SimplePolytope) -> tuple[int, ...]:
       g_k = C(n + 1, k).
     - From dim 5 on, the polytope is first split into join factors: the dual
       of P x Q is the join of the duals, so g is the product of the factors'
-      polynomials. The split is accepted only when the vertex set is exactly
-      the product of the factors' vertex sets (see _join_factors), so it
-      holds however the facets are numbered, and each factor is counted on
-      its own.
+      polynomials. The facets are grouped by the facet exchanges of
+      validation's BFS tree, which never cross from one factor of a join to
+      another, so the groups are never coarser than any join split; only
+      groups that fail the check below are joined further by the meet test
+      (see _join_factors). The split is accepted only when the vertex set
+      is exactly the product of the groups' vertex sets, so it holds however
+      the facets are numbered, and each factor is counted on its own.
     - Otherwise, and within each factor, the faces are counted level by
       level: a set of facets is a face when the AND of their vertex bitsets
       is nonzero, and each face of codimension k >= 3 extends one of

@@ -187,6 +187,15 @@ def test_order_and_value_errors():
         parse("dim 2\n")
     with pytest.raises(ParseError, match="line 2: omniorientation before facets"):
         parse("dim 2\nomniorientation +1\n")
+    # a count below 1 is named on its own line, before it sizes anything
+    with pytest.raises(ParseError, match=r"^line 1: dim must be >= 1, got -1$"):
+        parse("dim -1\nfacets 3\nlambda\n")
+    with pytest.raises(ParseError, match=r"^line 2: dim must be >= 1, got 0$"):
+        parse("# empty\ndim 0\nfacets 3\nlambda\n")
+    with pytest.raises(ParseError, match=r"^line 2: facets must be >= 1, got -1$"):
+        parse("dim 2\nfacets -1\nlambda\n1 0\n0 1\n")
+    with pytest.raises(ParseError, match=r"^line 1: facets must be >= 1, got 0$"):
+        parse("facets 0\ndim 2\n")
 
 
 def test_from_pair_round_trip():

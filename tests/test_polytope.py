@@ -459,9 +459,11 @@ def _relabelled(poly, rng):
 
 
 def _split(poly):
-    return polytope._join_factors(
-        poly.vertices, poly.masks, polytope._incidence(poly.num_facets, poly.vertices)
-    )
+    return polytope._join_factors(poly.num_facets, poly.vertices, poly.masks, poly.bfs_tree)[0]
+
+
+def _no_incidence(m, verts):
+    raise AssertionError("the split built the incidence lists for the meet test")
 
 
 HEXAGON = polygon(6)
@@ -506,14 +508,62 @@ def test_f_vector_of_interleaved_products_matches_the_subset_oracle(pieces):
         product(cpn(2), cpn(3)),
     ],
 )
-def test_f_vector_of_a_cut_product_falls_back_to_the_whole_count(pair):
-    """A vertex cut of a product is no product: the split is refused and the
-    whole polytope is counted."""
+def test_f_vector_of_a_cut_product_falls_back_to_the_whole_count(pair, monkeypatch):
+    """A vertex cut of a product is no product: the split is refused, from
+    the tree's facet exchanges alone, and the whole polytope is counted."""
     for vertex in (pair.polytope.vertices[0], pair.polytope.vertices[-1]):
         poly = vertex_cut(pair, vertex).polytope
         assert poly.dim >= 5
-        assert _split(poly) is None
+        with monkeypatch.context() as patch:
+            patch.setattr(polytope, "_incidence", _no_incidence)
+            assert _split(poly) is None
         assert f_vector(poly) == f_vector_by_subsets(poly)
+
+
+def test_bfs_tree_exchanges_stay_in_one_factor():
+    """Each tree edge of a join crosses a ridge of one factor's part, so the
+    two facets it swaps lie in one factor, however the facets are numbered:
+    the groups that seed the split are never coarser than the factors."""
+    rng = random.Random(43)
+    for _ in range(30):
+        pieces = [_triple(random_valid_pair(rng)) for _ in range(rng.choice((2, 3)))]
+        poly = _join(*pieces)
+        perm = list(range(poly.num_facets))
+        rng.shuffle(perm)
+        factor_of = [0] * poly.num_facets
+        start = 0
+        for k, (_, m, _) in enumerate(pieces):
+            for j in range(start, start + m):
+                factor_of[perm[j]] = k
+            start += m
+        poly = validate_polytope(
+            poly.dim, poly.num_facets, [tuple(perm[j] for j in v) for v in poly.vertices]
+        )
+        verts = poly.vertices
+        for w, v, pos, wpos in poly.bfs_tree:
+            assert factor_of[verts[v][pos]] == factor_of[verts[w][wpos]]
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [
+        [HEXAGON, cpn(3)],
+        [cp2_sum(4), cpn(1), cpn(1), cpn(1)],
+        [cp2_sum(8), cp2_sum(8), cpn(1)],
+        [cp2_sum(98), cp2_sum(98), cpn(1)],
+    ],
+)
+def test_even_polygon_factors_split_through_the_meet_test(pieces):
+    """The tree's exchanges split an even polygon of 6 or more sides into
+    its even and its odd facets, groups finer than the factor that fail the
+    check: the meet test joins them, and the split is still found."""
+    poly = _join(*map(_triple, pieces))
+    poly = _relabelled(poly, random.Random(poly.num_vertices))
+    factors, on = polytope._join_factors(
+        poly.num_facets, poly.vertices, poly.masks, poly.bfs_tree
+    )
+    assert on is not None
+    assert sorted(m for _, m, _ in factors) == sorted(_triple(p)[1] for p in pieces)
 
 
 def test_the_projection_check_refuses_pairwise_independent_vertices():
@@ -524,10 +574,10 @@ def test_the_projection_check_refuses_pairwise_independent_vertices():
     test without being a product, so the helper is called directly."""
     verts = [(0, 2, 4), (0, 3, 5), (1, 2, 5), (1, 3, 4)]
     masks = [sum(1 << j for j in v) for v in verts]
-    assert polytope._join_factors(verts, masks, polytope._incidence(6, verts)) is None
+    assert polytope._join_factors(6, verts, masks, ())[0] is None
     full = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
     masks = [sum(1 << j for j in v) for v in full]
-    factors = polytope._join_factors(full, masks, polytope._incidence(6, full))
+    factors = polytope._join_factors(6, full, masks, ())[0]
     assert sorted(factors) == [(1, 2, [(0,), (1,)])] * 3
 
 
@@ -542,10 +592,13 @@ def test_the_projection_check_refuses_pairwise_independent_vertices():
     ]
     + [product(product(cpn(3), product(cpn(1), hirzebruch(2))), cpn(2))],
 )
-def test_the_split_finds_the_factors_of_the_benchmark_shapes(pair):
-    """(CP1)^k, (CP2)^k and the 3-fold products take the factor path: a
-    refused split would fall back silently to the slower whole count."""
+def test_the_split_finds_the_factors_of_the_benchmark_shapes(pair, monkeypatch):
+    """(CP1)^k, (CP2)^k and the 3-fold products take the factor path, from
+    the tree's facet exchanges alone: a refused split would fall back
+    silently to the slower whole count, and a split by the meet test would
+    build the incidence lists that these shapes do without."""
     poly = _relabelled(pair.polytope, random.Random(pair.polytope.num_vertices))
+    monkeypatch.setattr(polytope, "_incidence", _no_incidence)
     factors = _split(poly)
     assert factors is not None and len(factors) >= 2
     assert sum(d for d, _, _ in factors) == poly.dim
