@@ -198,14 +198,21 @@ def all_signs(pair: CharacteristicPair, omni: Omniorientation) -> tuple[int, ...
     ValueError when omni does not carry one facet sign per facet.
     """
     _check_facet_signs(pair, omni)
-    eps = omni.facet_signs
-    out = []
-    for v, base in zip(pair.polytope.vertices, pair.base_signs):
-        sign = omni.global_sign * base
-        for j in v:
-            sign *= eps[j]
-        out.append(sign)
-    return tuple(out)
+    g, eps, poly = omni.global_sign, omni.facet_signs, pair.polytope
+    if poly.dim == 2:  # two signs a vertex cost less than the O(m) mask below
+        return tuple(
+            g * base * eps[a] * eps[b] for (a, b), base in zip(poly.vertices, pair.base_signs)
+        )
+    # the facet signs at a vertex multiply to -1 when an odd number of them,
+    # the bits of its mask in neg, are negative
+    neg = 0
+    for j, e in enumerate(eps):
+        if e < 0:
+            neg |= 1 << j
+    return tuple(
+        -g * base if (mask & neg).bit_count() & 1 else g * base
+        for mask, base in zip(poly.masks, pair.base_signs)
+    )
 
 
 def basis_change(pair: CharacteristicPair, a) -> CharacteristicPair:
@@ -227,18 +234,37 @@ def basis_change(pair: CharacteristicPair, a) -> CharacteristicPair:
     )
 
 
+def _sort_sign(seq) -> int:
+    """The sign of the permutation that sorts ``seq`` (distinct entries),
+    counted in the swaps that put each position's entry in place."""
+    order = sorted(range(len(seq)), key=seq.__getitem__)
+    sign = 1
+    for i in range(len(order)):
+        while (j := order[i]) != i:
+            order[i], order[j] = order[j], j
+            sign = -sign
+    return sign
+
+
 def relabel_facets(pair: CharacteristicPair, perm, omni: Omniorientation | None = None):
     """Relabel facets by perm (perm[j] = new label of facet j).
 
-    Returns (pair, omni) describing the same omnioriented manifold. The
-    rebuilt orientation class is renormalized at the new lex-smallest vertex,
-    which can differ from the transported class by one global sign; that sign
-    is folded into the transported eps0 so that vertex signs are preserved as
-    a map on vertices; it is the product of the old and the new base sign at
-    any one vertex. With omni=None the second element is None and the
-    compensation is dropped. ValueError when perm is not a permutation or
-    omni does not carry one facet sign per facet; TypeError for an entry of
-    perm that is not an integer (anything ``operator.index`` accepts).
+    Returns (pair, omni) describing the same omnioriented manifold. ``pair``
+    must be validated, as every constructor returns it: the relabelled
+    polytope is validated again, which finds its canonical vertex order,
+    orientation class and BFS tree, but the matrix is not. Moving the columns
+    of vertex v into the new ascending order multiplies det lambda_v by the
+    sign of the permutation that sorts perm over v, and the transported
+    orientation class by the same sign, so every base sign moves with its
+    vertex, times one global constant c: the rebuilt class is renormalized at
+    the new lex-smallest vertex. c is read off old vertex 0 (orientation +1)
+    and its image w0, as the new orientation at w0 times that sort sign.
+    c is also folded into the transported eps0, so that vertex signs are
+    preserved as a map on vertices. With omni=None the second element is None
+    and the compensation is dropped. ValueError when perm is not a
+    permutation or omni does not carry one facet sign per facet; TypeError
+    for an entry of perm that is not an integer (anything ``operator.index``
+    accepts).
     """
     m = pair.polytope.num_facets
     perm = tuple(map(index, perm))
@@ -249,16 +275,18 @@ def relabel_facets(pair: CharacteristicPair, perm, omni: Omniorientation | None 
     back = sorted(range(m), key=perm.__getitem__)  # back[perm[j]] = j
 
     old = pair.polytope
-    new_poly = validate_polytope(
-        old.dim, m, [tuple(perm[j] for j in v) for v in old.vertices]
+    moved = [sorted(map(perm.__getitem__, v)) for v in old.vertices]
+    order = sorted(range(len(moved)), key=moved.__getitem__)  # new index -> old index
+    new_poly = validate_polytope(old.dim, m, [moved[vi] for vi in order])
+    w0 = order.index(0)
+    c = new_poly.orientation[w0] * _sort_sign([perm[j] for j in old.vertices[0]])
+    new_pair = CharacteristicPair(
+        new_poly,
+        linalg.columns(pair.matrix, back),
+        tuple(c * pair.base_signs[vi] for vi in order),
     )
-    new_pair = validate_char(new_poly, linalg.columns(pair.matrix, back))
 
     if omni is None:
         return new_pair, None
-
-    # the global sign that keeps the sign of the fixed point over v0
-    wi = new_poly.vertex_index(perm[j] for j in old.vertices[0])
-    g = new_pair.base_signs[wi] * pair.base_signs[0]
     new_facet_signs = tuple(omni.facet_signs[j] for j in back)
-    return new_pair, Omniorientation(g * omni.global_sign, new_facet_signs)
+    return new_pair, Omniorientation(c * omni.global_sign, new_facet_signs)

@@ -3,7 +3,10 @@
 Projective spaces, polygons, Hirzebruch surfaces, products, vertex cuts
 (combinatorial blow-ups) and 4-dimensional equivariant connected sums,
 including the k-fold sum of CP^2 with itself. Every constructor returns a
-fully validated pair. ``cpn``, ``cp2_sum`` and ``product`` raise
+valid pair: most run full validation on what they build, and ``product``,
+which takes validated pairs, builds its pair in closed form from what the
+factors already proved, checked field by field against full validation in
+the tests. ``cpn``, ``cp2_sum`` and ``product`` raise
 TooLargeError, before building anything, for a pair whose entries and
 vertex masks are over ``polytope.CONSTRUCTION_MAX_ENTRIES``.
 """
@@ -22,7 +25,12 @@ from .errors import (
     ValidationError,
     _int_text,
 )
-from .polytope import CONSTRUCTION_MAX_ENTRIES, SimplePolytope, validate_polytope
+from .polytope import (
+    CONSTRUCTION_MAX_ENTRIES,
+    SimplePolytope,
+    _ridge_partners,
+    validate_polytope,
+)
 
 
 def _check_size(v: int, n: int, m: int) -> None:
@@ -68,19 +76,62 @@ def hirzebruch(a: int) -> CharacteristicPair:
 
 
 def product(p1: CharacteristicPair, p2: CharacteristicPair) -> CharacteristicPair:
-    """Product pair: combinatorial product polytope, block-diagonal lambda."""
-    n1, m1 = p1.polytope.dim, p1.polytope.num_facets
-    n2, m2 = p2.polytope.dim, p2.polytope.num_facets
-    _check_size(p1.polytope.num_vertices * p2.polytope.num_vertices, n1 + n2, m1 + m2)
-    vertices = [
-        v + tuple(j + m1 for j in w)
-        for v in p1.polytope.vertices
-        for w in p2.polytope.vertices
-    ]
-    poly = validate_polytope(n1 + n2, m1 + m2, vertices)
-    rows = [row + (0,) * m2 for row in p1.matrix]
-    rows += [(0,) * m1 + row for row in p2.matrix]
-    return validate_char(poly, rows)
+    """Product pair: combinatorial product polytope, block-diagonal lambda.
+
+    ``p1`` and ``p2`` must be validated, as every constructor returns them:
+    the product is built in closed form from what they proved, with no
+    validation of its own. The dual sphere of P x Q is the join of the
+    duals, so vertex (a, b), index a*V2 + b, is P's vertex a followed by Q's
+    vertex b shifted by m1: canonical in a-major order. Its orientation is o1[a] * o2[b],
+    coherent on both kinds of ridge and +1 at vertex (0, 0); its base sign is
+    s1[a] * s2[b], as det lambda_(a,b) is the product of the blocks' dets.
+    The BFS tree is the one validation's search finds: slot (a, b, p) of the
+    product's ridge partner table is P's partner of (a, p) at the same b for
+    p < n1, and Q's partner of (b, p - n1) at the same a, shifted by n1,
+    otherwise; so one search over the two factors' partner tables, in
+    validation's order, records the same discoveries. The tables cost
+    O(V1 n1 + V2 n2), and the search O(V (n1 + n2)).
+    """
+    poly1, poly2 = p1.polytope, p2.polytope
+    n1, m1, verts1 = poly1.dim, poly1.num_facets, poly1.vertices
+    n2, m2, verts2 = poly2.dim, poly2.num_facets, poly2.vertices
+    v1, v2 = len(verts1), len(verts2)
+    _check_size(v1 * v2, n1 + n2, m1 + m2)
+    shifted = [tuple(j + m1 for j in w) for w in verts2]
+    vertices = tuple(v + w for v in verts1 for w in shifted)
+    masks = tuple(a | b << m1 for a in poly1.masks for b in poly2.masks)
+    orientation = tuple(x * y for x in poly1.orientation for y in poly2.orientation)
+    base_signs = tuple(x * y for x in p1.base_signs for y in p2.base_signs)
+
+    part1 = _ridge_partners(n1, m1, verts1)[1]
+    part2 = _ridge_partners(n2, m2, verts2)[1]
+    seen = bytearray(v1 * v2)
+    seen[0] = 1
+    tree = []
+    queue = [0]
+    for vi in queue:  # the list grows while it is read: a FIFO queue
+        a, b = divmod(vi, v2)
+        base = a * n1
+        for p in range(n1):
+            o = part1[base + p]
+            wi = o // n1 * v2 + b
+            if not seen[wi]:
+                seen[wi] = 1
+                tree.append((wi, vi, p, o % n1))
+                queue.append(wi)
+        base, row = b * n2, vi - b
+        for q in range(n2):
+            o = part2[base + q]
+            wi = row + o // n2
+            if not seen[wi]:
+                seen[wi] = 1
+                tree.append((wi, vi, n1 + q, n1 + o % n2))
+                queue.append(wi)
+
+    poly = SimplePolytope(n1 + n2, m1 + m2, vertices, orientation, tuple(tree), masks)
+    rows = tuple(row + (0,) * m2 for row in p1.matrix)
+    rows += tuple((0,) * m1 + row for row in p2.matrix)
+    return CharacteristicPair(poly, rows, base_signs)
 
 
 def vertex_cut(pair: CharacteristicPair, vertex) -> CharacteristicPair:

@@ -58,11 +58,14 @@ class SimplePolytope:
     per other vertex, in discovery order, where the parent's facet at
     ascending position ``pos`` is swapped for the vertex's facet at position
     ``wpos`` across their shared ridge; a simplex, whose search has a closed
-    form, gets the same tree without running it. ``masks[i]`` is the facet
+    form, gets the same tree without running it, and a product built by
+    ``constructions.product`` gets it from one search over its factors'
+    ridge partners, with no ridge map of its own. ``masks[i]`` is the facet
     bitmask of ``vertices[i]``, bit j set for each facet j there. All three
     are derived from the vertices, so equality and hashing ignore them.
-    Construct through :func:`validate_polytope`; the dataclass itself
-    performs no checks.
+    Construct through :func:`validate_polytope`, or ``constructions.product``
+    for the product of two validated pairs; the dataclass itself performs no
+    checks.
     """
 
     dim: int
@@ -292,6 +295,48 @@ class _FacetCodes:
         return 1 << j + 64 | (j + 1) * 0x9E3779B97F4A7C15 & (1 << 64) - 1
 
 
+def _ridge_partners(n: int, m: int, verts) -> tuple[list[int], list[int]]:
+    """The facet bitmasks of ``verts`` (canonical n-subsets of range(m)) and
+    their ridge partners: slot s = vi*n + pos stands for vertex vi with its
+    facet at position pos deleted, and ``partner[s]`` is the other slot on
+    that ridge. RidgeViolationError, naming the first vertex/facet pair in
+    scan order, when a ridge does not lie on exactly two vertices.
+
+    Ridge key (the XOR of the codes of the vertex's facets but the deleted
+    one) -> the slots on that ridge; a ridge enters the dict at its first
+    slot in scan order, so the first bad ridge in dict order names the first
+    bad vertex/facet pair. Facet j's code is the bit 1 << j, so a key is a
+    plain bitmask, up to m = 61. CPython hashes an int as its value mod
+    2**61 - 1, so past that bitmasks share hashes in bulk (every
+    single-facet ridge key of an m-gon lands on one of 61 values), and the
+    codes are _FacetCodes instead.
+    """
+    code = [1 << j for j in range(m)] if m <= 61 else _FacetCodes()
+    masks = []
+    ridges: dict[int, list[int]] = {}
+    s = 0
+    for v in verts:
+        mask = 0
+        for j in v:
+            mask ^= code[j]
+        masks.append(mask)
+        for j in v:
+            ridges.setdefault(mask ^ code[j], []).append(s)
+            s += 1
+    if m > 61:  # drop the low bits from the coded masks
+        for vi, mask in enumerate(masks):
+            masks[vi] = mask >> 64
+    partner = [0] * s
+    for entries in ridges.values():
+        if len(entries) != 2:
+            vi, pos = divmod(entries[0], n)
+            raise RidgeViolationError(verts[vi], verts[vi][pos], len(entries) - 1)
+        a, b = entries
+        partner[a] = b
+        partner[b] = a
+    return masks, partner
+
+
 def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
     """Check raw combinatorial data and return a canonical SimplePolytope.
 
@@ -353,39 +398,7 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
     if missing:
         raise UnusedFacetError(missing)
 
-    # ridge key (the XOR of the codes of the vertex's facets but the deleted
-    # one) -> the slots on that ridge, slot s = vi*n + pos standing for vertex
-    # vi with its facet at position pos deleted; a ridge enters the dict at its
-    # first slot in scan order, so the first bad ridge in dict order names the
-    # first bad vertex/facet pair. The check pairs the two slots of every
-    # ridge in ``partner``, which the BFS reads instead of hashing the key again.
-    # Facet j's code is the bit 1 << j, so a key is a plain bitmask, up to
-    # m = 61. CPython hashes an int as its value mod 2**61 - 1, so past that
-    # bitmasks share hashes in bulk (every single-facet ridge key of an m-gon
-    # lands on one of 61 values), and the codes are _FacetCodes instead.
-    code = [1 << j for j in range(m)] if m <= 61 else _FacetCodes()
-    masks = []
-    ridges: dict[int, list[int]] = {}
-    s = 0
-    for v in canon:
-        mask = 0
-        for j in v:
-            mask ^= code[j]
-        masks.append(mask)
-        for j in v:
-            ridges.setdefault(mask ^ code[j], []).append(s)
-            s += 1
-    if m > 61:  # drop the low bits from the coded masks
-        for vi, mask in enumerate(masks):
-            masks[vi] = mask >> 64
-    partner = [0] * s
-    for entries in ridges.values():
-        if len(entries) != 2:
-            vi, pos = divmod(entries[0], n)
-            raise RidgeViolationError(canon[vi], canon[vi][pos], len(entries) - 1)
-        a, b = entries
-        partner[a] = b
-        partner[b] = a
+    masks, partner = _ridge_partners(n, m, canon)
 
     # One BFS from vertex 0 checks connectivity and propagates the orientation.
     # A vertex with sign s induces (-1)^p * s on the ridge obtained by deleting

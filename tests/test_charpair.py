@@ -14,6 +14,7 @@ from quasitoric import (
     all_signs,
     basis_change,
     connected_sum_4d,
+    cp2_sum,
     cpn,
     hirzebruch,
     polygon,
@@ -30,7 +31,7 @@ from quasitoric.errors import (
     SingularVertexError,
     _int_text,
 )
-from quasitoric import linalg
+from quasitoric import charpair, linalg
 from quasitoric.linalg import det_bareiss
 from support import (
     bareiss_dets,
@@ -178,6 +179,19 @@ def test_vertex_sign_matches_all_signs():
         signs = all_signs(pair, omni)
         for v, sign in zip(pair.polytope.vertices, signs):
             assert vertex_sign(pair, omni, reversed(v)) == sign
+
+
+def test_all_signs_past_61_facets():
+    """all_signs multiplies a dim-2 vertex's two facet signs and reads any
+    other vertex's through its mask, which past m = 61 is still the plain
+    bitmask: cp2_sum(70) (m = 72) and its product with CP^1 (dim 3) agree
+    with vertex_sign's product over the vertex's facets."""
+    rng = random.Random(24)
+    for pair in (cp2_sum(70), product(cp2_sum(70), cpn(1))):
+        m = pair.polytope.num_facets
+        omni = Omniorientation(-1, tuple(rng.choice((1, -1)) for _ in range(m)))
+        signs = all_signs(pair, omni)
+        assert signs == tuple(vertex_sign(pair, omni, v) for v in pair.polytope.vertices)
 
 
 def test_omniorientation_of_wrong_length_is_rejected():
@@ -552,3 +566,76 @@ def test_tableau_walk_restarts_below_a_singular_internal_vertex(monkeypatch):
                 assert calls == [poly.vertices[0]] + [poly.vertices[wi] for wi in below]
                 restarted += 1
     assert restarted > 10
+
+
+def _relabel_case(rng: random.Random):
+    """A random_valid_pair (polygons past m = 2n among them, which validation
+    walks on the inverse), a basis-changed cpn(n) or a product of CP^1s and
+    CP^2s, with a random permutation and, most of the time, omniorientation."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        pair = random_valid_pair(rng)
+    elif kind == 1:
+        pair = cpn(rng.randint(1, 9))
+    else:
+        pair = cpn(1)
+        for _ in range(rng.randint(0, 3)):
+            pair = product(pair, cpn(rng.randint(1, 2)))
+    pair = basis_change(pair, random_unimodular(rng, pair.polytope.dim))
+    m = pair.polytope.num_facets
+    perm = list(range(m))
+    rng.shuffle(perm)
+    omni = None
+    if rng.random() < 0.7:
+        omni = Omniorientation(rng.choice([1, -1]), tuple(rng.choice([1, -1]) for _ in range(m)))
+    return pair, perm, omni
+
+
+def test_relabel_base_signs_match_validate_char():
+    """relabel_facets transports the base signs instead of validating the
+    permuted matrix: on 320 seeded relabellings they equal what validate_char
+    finds on the new polytope and matrix, and the omniorientation carries the
+    global sign that keeps the fixed point over old vertex 0."""
+    rng = random.Random(91)
+    wide = 0
+    for _ in range(320):
+        pair, perm, omni = _relabel_case(rng)
+        new_pair, new_omni = relabel_facets(pair, perm, omni)
+        poly = new_pair.polytope
+        wide += poly.num_facets > 2 * poly.dim
+        assert new_pair.polytope == validate_polytope(
+            poly.dim, poly.num_facets, [[perm[j] for j in v] for v in pair.polytope.vertices]
+        )
+        assert new_pair.base_signs == validate_char(poly, new_pair.matrix).base_signs
+        if omni is None:
+            assert new_omni is None
+            continue
+        wi = poly.vertex_index(perm[j] for j in pair.polytope.vertices[0])
+        g = new_pair.base_signs[wi] * pair.base_signs[0]
+        back = sorted(range(len(perm)), key=perm.__getitem__)
+        assert new_omni == Omniorientation(
+            g * omni.global_sign, tuple(omni.facet_signs[j] for j in back)
+        )
+    assert wide > 50
+
+
+def test_relabel_runs_no_validate_char(monkeypatch):
+    """With charpair.validate_char replaced by one that raises, relabel_facets
+    still returns the pair that validation finds, so a silent fallback to
+    validating the permuted matrix fails here."""
+    rng = random.Random(92)
+    cases = [_relabel_case(rng) for _ in range(20)]
+    expected = []
+    for pair, perm, omni in cases:
+        new_pair, new_omni = relabel_facets(pair, perm, omni)
+        expected.append((validate_char(new_pair.polytope, new_pair.matrix).base_signs, new_omni))
+
+    def refuse(*args):
+        raise AssertionError("relabel_facets ran validate_char")
+
+    monkeypatch.setattr(charpair, "validate_char", refuse)
+    got = []
+    for pair, perm, omni in cases:
+        new_pair, new_omni = relabel_facets(pair, perm, omni)
+        got.append((new_pair.base_signs, new_omni))
+    assert got == expected

@@ -21,6 +21,8 @@ from quasitoric import (
     polygon,
     product,
     serialize,
+    validate_char,
+    validate_polytope,
     vertex_cut,
 )
 from quasitoric import constructions
@@ -338,3 +340,67 @@ def test_constructions_refuse_a_pair_over_the_entry_budget(monkeypatch):
         with pytest.raises(TooLargeError, match="over the limit of 2097152; refusing"):
             build()
     assert time.perf_counter() - start < 1.0
+
+
+def _product_by_validation(p1, p2):
+    """The product the textbook way: the joined vertex list and the
+    block-diagonal matrix through full validation."""
+    m1, m2 = p1.polytope.num_facets, p2.polytope.num_facets
+    vertices = [
+        v + tuple(j + m1 for j in w) for v in p1.polytope.vertices for w in p2.polytope.vertices
+    ]
+    poly = validate_polytope(p1.polytope.dim + p2.polytope.dim, m1 + m2, vertices)
+    rows = [row + (0,) * m2 for row in p1.matrix] + [(0,) * m1 + row for row in p2.matrix]
+    return validate_char(poly, rows)
+
+
+def _fields(pair):
+    """Every field of a pair, the ones equality ignores included."""
+    poly = pair.polytope
+    return (poly.dim, poly.num_facets, poly.vertices, poly.orientation, poly.bfs_tree,
+            poly.masks, pair.matrix, pair.base_signs)
+
+
+def _product_factor(rng):
+    r = rng.random()
+    if r < 0.5:
+        pair = random_valid_pair(rng, max_m=7)
+    elif r < 0.8:
+        pair = cpn(rng.randint(1, 3))
+    else:  # a product of products
+        pair = product(random_valid_pair(rng, max_m=5), cpn(rng.randint(1, 2)))
+    if rng.random() < 0.3:
+        pair = basis_change(pair, random_unimodular(rng, pair.polytope.dim))
+    return pair
+
+
+def test_product_equals_full_validation():
+    """The closed-form product equals the validated one in every field, the
+    BFS tree, orientation, masks and base signs included: on 320 seeded
+    products of dim-1, simplex, polygon, vertex-cut, basis-changed and
+    product factors, and on factors past m = 61 facets, where validation's
+    ridge keys are coded."""
+    rng = random.Random(81)
+    for _ in range(320):
+        p, q = _product_factor(rng), _product_factor(rng)
+        assert _fields(product(p, q)) == _fields(_product_by_validation(p, q))
+    long = cp2_sum(60)
+    for p, q in ((long, cpn(1)), (cpn(1), long), (product(long, cpn(1)), hirzebruch(1))):
+        assert _fields(product(p, q)) == _fields(_product_by_validation(p, q))
+
+
+def test_product_runs_no_validation(monkeypatch):
+    """product builds its pair from its factors' data alone: with the
+    validators replaced by ones that raise, it still returns the validated
+    product, so a silent fallback to validation fails here."""
+    rng = random.Random(82)
+    cases = [(_product_factor(rng), _product_factor(rng)) for _ in range(20)]
+    cases.append((cp2_sum(60), cpn(1)))
+    expected = [_fields(_product_by_validation(p, q)) for p, q in cases]
+
+    def refuse(*args):
+        raise AssertionError("product ran validation")
+
+    monkeypatch.setattr(constructions, "validate_polytope", refuse)
+    monkeypatch.setattr(constructions, "validate_char", refuse)
+    assert [_fields(product(p, q)) for p, q in cases] == expected
