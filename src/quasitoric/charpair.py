@@ -105,11 +105,12 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
     Entries must be integers (anything ``operator.index`` accepts); a float
     or a str raises TypeError rather than being truncated or parsed.
 
-    The determinants come from a basis-exchange walk over the polytope's BFS
-    tree. Crossing a tree edge v -> w swaps the column of lambda_v at position
-    pos for the new facet's column c_j, which then moves to position wpos; by
-    Cramer's rule det lambda_w = det lambda_v * u_pos * (-1)^(pos + wpos) for
-    u = lambda_v^-1 c_j. While lambda_v is unimodular the walk carries, for
+    The determinants come from a basis-exchange walk over the polytope's
+    spanning tree ``bfs_tree``, which needs only each parent listed before
+    its children. Crossing a tree edge v -> w swaps the column of lambda_v
+    at position pos for the new facet's column c_j, which then moves to
+    position wpos; by Cramer's rule det lambda_w = det lambda_v * u_pos *
+    (-1)^(pos + wpos) for u = lambda_v^-1 c_j. While lambda_v is unimodular the walk carries, for
     vertices that have tree children, either the tableau T_v = lambda_v^-1
     lambda (n x m) or, when m > 2n, the inverse lambda_v^-1 (n x n). On the
     tableau u is column j, so a leaf costs the one entry T_v[pos][j]; on the

@@ -5,10 +5,11 @@ Projective spaces, polygons, Hirzebruch surfaces, products, vertex cuts
 including the k-fold sum of CP^2 with itself. Every constructor returns a
 valid pair: most run full validation on what they build, and ``product``,
 which takes validated pairs, builds its pair in closed form from what the
-factors already proved, checked field by field against full validation in
-the tests. ``cpn``, ``cp2_sum`` and ``product`` raise
-TooLargeError, before building anything, for a pair whose entries and
-vertex masks are over ``polytope.CONSTRUCTION_MAX_ENTRIES``.
+factors already proved, with the product of their spanning trees for its
+own; the tests check it field by field against full validation. ``cpn``,
+``cp2_sum`` and ``product`` raise TooLargeError, before building anything,
+for a pair whose entries and vertex masks are over
+``polytope.CONSTRUCTION_MAX_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import (
 from .polytope import (
     CONSTRUCTION_MAX_ENTRIES,
     SimplePolytope,
-    _ridge_partners,
     validate_polytope,
 )
 
@@ -85,12 +85,13 @@ def product(p1: CharacteristicPair, p2: CharacteristicPair) -> CharacteristicPai
     vertex b shifted by m1: canonical in a-major order. Its orientation is o1[a] * o2[b],
     coherent on both kinds of ridge and +1 at vertex (0, 0); its base sign is
     s1[a] * s2[b], as det lambda_(a,b) is the product of the blocks' dets.
-    The BFS tree is the one validation's search finds: slot (a, b, p) of the
-    product's ridge partner table is P's partner of (a, p) at the same b for
-    p < n1, and Q's partner of (b, p - n1) at the same a, shifted by n1,
-    otherwise; so one search over the two factors' partner tables, in
-    validation's order, records the same discoveries. The tables cost
-    O(V1 n1 + V2 n2), and the search O(V (n1 + n2)).
+    The vertex graph of P x Q is the product of the factors' graphs, so the
+    product of their trees spans it: Q's tree at a = 0, then each edge
+    (wa <- va) of P's tree at b = 0, at the same positions, followed by Q's
+    tree at a = wa, its positions shifted by n1. Each parent comes before
+    its children and each edge crosses the ridge it names, which is all the
+    spanning-tree contract of ``SimplePolytope.bfs_tree`` asks; it is not
+    the tree validation's breadth-first search would find. O(V) tree edges.
     """
     poly1, poly2 = p1.polytope, p2.polytope
     n1, m1, verts1 = poly1.dim, poly1.num_facets, poly1.vertices
@@ -103,30 +104,12 @@ def product(p1: CharacteristicPair, p2: CharacteristicPair) -> CharacteristicPai
     orientation = tuple(x * y for x in poly1.orientation for y in poly2.orientation)
     base_signs = tuple(x * y for x in p1.base_signs for y in p2.base_signs)
 
-    part1 = _ridge_partners(n1, m1, verts1)[1]
-    part2 = _ridge_partners(n2, m2, verts2)[1]
-    seen = bytearray(v1 * v2)
-    seen[0] = 1
-    tree = []
-    queue = [0]
-    for vi in queue:  # the list grows while it is read: a FIFO queue
-        a, b = divmod(vi, v2)
-        base = a * n1
-        for p in range(n1):
-            o = part1[base + p]
-            wi = o // n1 * v2 + b
-            if not seen[wi]:
-                seen[wi] = 1
-                tree.append((wi, vi, p, o % n1))
-                queue.append(wi)
-        base, row = b * n2, vi - b
-        for q in range(n2):
-            o = part2[base + q]
-            wi = row + o // n2
-            if not seen[wi]:
-                seen[wi] = 1
-                tree.append((wi, vi, n1 + q, n1 + o % n2))
-                queue.append(wi)
+    inner = [(w, v, n1 + p, n1 + q) for w, v, p, q in poly2.bfs_tree]
+    tree = inner[:]
+    for wa, va, p, q in poly1.bfs_tree:
+        row = wa * v2
+        tree.append((row, va * v2, p, q))
+        tree += [(row + w, row + v, p, q) for w, v, p, q in inner]
 
     poly = SimplePolytope(n1 + n2, m1 + m2, vertices, orientation, tuple(tree), masks)
     rows = tuple(row + (0,) * m2 for row in p1.matrix)
@@ -187,8 +170,9 @@ def facet_cycle(pair: CharacteristicPair) -> tuple[int, ...]:
 def _corner(pair: CharacteristicPair, succ: dict[int, int], vertex) -> tuple[int, int]:
     """The corner (f, f') of ``vertex`` in the class direction, succ[f] = f'.
     Walking the class direction, every corner's base sign (``base_signs``,
-    orientation * det) equals its cycle determinant det(col_f, col_f')."""
-    v = tuple(sorted(vertex))
+    orientation * det) equals its cycle determinant det(col_f, col_f').
+    TypeError for an entry of ``vertex`` that is not an integer."""
+    v = tuple(sorted(map(index, vertex)))
     if v not in pair.polytope.vertices:
         raise ValueError(f"{v} is not a vertex of the polygon")
     return v if succ[v[0]] == v[1] else v[::-1]

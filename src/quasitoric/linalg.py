@@ -13,11 +13,15 @@ to the previous one a row is touched only where it meets the pivot row's
 nonzeros. ``mat_mul`` skips zero entries too, and adds whole scaled rows at
 a time.
 
-Every determinant the library takes (a vertex's lambda_v at the root of
-validation's walk and where it restarts, a basis change) comes from one
+Every elimination the library runs (a vertex's lambda_v at the root of
+validation's walk and where it restarts, a basis change) is one
 ``det_and_reduce`` call, which also leaves A^-1 times the matrix;
-``det_and_inverse`` is that call on [A | I]. ``det_bareiss`` is the
-independent oracle the tests check them against.
+``det_and_inverse`` is that call on [A | I]. The other determinants need
+no elimination: the walk's exchange steps read one pivot entry,
+``connected_sum_4d`` takes its 2 x 2 corner determinant in closed form, and
+``product`` and ``relabel_facets`` derive their base signs from their
+inputs'. ``det_bareiss`` is the independent oracle the tests check them
+against.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from operator import add, mul, neg
 def det_bareiss(matrix) -> int:
     """Exact determinant via Bareiss fraction-free elimination.
 
-    The library takes its determinants from ``det_and_reduce``; this dense
+    The library runs its eliminations through ``det_and_reduce``; this dense
     O(k^3) elimination is the tests' independent oracle for them.
     """
     a = [list(row) for row in matrix]

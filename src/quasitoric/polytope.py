@@ -53,16 +53,17 @@ class SimplePolytope:
     validation found: ``orientation[i]`` is the sign (+1 or -1) of
     ``vertices[i]`` read as an ascending simplex of the dual sphere, +1 at the
     lex-smallest vertex; on a connected dual sphere the class is unique up to
-    one global sign. ``bfs_tree`` is the spanning tree of validation's
-    breadth-first search from vertex 0: one ``(vertex, parent, pos, wpos)``
-    per other vertex, in discovery order, where the parent's facet at
-    ascending position ``pos`` is swapped for the vertex's facet at position
-    ``wpos`` across their shared ridge; a simplex, whose search has a closed
-    form, gets the same tree without running it, and a product built by
-    ``constructions.product`` gets it from one search over its factors'
-    ridge partners, with no ridge map of its own. ``masks[i]`` is the facet
-    bitmask of ``vertices[i]``, bit j set for each facet j there. All three
-    are derived from the vertices, so equality and hashing ignore them.
+    one global sign. ``bfs_tree`` is a spanning tree of the vertex graph
+    rooted at vertex 0: one ``(vertex, parent, pos, wpos)`` per other
+    vertex, each parent listed before its children, where the parent's
+    facet at ascending position ``pos`` is swapped for the vertex's facet at
+    position ``wpos`` across their shared ridge. Nothing downstream needs
+    more. ``validate_polytope`` gives the tree of its breadth-first search
+    (a simplex the same tree in closed form), and ``constructions.product``
+    the product of its factors' trees, with no ridge map. ``masks[i]`` is
+    the facet bitmask of ``vertices[i]``, bit j set for each facet j there.
+    All three are derived from the vertices, so equality and hashing ignore
+    them.
     Construct through :func:`validate_polytope`, or ``constructions.product``
     for the product of two validated pairs; the dataclass itself performs no
     checks.
@@ -82,8 +83,10 @@ class SimplePolytope:
     def vertex_index(self, vertex) -> int:
         """Position of a vertex (given as any iterable of facet indices).
 
-        ValueError, naming the ascending tuple, when it is not a vertex."""
-        v = tuple(sorted(vertex))
+        ValueError, naming the ascending tuple, when it is not a vertex;
+        TypeError for an entry that is not an integer (anything
+        ``operator.index`` accepts)."""
+        v = tuple(sorted(map(index, vertex)))
         try:
             return self.vertices.index(v)
         except ValueError:
@@ -132,11 +135,11 @@ def _join_factors(m, verts, masks, tree):
 
     The facets are grouped by a union-find that is never coarser than any
     join split, so the true factors are unions of groups. It is seeded with
-    the facet exchanges of ``tree``, validation's BFS tree: each edge
-    crosses a ridge, and in a join K1 * K2 the two simplices on a ridge of
-    K1's part share all of K2's part, so the facet swapped out and the one
-    swapped in lie in the same factor. An empty tree leaves every facet in
-    a group of its own. Then:
+    the facet exchanges of ``tree``, the polytope's spanning tree
+    (``SimplePolytope.bfs_tree``): each edge crosses a ridge, and in a join
+    K1 * K2 the two simplices on a ridge of K1's part share all of K2's
+    part, so the facet swapped out and the one swapped in lie in the same
+    factor. An empty tree leaves every facet in a group of its own. Then:
 
     1. One group left: no split, at once (a vertex cut of a product ends
        here).
@@ -466,13 +469,14 @@ def f_vector(polytope: SimplePolytope) -> tuple[int, ...]:
       g_k = C(n + 1, k).
     - From dim 5 on, the polytope is first split into join factors: the dual
       of P x Q is the join of the duals, so g is the product of the factors'
-      polynomials. The facets are grouped by the facet exchanges of
-      validation's BFS tree, which never cross from one factor of a join to
-      another, so the groups are never coarser than any join split; only
-      groups that fail the check below are joined further by the meet test
-      (see _join_factors). The split is accepted only when the vertex set
-      is exactly the product of the groups' vertex sets, so it holds however
-      the facets are numbered, and each factor is counted on its own.
+      polynomials. The facets are grouped by the facet exchanges of the
+      polytope's spanning tree (``bfs_tree``), which never cross from one
+      factor of a join to another, so the groups are never coarser than any
+      join split; only groups that fail the check below are joined further
+      by the meet test (see _join_factors). The split is accepted only when
+      the vertex set is exactly the product of the groups' vertex sets, so
+      it holds however the facets are numbered, and each factor is counted
+      on its own.
     - Otherwise, and within each factor, the faces are counted level by
       level: a set of facets is a face when the AND of their vertex bitsets
       is nonzero, and each face of codimension k >= 3 extends one of

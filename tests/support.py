@@ -69,6 +69,21 @@ def validate_by_ridge_map(vertices):
     return tuple(verts), orientation, tuple(tree), masks
 
 
+def assert_bfs_tree(poly):
+    """The contract of ``bfs_tree``, a spanning tree rooted at vertex 0: each
+    vertex but 0 is reached once, after its parent, across the ridge its tree
+    edge names."""
+    tree = poly.bfs_tree
+    assert sorted(w for w, _, _, _ in tree) == list(range(1, poly.num_vertices))
+    reached = {0}
+    for w, v, pos, wpos in tree:
+        assert v in reached  # each parent is reached before its children
+        reached.add(w)
+        vv, ww = poly.vertices[v], poly.vertices[w]
+        assert vv[:pos] + vv[pos + 1 :] == ww[:wpos] + ww[wpos + 1 :]
+        assert vv[pos] != ww[wpos]
+
+
 def assert_coherent(vertices, signs):
     """Every ridge's two induced orientations must be opposite."""
     for ridge, entries in ridge_entries(vertices).items():
@@ -196,3 +211,18 @@ def random_valid_pair(rng: random.Random, max_m: int = 12):
     if rng.random() < 0.35:
         return random_3d_pair(rng, max_m)
     return random_polygon_pair(rng, max_m)
+
+
+def random_product_factor(rng: random.Random):
+    """A factor for a product: a small random_valid_pair, a simplex or itself
+    a product, basis-changed 30% of the time."""
+    r = rng.random()
+    if r < 0.5:
+        pair = random_valid_pair(rng, max_m=7)
+    elif r < 0.8:
+        pair = cpn(rng.randint(1, 3))
+    else:  # a product of products
+        pair = product(random_valid_pair(rng, max_m=5), cpn(rng.randint(1, 2)))
+    if rng.random() < 0.3:
+        pair = basis_change(pair, random_unimodular(rng, pair.polytope.dim))
+    return pair

@@ -30,6 +30,7 @@ from quasitoric.errors import NotDimension2Error, TooLargeError
 from support import (
     bareiss_dets,
     cp2_sum_by_folding,
+    random_product_factor,
     random_unimodular,
     random_valid_pair,
     random_vertex,
@@ -355,52 +356,67 @@ def _product_by_validation(p1, p2):
 
 
 def _fields(pair):
-    """Every field of a pair, the ones equality ignores included."""
+    """Every field of a pair but the spanning tree, the ones equality ignores
+    included."""
     poly = pair.polytope
-    return (poly.dim, poly.num_facets, poly.vertices, poly.orientation, poly.bfs_tree,
-            poly.masks, pair.matrix, pair.base_signs)
+    return (poly.dim, poly.num_facets, poly.vertices, poly.orientation, poly.masks,
+            pair.matrix, pair.base_signs)
 
 
-def _product_factor(rng):
-    r = rng.random()
-    if r < 0.5:
-        pair = random_valid_pair(rng, max_m=7)
-    elif r < 0.8:
-        pair = cpn(rng.randint(1, 3))
-    else:  # a product of products
-        pair = product(random_valid_pair(rng, max_m=5), cpn(rng.randint(1, 2)))
-    if rng.random() < 0.3:
-        pair = basis_change(pair, random_unimodular(rng, pair.polytope.dim))
-    return pair
+def _product_tree(p1, p2):
+    """The product's documented tree, written in (a, b) coordinates: Q's tree
+    at a = 0, then each edge of P's tree at b = 0 followed by Q's tree at the
+    edge's new vertex a; Q's positions come after P's n1."""
+    n1, v2 = p1.polytope.dim, p2.polytope.num_vertices
+
+    def q_tree(a):
+        return [((a, w), (a, v), n1 + pos, n1 + wpos) for w, v, pos, wpos in p2.polytope.bfs_tree]
+
+    edges = q_tree(0)
+    for w, v, pos, wpos in p1.polytope.bfs_tree:
+        edges.append(((w, 0), (v, 0), pos, wpos))
+        edges += q_tree(w)
+    return tuple((a * v2 + b, c * v2 + d, pos, wpos) for (a, b), (c, d), pos, wpos in edges)
+
+
+def _product_fields(p1, p2):
+    """Full validation's fields of the product, and its documented tree."""
+    return _fields(_product_by_validation(p1, p2)), _product_tree(p1, p2)
+
+
+def _built(pair):
+    return _fields(pair), pair.polytope.bfs_tree
 
 
 def test_product_equals_full_validation():
-    """The closed-form product equals the validated one in every field, the
-    BFS tree, orientation, masks and base signs included: on 320 seeded
+    """The closed-form product equals the validated one in every field but
+    the spanning tree, orientation, masks and base signs included, and its
+    tree is the documented product of the factors' trees: on 320 seeded
     products of dim-1, simplex, polygon, vertex-cut, basis-changed and
     product factors, and on factors past m = 61 facets, where validation's
     ridge keys are coded."""
     rng = random.Random(81)
     for _ in range(320):
-        p, q = _product_factor(rng), _product_factor(rng)
-        assert _fields(product(p, q)) == _fields(_product_by_validation(p, q))
+        p, q = random_product_factor(rng), random_product_factor(rng)
+        assert _built(product(p, q)) == _product_fields(p, q)
     long = cp2_sum(60)
     for p, q in ((long, cpn(1)), (cpn(1), long), (product(long, cpn(1)), hirzebruch(1))):
-        assert _fields(product(p, q)) == _fields(_product_by_validation(p, q))
+        assert _built(product(p, q)) == _product_fields(p, q)
 
 
 def test_product_runs_no_validation(monkeypatch):
     """product builds its pair from its factors' data alone: with the
     validators replaced by ones that raise, it still returns the validated
-    product, so a silent fallback to validation fails here."""
+    product with the documented tree, so a silent fallback to validation
+    fails here."""
     rng = random.Random(82)
-    cases = [(_product_factor(rng), _product_factor(rng)) for _ in range(20)]
+    cases = [(random_product_factor(rng), random_product_factor(rng)) for _ in range(20)]
     cases.append((cp2_sum(60), cpn(1)))
-    expected = [_fields(_product_by_validation(p, q)) for p, q in cases]
+    expected = [_product_fields(p, q) for p, q in cases]
 
     def refuse(*args):
         raise AssertionError("product ran validation")
 
     monkeypatch.setattr(constructions, "validate_polytope", refuse)
     monkeypatch.setattr(constructions, "validate_char", refuse)
-    assert [_fields(product(p, q)) for p, q in cases] == expected
+    assert [_built(product(p, q)) for p, q in cases] == expected

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from quasitoric import (
     Omniorientation,
     adjacent_vertex,
+    basis_change,
     cp2_sum,
     cpn,
     f_vector,
@@ -20,6 +21,7 @@ from quasitoric import (
     polygon,
     polytope,
     product,
+    relabel_facets,
     validate_polytope,
     vertex_cut,
     vertex_sign,
@@ -35,8 +37,10 @@ from quasitoric.errors import (
     WrongVertexSizeError,
 )
 from support import (
+    assert_bfs_tree,
     assert_coherent,
     f_vector_by_subsets,
+    random_unimodular,
     random_valid_pair,
     random_vertex,
     ridge_entries,
@@ -256,11 +260,14 @@ def test_simplex_matches_the_ridge_map_oracle():
 
 def test_other_polytopes_match_the_ridge_map_oracle():
     """The oracle also agrees with the generic path, with bitmask ridge
-    keys and, on the two large pairs, the coded keys past m = 61."""
+    keys and, on the two large pairs, the coded keys past m = 61. Each
+    vertex list goes through validation, as a product's own tree is not
+    validation's."""
     rng = random.Random(29)
     polys = [random_valid_pair(rng).polytope for _ in range(30)]
     polys += [cp2_sum(70).polytope, product(cpn(60), cpn(1)).polytope]
     for poly in polys:
+        poly = validate_polytope(poly.dim, poly.num_facets, poly.vertices)
         assert _result(poly) == validate_by_ridge_map(poly.vertices)
 
 
@@ -305,27 +312,30 @@ def test_simplex_inputs_that_are_not_the_simplex_raise(n):
 
 
 def test_bfs_tree_reaches_every_other_vertex_once():
+    """Validation's trees and the product's own trees, of products of
+    products, of a product past m = 61 and of a product relabelled, cut or
+    basis-changed, all keep the spanning-tree contract."""
     rng = random.Random(37)
     polys = [random_valid_pair(rng).polytope for _ in range(40)]
     polys += [cpn(n).polytope for n in (1, 2, 5)]
     cube = [(a, b, c) for a in (0, 3) for b in (1, 4) for c in (2, 5)]
     polys.append(validate_polytope(3, 6, cube))
+    prism = product(cpn(1), hirzebruch(1))
+    pentagon = vertex_cut(vertex_cut(cpn(2), (0, 1)), (0, 3))
+    pairs = [product(prism, product(cpn(2), cpn(1))), product(product(pentagon, cpn(1)), prism)]
+    pairs += [product(random_valid_pair(rng), random_valid_pair(rng)) for _ in range(10)]
+    pairs.append(product(cp2_sum(60), cpn(1)))
+    pair = pairs[0]
+    perm = list(range(pair.polytope.num_facets))
+    rng.shuffle(perm)
+    pairs += [
+        relabel_facets(pair, perm)[0],
+        vertex_cut(pair, random_vertex(rng, pair)),
+        basis_change(pair, random_unimodular(rng, pair.polytope.dim)),
+    ]
+    polys += [pair.polytope for pair in pairs]
     for poly in polys:
-        _assert_bfs_tree(poly)
-
-
-def _assert_bfs_tree(poly):
-    """Each vertex but 0 is reached once, after its parent, across the ridge
-    its tree edge names."""
-    tree = poly.bfs_tree
-    assert sorted(w for w, _, _, _ in tree) == list(range(1, poly.num_vertices))
-    reached = {0}
-    for w, v, pos, wpos in tree:
-        assert v in reached  # each parent is reached before its children
-        reached.add(w)
-        vv, ww = poly.vertices[v], poly.vertices[w]
-        assert vv[:pos] + vv[pos + 1 :] == ww[:wpos] + ww[wpos + 1 :]
-        assert vv[pos] != ww[wpos]
+        assert_bfs_tree(poly)
 
 
 @settings(deadline=None)
@@ -365,7 +375,7 @@ def test_mutated_vertices_raise_or_orient_coherently(seed, data):
         return
     assert result.orientation[0] == 1
     assert_coherent(result.vertices, result.orientation)
-    _assert_bfs_tree(result)
+    assert_bfs_tree(result)
 
 
 def test_f_h_triangle_square():
