@@ -98,19 +98,15 @@ def _exchange(t, u, pos, wpos):
     return new
 
 
-def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
-    """Build a CharacteristicPair, checking |det lambda_v| = 1 at every vertex.
+def _walk_dets(polytope: SimplePolytope, rows) -> list:
+    """det lambda_v for every vertex, in vertex order, from a basis-exchange
+    walk over the spanning tree ``bfs_tree``, which needs only each parent
+    listed before its children (ValueError otherwise).
 
-    SingularVertexError lists every offending vertex with its determinant.
-    Entries must be integers (anything ``operator.index`` accepts); a float
-    or a str raises TypeError rather than being truncated or parsed.
-
-    The determinants come from a basis-exchange walk over the polytope's
-    spanning tree ``bfs_tree``, which needs only each parent listed before
-    its children. Crossing a tree edge v -> w swaps the column of lambda_v
-    at position pos for the new facet's column c_j, which then moves to
-    position wpos; by Cramer's rule det lambda_w = det lambda_v * u_pos *
-    (-1)^(pos + wpos) for u = lambda_v^-1 c_j. While lambda_v is unimodular the walk carries, for
+    Crossing a tree edge v -> w swaps the column of lambda_v at position pos
+    for the new facet's column c_j, which then moves to position wpos; by
+    Cramer's rule det lambda_w = det lambda_v * u_pos * (-1)^(pos + wpos) for
+    u = lambda_v^-1 c_j. While lambda_v is unimodular the walk carries, for
     vertices that have tree children, either the tableau T_v = lambda_v^-1
     lambda (n x m) or, when m > 2n, the inverse lambda_v^-1 (n x n). On the
     tableau u is column j, so a leaf costs the one entry T_v[pos][j]; on the
@@ -124,21 +120,15 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
     determinant of such a vertex and, when it is unimodular, the tableau or
     inverse kept for its children.
     """
-    rows = tuple(tuple(map(index, row)) for row in matrix)
     n, m = polytope.dim, polytope.num_facets
-    if len(rows) != n or any(len(r) != m for r in rows):
-        got = f"{len(rows)}x{len(rows[0]) if rows else 0}"
-        if len({len(r) for r in rows}) > 1:  # ragged: name the first row of the wrong length
-            i = next(i for i, r in enumerate(rows) if len(r) != m)
-            got = f"row {i} of length {len(rows[i])}"
-        raise ShapeMismatchError(f"{n}x{m}", got)
     verts = polytope.vertices
     # a tableau row is m wide: past m = 2n it costs more than an inverse row
-    # of n plus the O(n) dot products it saves (long polygons, mostly)
+    # of n plus the O(n) dot products it saves (cut products and
+    # cp2_sum(k) x CP^1, say; polygons never get here)
     tableau = m <= 2 * n
     cols = None if tableau else tuple(zip(*rows))
     children = Counter(map(itemgetter(1), polytope.bfs_tree))  # vertex index -> tree children
-    dets = [0] * len(verts)
+    dets = [None] * len(verts)
     carried = {}  # vertex index -> rows of T_v or lambda_v^-1, or None, while children remain
 
     def restart(vi):
@@ -153,6 +143,8 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
     for wi, vi, pos, wpos in polytope.bfs_tree:
         t = carried.get(vi)
         if t is None:
+            if dets[vi] is None:
+                raise ValueError(f"bfs_tree lists vertex {wi} before its parent {vi}")
             restart(wi)
         else:
             j = verts[wi][wpos]
@@ -170,8 +162,36 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
         children[vi] -= 1
         if not children[vi]:
             carried.pop(vi, None)
+    return dets
 
-    offenders = [(v, d) for v, d in zip(verts, dets) if d not in (1, -1)]
+
+def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
+    """Build a CharacteristicPair, checking |det lambda_v| = 1 at every vertex.
+
+    SingularVertexError lists every offending vertex with its determinant,
+    in vertex order. Entries must be integers (anything ``operator.index``
+    accepts); a float or a str raises TypeError rather than being truncated
+    or parsed.
+
+    On a polygon (dim 2) det lambda_v for v = (a, b) is the 2 x 2 minor
+    r0[a] * r1[b] - r0[b] * r1[a], so ``bfs_tree`` is not read; in every
+    other dimension ``_walk_dets`` walks it.
+    """
+    rows = tuple(tuple(map(index, row)) for row in matrix)
+    n, m = polytope.dim, polytope.num_facets
+    if len(rows) != n or any(len(r) != m for r in rows):
+        got = f"{len(rows)}x{len(rows[0]) if rows else 0}"
+        if len({len(r) for r in rows}) > 1:  # ragged: name the first row of the wrong length
+            i = next(i for i, r in enumerate(rows) if len(r) != m)
+            got = f"row {i} of length {len(rows[i])}"
+        raise ShapeMismatchError(f"{n}x{m}", got)
+    if n == 2:
+        r0, r1 = rows
+        dets = [r0[a] * r1[b] - r0[b] * r1[a] for a, b in polytope.vertices]
+    else:
+        dets = _walk_dets(polytope, rows)
+
+    offenders = [(v, d) for v, d in zip(polytope.vertices, dets) if d not in (1, -1)]
     if offenders:
         raise SingularVertexError(offenders)
     return CharacteristicPair(polytope, rows, tuple(map(mul, orient_dual_sphere(polytope), dets)))

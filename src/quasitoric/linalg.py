@@ -17,11 +17,12 @@ Every elimination the library runs (a vertex's lambda_v at the root of
 validation's walk and where it restarts, a basis change) is one
 ``det_and_reduce`` call, which also leaves A^-1 times the matrix;
 ``det_and_inverse`` is that call on [A | I]. The other determinants need
-no elimination: the walk's exchange steps read one pivot entry,
-``connected_sum_4d`` takes its 2 x 2 corner determinant in closed form, and
-``product`` and ``relabel_facets`` derive their base signs from their
-inputs'. ``det_bareiss`` is the independent oracle the tests check them
-against.
+no elimination: a polygon's vertex determinants are its 2 x 2 minors,
+which validation writes down without a walk, the walk's exchange steps read
+one pivot entry, ``connected_sum_4d`` takes its 2 x 2 corner determinant in
+closed form, and ``product`` and ``relabel_facets`` derive their base signs
+from their inputs'. ``det_bareiss`` is the independent oracle the tests
+check them against.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Characteristic matrices, omniorientations, sign calculus."""
 
+import dataclasses
 import math
 import random
 import sys
@@ -37,6 +38,7 @@ from quasitoric.linalg import det_bareiss
 from support import (
     bareiss_dets,
     mat_mul_by_loops,
+    random_polygon_pair,
     random_product_factor,
     random_unimodular,
     random_unimodular_det1,
@@ -468,11 +470,11 @@ def test_basis_change_matches_the_product_and_bareiss():
 
 
 def test_basis_change_and_connected_sum_take_no_bareiss(monkeypatch):
-    """Their determinants come from det_and_inverse: with linalg.det_bareiss
-    made to raise, both still give the results they give without it. A
-    connected sum runs exactly one det_and_inverse, the root of the glued
-    pair's own validation, at each of 40 pairs of corners (11 of them flip
-    the gauge)."""
+    """With linalg.det_bareiss made to raise, both still give the results
+    they give without it. A connected sum runs no elimination at all, at
+    each of 40 pairs of corners (11 of them flip the gauge): its corner
+    determinant is in closed form, and the glued pair is a polygon, whose
+    validation takes each vertex determinant as a 2 x 2 minor."""
     a = random_unimodular(random.Random(59), 5, steps=15)
     h = hirzebruch(1)
     expected = basis_change(cpn(5), a), connected_sum_4d(cpn(2), (0, 1), h, h.polytope.vertices[2])
@@ -487,14 +489,19 @@ def test_basis_change_and_connected_sum_take_no_bareiss(monkeypatch):
     assert connected_sum_4d(cpn(2), (0, 1), h, h.polytope.vertices[2]) == expected[1]
 
     calls = []
-    det_and_inverse = linalg.det_and_inverse
+    det_and_inverse, det_and_reduce = linalg.det_and_inverse, linalg.det_and_reduce
     monkeypatch.setattr(linalg, "det_and_inverse", lambda m: calls.append(m) or det_and_inverse(m))
+    monkeypatch.setattr(
+        linalg, "det_and_reduce", lambda m, basis: calls.append(m) or det_and_reduce(m, basis)
+    )
+    corners = 0
     for p1, p2 in ((cpn(2), h), (h, cpn(2)), (hirzebruch(-2), hirzebruch(3))):
         for v1 in p1.polytope.vertices:
             for v2 in p2.polytope.vertices:
-                calls.clear()
                 connected_sum_4d(p1, v1, p2, v2)
-                assert len(calls) == 1, (v1, v2)
+                assert not calls, (v1, v2)
+                corners += 1
+    assert corners == 40
 
 
 def _offenders_or_dets(polytope, rows):
@@ -511,18 +518,19 @@ def _offenders_or_dets(polytope, rows):
 def test_both_walk_forms_match_bareiss_at_the_boundary(monkeypatch):
     """(CP1)^k has m = 2n facets, the widest pairs the walk carries as the
     tableau lambda_v^-1 lambda; one vertex cut makes m = 2n + 1, where it
-    carries lambda_v^-1 instead. Both forms, disguised and with one entry
-    perturbed, agree with Bareiss on every determinant or offender, and each
-    pair takes the form its shape names: det_and_inverse runs only for
-    m > 2n."""
+    carries lambda_v^-1 instead. From k = 3 on (a polygon, k = 2, takes its
+    minors in closed form and walks nowhere), both forms, disguised and with
+    one entry perturbed, agree with Bareiss on every determinant or
+    offender, and each pair takes the form its shape names: det_and_inverse
+    runs only for m > 2n."""
     rng = random.Random(61)
     inverses = []
     det_and_inverse = linalg.det_and_inverse
     monkeypatch.setattr(
         linalg, "det_and_inverse", lambda a: inverses.append(a) or det_and_inverse(a)
     )
-    pair = cpn(1)
-    for k in range(2, 8):
+    pair = product(cpn(1), cpn(1))
+    for k in range(3, 8):
         pair = product(pair, cpn(1))
         cut = vertex_cut(pair, random_vertex(rng, pair))
         for base in (pair, cut):
@@ -605,6 +613,127 @@ def test_walk_over_a_products_own_tree_matches_bareiss():
         singular += 1
         restarted += any(dets[vi] not in (1, -1) for _, vi, _, _ in poly.bfs_tree)
     assert singular > 60 and restarted > 40
+
+
+def _polygon_cases(rng: random.Random):
+    """Polygon pairs of every kind the library builds: random_polygon_pair
+    draws, cp2_sum(k) up to k = 70 (past 61 facets), Hirzebruch surfaces,
+    connected sums and vertex cuts, half of them basis-changed."""
+    cases = [random_polygon_pair(rng, max_m=14) for _ in range(150)]
+    cases += [cp2_sum(k) for k in range(1, 71)]
+    cases += [hirzebruch(a) for a in range(-5, 6)]
+    for _ in range(60):
+        p1, p2 = random_polygon_pair(rng), random_polygon_pair(rng)
+        cases.append(connected_sum_4d(p1, random_vertex(rng, p1), p2, random_vertex(rng, p2)))
+    for _ in range(60):
+        pair = random_polygon_pair(rng)
+        cases.append(vertex_cut(pair, random_vertex(rng, pair)))
+    return [
+        basis_change(pair, random_unimodular(rng, 2, steps=8)) if i % 2 else pair
+        for i, pair in enumerate(cases)
+    ]
+
+
+def test_polygon_minors_match_bareiss_with_no_elimination(monkeypatch):
+    """On a polygon validate_char takes det lambda_v as a 2 x 2 minor: with
+    det_and_reduce and det_and_inverse made to raise, so that a fallback to
+    the walk fails, each of 351 polygon pairs with one entry perturbed gives
+    Bareiss's base signs or Bareiss's offenders in vertex order, with the
+    message they name. The errors raised before any determinant keep their
+    order: TypeError for an entry that is not an integer, then
+    ShapeMismatchError."""
+    rng = random.Random(79)
+    cases = _polygon_cases(rng)
+
+    def refuse(*args):
+        raise AssertionError("a polygon ran an elimination")
+
+    monkeypatch.setattr(linalg, "det_and_reduce", refuse)
+    monkeypatch.setattr(linalg, "det_and_inverse", refuse)
+    singular = 0
+    for pair in cases:
+        poly = pair.polytope
+        assert poly.dim == 2
+        assert validate_char(poly, pair.matrix) == pair
+        rows = [list(row) for row in pair.matrix]
+        rows[rng.randrange(2)][rng.randrange(poly.num_facets)] += rng.choice(
+            (-3, -2, -1, 1, 2, 3, 10**40)
+        )
+        dets = bareiss_dets(poly, rows)
+        offenders = [(v, d) for v, d in zip(poly.vertices, dets) if d not in (1, -1)]
+        if not offenders:
+            signs = validate_char(poly, rows).base_signs
+            assert signs == tuple(o * d for o, d in zip(poly.orientation, dets))
+            continue
+        with pytest.raises(SingularVertexError) as exc:
+            validate_char(poly, rows)
+        assert list(exc.value.offenders) == offenders
+        assert str(exc.value) == str(SingularVertexError(offenders))
+        singular += 1
+    assert len(cases) == 351 and 250 < singular < 340
+
+    poly, m = cases[-1].polytope, cases[-1].polytope.num_facets
+    with pytest.raises(TypeError):
+        validate_char(poly, [[1.0] * m, [0] * m])
+    with pytest.raises(TypeError):  # the entries are read before the shape
+        validate_char(poly, [[1, 0], ["1", 0, 0]])
+    with pytest.raises(ShapeMismatchError):
+        validate_char(poly, [[1] * m, [0] * (m + 1)])
+    with pytest.raises(ShapeMismatchError):
+        validate_char(poly, [[1] * m, [0] * m, [0] * m])
+
+
+def test_a_polygon_reads_no_tree():
+    """The closed form on a polygon never reads bfs_tree: with the tree
+    reversed, so that children come before their parents, or emptied, the
+    pair is the same."""
+    for pair in (cp2_sum(9), hirzebruch(2), vertex_cut(cpn(2), (0, 1))):
+        for tree in (pair.polytope.bfs_tree[::-1], ()):
+            poly = dataclasses.replace(pair.polytope, bfs_tree=tree)
+            assert validate_char(poly, pair.matrix).base_signs == pair.base_signs
+
+
+def _parent_after_child(pair, q):
+    """pair, a product P x Q, with the copy of Q's tree at P's first tree
+    edge moved before that edge: each of its vertices now comes before the
+    parent the P edge reaches."""
+    tree = list(pair.polytope.bfs_tree)
+    k = len(q.polytope.bfs_tree)  # Q's tree at P's vertex 0 comes first
+    edge, copy = tree[k], tree[k + 1: 2 * k + 1]
+    assert copy[0][1] == edge[0]
+    tree[k: 2 * k + 1] = [*copy, edge]
+    return dataclasses.replace(pair.polytope, bfs_tree=tuple(tree))
+
+
+def test_a_tree_listing_a_child_before_its_parent_is_refused():
+    """A hand-built tree that breaks the bfs_tree contract, one Q copy of a
+    dim-3 product moved before its P edge, raises ValueError on both walk
+    forms (m = 2n, m > 2n) instead of restarting. With the tree as product
+    built it, a perturbed entry that makes a vertex with tree children
+    singular still raises SingularVertexError with Bareiss's offenders."""
+    rng = random.Random(83)
+    for q in (cpn(2), hirzebruch(1), cp2_sum(3)):
+        pair = product(cpn(1), q)
+        broken = _parent_after_child(pair, q)
+        with pytest.raises(ValueError, match="bfs_tree lists vertex .* before its parent"):
+            validate_char(broken, pair.matrix)
+
+        poly = pair.polytope
+        parents = {vi for _, vi, _, _ in poly.bfs_tree} - {0}
+        restarted = 0
+        for i in range(poly.dim):
+            for j in range(poly.num_facets):
+                rows = [list(row) for row in pair.matrix]
+                rows[i][j] += rng.choice((2, 3))
+                dets = bareiss_dets(poly, rows)
+                if all(dets[vi] in (1, -1) for vi in parents):
+                    continue
+                with pytest.raises(SingularVertexError) as exc:
+                    validate_char(poly, rows)
+                expected = [(v, d) for v, d in zip(poly.vertices, dets) if d not in (1, -1)]
+                assert list(exc.value.offenders) == expected
+                restarted += 1
+        assert restarted, q
 
 
 def _relabel_case(rng: random.Random):
