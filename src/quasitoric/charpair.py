@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, index, itemgetter, mul, neg, sub
 
 from . import linalg
 from .errors import NotUnimodularError, ShapeMismatchError, SingularVertexError
-from .polytope import SimplePolytope, orient_dual_sphere, validate_polytope
+# validate_polytope is unused here, but perfbench/tracing.py hooks the name
+# charpair.validate_polytope
+from .polytope import SimplePolytope, orient_dual_sphere, validate_polytope  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,8 @@ def _exchange(t, u, pos, wpos):
 def _walk_dets(polytope: SimplePolytope, rows) -> list:
     """det lambda_v for every vertex, in vertex order, from a basis-exchange
     walk over the spanning tree ``bfs_tree``, which needs only each parent
-    listed before its children (ValueError otherwise).
+    listed before its children and every vertex reached (ValueError,
+    naming the first misplaced or unreached vertex, otherwise).
 
     Crossing a tree edge v -> w swaps the column of lambda_v at position pos
     for the new facet's column c_j, which then moves to position wpos; by
@@ -162,6 +165,9 @@ def _walk_dets(polytope: SimplePolytope, rows) -> list:
         children[vi] -= 1
         if not children[vi]:
             carried.pop(vi, None)
+    if None in dets:
+        vi = dets.index(None)
+        raise ValueError(f"bfs_tree never reaches vertex {vi}, {verts[vi]}")
     return dets
 
 
@@ -271,21 +277,28 @@ def relabel_facets(pair: CharacteristicPair, perm, omni: Omniorientation | None 
     """Relabel facets by perm (perm[j] = new label of facet j).
 
     Returns (pair, omni) describing the same omnioriented manifold. ``pair``
-    must be validated, as every constructor returns it: the relabelled
-    polytope is validated again, which finds its canonical vertex order,
-    orientation class and BFS tree, but the matrix is not. Moving the columns
-    of vertex v into the new ascending order multiplies det lambda_v by the
-    sign of the permutation that sorts perm over v, and the transported
-    orientation class by the same sign, so every base sign moves with its
-    vertex, times one global constant c: the rebuilt class is renormalized at
-    the new lex-smallest vertex. c is read off old vertex 0 (orientation +1)
-    and its image w0, as the new orientation at w0 times that sort sign.
-    c is also folded into the transported eps0, so that vertex signs are
-    preserved as a map on vertices. With omni=None the second element is None
-    and the compensation is dropped. ValueError when perm is not a
-    permutation or omni does not carry one facet sign per facet; TypeError
-    for an entry of perm that is not an integer (anything ``operator.index``
-    accepts).
+    must be validated, as every constructor returns it: a relabelling renames
+    the facets and changes nothing else, so the relabelled pair is built from
+    what the input proved, with no validation of the polytope or the matrix.
+    Its vertices are the renamed ones, sorted into canonical order, and its
+    masks are rebuilt from them. Its tree is the input's ``bfs_tree``
+    renamed: each edge crosses the same ridge, at the positions the swapped
+    facets' new labels take, and the tree is re-rooted at the new vertex 0 by
+    turning round the edges on the path to the old root, O(V) edges in all.
+    The orientation class is propagated down that tree by validation's rule
+    (the child takes the parent's sign when pos + wpos is odd, minus it
+    otherwise), from +1 at the new vertex 0. Moving the columns of vertex v
+    into the new ascending order multiplies det lambda_v by the sign of the
+    permutation that sorts perm over v, and the transported orientation
+    class by the same sign, so every base sign moves with its vertex, times
+    one global constant c: the rebuilt class is normalized at the new
+    lex-smallest vertex. c is read off old vertex 0 (orientation +1) and its
+    image w0, as the new orientation at w0 times that sort sign. c is also
+    folded into the transported eps0, so that vertex signs are preserved as a
+    map on vertices. With omni=None the second element is None and the
+    compensation is dropped. ValueError when perm is not a permutation or
+    omni does not carry one facet sign per facet; TypeError for an entry of
+    perm that is not an integer (anything ``operator.index`` accepts).
     """
     m = pair.polytope.num_facets
     perm = tuple(map(index, perm))
@@ -296,11 +309,44 @@ def relabel_facets(pair: CharacteristicPair, perm, omni: Omniorientation | None 
     back = sorted(range(m), key=perm.__getitem__)  # back[perm[j]] = j
 
     old = pair.polytope
-    moved = [sorted(map(perm.__getitem__, v)) for v in old.vertices]
+    verts = old.vertices
+    moved = [sorted(map(perm.__getitem__, v)) for v in verts]
     order = sorted(range(len(moved)), key=moved.__getitem__)  # new index -> old index
-    new_poly = validate_polytope(old.dim, m, [moved[vi] for vi in order])
-    w0 = order.index(0)
-    c = new_poly.orientation[w0] * _sort_sign([perm[j] for j in old.vertices[0]])
+    new_index = [0] * len(order)
+    for wi, vi in enumerate(order):
+        new_index[vi] = wi
+
+    # Re-root the old tree at old vertex order[0]: the edges on its path up
+    # to old vertex 0 turn round and come first, from the new root out, and
+    # every other edge keeps its parent and its place after that parent.
+    edge = dict(zip(map(itemgetter(0), old.bfs_tree), old.bfs_tree))  # child -> its edge
+    path = []
+    wi = order[0]
+    while wi:  # up from the new root to the old one
+        _, vi, pos, wpos = edge.pop(wi)
+        path.append((vi, wi, wpos, pos))
+        wi = vi
+    signs = [0] * len(order)
+    signs[0] = 1
+    tree = []
+    for wi, vi, pos, wpos in chain(path, edge.values()):
+        # the facets swapped across the edge keep their ridge, at the
+        # positions their new labels take in the new ascending vertices
+        pos = moved[vi].index(perm[verts[vi][pos]])
+        wpos = moved[wi].index(perm[verts[wi][wpos]])
+        wi, vi = new_index[wi], new_index[vi]
+        signs[wi] = signs[vi] if (pos + wpos) & 1 else -signs[vi]
+        tree.append((wi, vi, pos, wpos))
+    bits = [1 << j for j in range(m)]
+    new_poly = SimplePolytope(
+        old.dim,
+        m,
+        tuple(tuple(moved[vi]) for vi in order),
+        tuple(signs),
+        tuple(tree),
+        tuple(sum(map(bits.__getitem__, moved[vi])) for vi in order),
+    )
+    c = signs[new_index[0]] * _sort_sign([perm[j] for j in verts[0]])
     new_pair = CharacteristicPair(
         new_poly,
         linalg.columns(pair.matrix, back),

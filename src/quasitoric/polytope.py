@@ -59,13 +59,15 @@ class SimplePolytope:
     facet at ascending position ``pos`` is swapped for the vertex's facet at
     position ``wpos`` across their shared ridge. Nothing downstream needs
     more. ``validate_polytope`` gives the tree of its breadth-first search
-    (a simplex the same tree in closed form), and ``constructions.product``
-    the product of its factors' trees, with no ridge map. ``masks[i]`` is
-    the facet bitmask of ``vertices[i]``, bit j set for each facet j there.
-    All three are derived from the vertices, so equality and hashing ignore
-    them.
-    Construct through :func:`validate_polytope`, or ``constructions.product``
-    for the product of two validated pairs; the dataclass itself performs no
+    (a simplex the same tree in closed form), ``constructions.product`` the
+    product of its factors' trees, and ``charpair.relabel_facets`` its
+    input's tree renamed and re-rooted at the new vertex 0, neither with a
+    ridge map. ``masks[i]`` is the facet bitmask of ``vertices[i]``, bit j
+    set for each facet j there. All three are derived from the vertices, so
+    equality and hashing ignore them.
+    Construct through :func:`validate_polytope`, ``constructions.product``
+    for the product of two validated pairs or ``charpair.relabel_facets``
+    for a validated pair relabelled; the dataclass itself performs no
     checks.
     """
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -33,9 +34,10 @@ from quasitoric.errors import (
     SingularVertexError,
     _int_text,
 )
-from quasitoric import charpair, linalg
+from quasitoric import charpair, linalg, polytope
 from quasitoric.linalg import det_bareiss
 from support import (
+    assert_bfs_tree,
     bareiss_dets,
     mat_mul_by_loops,
     random_polygon_pair,
@@ -736,19 +738,44 @@ def test_a_tree_listing_a_child_before_its_parent_is_refused():
         assert restarted, q
 
 
+def test_a_tree_that_misses_a_vertex_is_refused():
+    """A tree cut short by its last edge never reaches that edge's vertex: on
+    a product and on relabelled pairs, on both walk forms (m <= 2n and
+    m > 2n), the walk raises ValueError naming it instead of reporting it
+    as a singular vertex with no determinant."""
+    cube = product(product(cpn(1), cpn(1)), cpn(1))
+    pairs = [
+        product(cpn(1), cpn(2)),
+        relabel_facets(product(cpn(1), cpn(2)), (3, 0, 4, 2, 1))[0],
+        relabel_facets(vertex_cut(cube, (0, 2, 4)), (6, 2, 0, 5, 1, 3, 4))[0],
+    ]
+    assert {p.polytope.num_facets > 2 * p.polytope.dim for p in pairs} == {False, True}
+    for pair in pairs:
+        tree = pair.polytope.bfs_tree
+        poly = dataclasses.replace(pair.polytope, bfs_tree=tree[:-1])
+        wi = tree[-1][0]
+        missed = f"bfs_tree never reaches vertex {wi}, {re.escape(str(poly.vertices[wi]))}"
+        with pytest.raises(ValueError, match=missed):
+            validate_char(poly, pair.matrix)
+
+
 def _relabel_case(rng: random.Random):
-    """A random_valid_pair (polygons past m = 2n among them, which validation
-    walks on the inverse), a basis-changed cpn(n) or a product of CP^1s and
-    CP^2s, with a random permutation and, most of the time, omniorientation."""
-    kind = rng.randrange(3)
+    """A random_valid_pair, a basis-changed cpn(n), a product of CP^1s and
+    CP^2s, a product of two random_product_factor draws or a vertex cut of
+    one, with a random permutation and, most of the time, omniorientation."""
+    kind = rng.randrange(5)
     if kind == 0:
         pair = random_valid_pair(rng)
     elif kind == 1:
         pair = cpn(rng.randint(1, 9))
-    else:
+    elif kind == 2:
         pair = cpn(1)
         for _ in range(rng.randint(0, 3)):
             pair = product(pair, cpn(rng.randint(1, 2)))
+    else:
+        pair = product(random_product_factor(rng), random_product_factor(rng))
+        if kind == 4:
+            pair = vertex_cut(pair, random_vertex(rng, pair))
     pair = basis_change(pair, random_unimodular(rng, pair.polytope.dim))
     m = pair.polytope.num_facets
     perm = list(range(m))
@@ -759,51 +786,129 @@ def _relabel_case(rng: random.Random):
     return pair, perm, omni
 
 
+def _long_relabel_cases(rng: random.Random):
+    """Relabellings past m = 61 facets, where validation codes its ridge keys:
+    cp2_sum(60) x CP^1 both ways round and a vertex cut of it."""
+    long = product(cp2_sum(60), cpn(1))
+    cases = []
+    for pair in (long, product(cpn(1), cp2_sum(60)), vertex_cut(long, long.polytope.vertices[-1])):
+        perm = list(range(pair.polytope.num_facets))
+        rng.shuffle(perm)
+        cases.append((pair, perm, Omniorientation.all_positive(len(perm))))
+    return cases
+
+
+def _validated_relabelling(pair, perm, new_omni):
+    """What full validation finds for pair relabelled by perm: the vertices,
+    orientation class and masks of the renamed polytope, and the base signs
+    of the permuted matrix, with the omniorientation relabel_facets gave."""
+    old = pair.polytope
+    poly = validate_polytope(old.dim, old.num_facets, [[perm[j] for j in v] for v in old.vertices])
+    back = sorted(range(len(perm)), key=perm.__getitem__)
+    signs = validate_char(poly, linalg.columns(pair.matrix, back)).base_signs
+    return poly.vertices, poly.orientation, poly.masks, signs, new_omni
+
+
+def _relabelled_fields(new_pair, new_omni):
+    poly = new_pair.polytope
+    return poly.vertices, poly.orientation, poly.masks, new_pair.base_signs, new_omni
+
+
 def test_relabel_base_signs_match_validate_char():
-    """relabel_facets transports the base signs instead of validating the
-    permuted matrix: on 320 seeded relabellings they equal what validate_char
-    finds on the new polytope and matrix, and the omniorientation carries the
-    global sign that keeps the fixed point over old vertex 0."""
+    """relabel_facets builds its pair without validation: on 400 seeded
+    relabellings and 3 past m = 61, its vertices, orientation class, masks
+    and base signs are what full validation finds on the renamed vertices
+    and permuted matrix, validate_char over its own tree finds the same base
+    signs, its tree keeps the bfs_tree contract, and the omniorientation
+    carries the global sign that keeps the fixed point over old vertex 0."""
     rng = random.Random(91)
-    wide = 0
-    for _ in range(320):
-        pair, perm, omni = _relabel_case(rng)
+    cases = [_relabel_case(rng) for _ in range(400)] + _long_relabel_cases(rng)
+    wide = rerooted = 0
+    for pair, perm, omni in cases:
         new_pair, new_omni = relabel_facets(pair, perm, omni)
         poly = new_pair.polytope
-        wide += poly.num_facets > 2 * poly.dim
-        assert new_pair.polytope == validate_polytope(
-            poly.dim, poly.num_facets, [[perm[j] for j in v] for v in pair.polytope.vertices]
+        assert _relabelled_fields(new_pair, new_omni) == _validated_relabelling(
+            pair, perm, new_omni
         )
-        assert new_pair.base_signs == validate_char(poly, new_pair.matrix).base_signs
+        assert validate_char(poly, new_pair.matrix).base_signs == new_pair.base_signs
+        assert_bfs_tree(poly)
+        wide += poly.num_facets > 2 * poly.dim
+        wi = poly.vertex_index(perm[j] for j in pair.polytope.vertices[0])
+        rerooted += wi != 0
         if omni is None:
             assert new_omni is None
             continue
-        wi = poly.vertex_index(perm[j] for j in pair.polytope.vertices[0])
         g = new_pair.base_signs[wi] * pair.base_signs[0]
         back = sorted(range(len(perm)), key=perm.__getitem__)
         assert new_omni == Omniorientation(
             g * omni.global_sign, tuple(omni.facet_signs[j] for j in back)
         )
-    assert wide > 50
+    assert wide > 80 and rerooted > 300
 
 
-def test_relabel_runs_no_validate_char(monkeypatch):
-    """With charpair.validate_char replaced by one that raises, relabel_facets
-    still returns the pair that validation finds, so a silent fallback to
-    validating the permuted matrix fails here."""
+def test_relabel_runs_no_validation(monkeypatch):
+    """relabel_facets builds its pair from its input's data alone: with the
+    validators, the ridge map and the determinant walk replaced by ones that
+    raise, it still returns the pair that validation finds, and the same
+    tree, so a silent fallback to validation fails here."""
     rng = random.Random(92)
-    cases = [_relabel_case(rng) for _ in range(20)]
+    cases = [_relabel_case(rng) for _ in range(20)] + _long_relabel_cases(rng)
     expected = []
     for pair, perm, omni in cases:
         new_pair, new_omni = relabel_facets(pair, perm, omni)
-        expected.append((validate_char(new_pair.polytope, new_pair.matrix).base_signs, new_omni))
+        expected.append(
+            (_validated_relabelling(pair, perm, new_omni), new_pair.polytope.bfs_tree)
+        )
 
     def refuse(*args):
-        raise AssertionError("relabel_facets ran validate_char")
+        raise AssertionError("relabel_facets ran validation")
 
+    monkeypatch.setattr(polytope, "validate_polytope", refuse)
+    monkeypatch.setattr(polytope, "_ridge_partners", refuse)
+    monkeypatch.setattr(charpair, "validate_polytope", refuse)
     monkeypatch.setattr(charpair, "validate_char", refuse)
+    monkeypatch.setattr(charpair, "_walk_dets", refuse)
     got = []
     for pair, perm, omni in cases:
         new_pair, new_omni = relabel_facets(pair, perm, omni)
-        got.append((new_pair.base_signs, new_omni))
+        got.append((_relabelled_fields(new_pair, new_omni), new_pair.polytope.bfs_tree))
     assert got == expected
+
+
+def test_walk_over_a_relabelled_tree_matches_bareiss():
+    """validate_char walks the tree a relabelled pair carries, its input's
+    renamed and re-rooted: on 200 seeded relabelled products and vertex cuts
+    of products, with one matrix entry perturbed, it gives Bareiss's base
+    signs or Bareiss's offenders in vertex order, on both walk forms (the
+    tableau for m <= 2n, the inverse past it)."""
+    rng = random.Random(97)
+    forms = {False: 0, True: 0}
+    singular = rerooted = 0
+    for i in range(200):
+        pair = product(random_product_factor(rng), random_product_factor(rng))
+        if pair.polytope.dim == 2:  # a polygon takes its minors and walks nowhere
+            pair = product(pair, cpn(1))
+        if i % 2:
+            pair = vertex_cut(pair, random_vertex(rng, pair))
+        perm = list(range(pair.polytope.num_facets))
+        rng.shuffle(perm)
+        image = tuple(sorted(perm[j] for j in pair.polytope.vertices[0]))
+        pair = relabel_facets(pair, perm)[0]
+        if rng.random() < 0.5:
+            pair = basis_change(pair, random_unimodular(rng, pair.polytope.dim))
+        poly = pair.polytope
+        rerooted += poly.vertices[0] != image
+        forms[poly.num_facets > 2 * poly.dim] += 1
+        rows = [list(row) for row in pair.matrix]
+        rows[rng.randrange(poly.dim)][rng.randrange(poly.num_facets)] += rng.choice((-2, -1, 1, 2))
+        dets = bareiss_dets(poly, rows)
+        offenders = [(v, d) for v, d in zip(poly.vertices, dets) if d not in (1, -1)]
+        if not offenders:
+            signs = validate_char(poly, rows).base_signs
+            assert signs == tuple(o * d for o, d in zip(poly.orientation, dets))
+            continue
+        with pytest.raises(SingularVertexError) as exc:
+            validate_char(poly, rows)
+        assert list(exc.value.offenders) == offenders
+        singular += 1
+    assert min(forms.values()) > 80 and rerooted > 150 and singular > 80

@@ -530,6 +530,32 @@ def test_f_vector_of_a_cut_product_falls_back_to_the_whole_count(pair, monkeypat
         assert f_vector(poly) == f_vector_by_subsets(poly)
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [
+        reduce(product, [cpn(1)] * 5),
+        reduce(product, [cpn(2)] * 3),
+        product(cp2_sum(4), cpn(3)),
+        product(product(cp2_sum(3), cpn(1)), cpn(2)),
+        product(cpn(2), cpn(3)),
+        product(cp2_sum(60), cpn(3)),
+    ],
+)
+def test_f_vector_of_relabelled_products_matches_the_subset_oracle(pair):
+    """relabel_facets carries a product's tree over, renamed and re-rooted,
+    with no validation, and the join split is seeded from that tree's facet
+    exchanges: the relabelled products still split into at least two
+    factors and count the faces the subset oracle counts."""
+    rng = random.Random(pair.polytope.num_vertices)
+    perm = list(range(pair.polytope.num_facets))
+    for _ in range(2):
+        rng.shuffle(perm)
+        poly = relabel_facets(pair, perm)[0].polytope
+        assert poly.dim >= 5
+        assert len(_split(poly)) >= 2
+        assert f_vector(poly) == f_vector_by_subsets(poly)
+
+
 def test_bfs_tree_exchanges_stay_in_one_factor():
     """Each tree edge of a join crosses a ridge of one factor's part, so the
     two facets it swaps lie in one factor, however the facets are numbered:
