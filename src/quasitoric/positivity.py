@@ -7,13 +7,17 @@ and eps_j = (-1)^x_j, vertex v demands
 
 where b_v = 1 iff the base sign orientation(v) * det lambda_v, the sign at
 the all-positive omniorientation (``pair.base_signs``), is -1. The row of
-vertex v is 1 | mask << 1, its facet bitmask shifted past x0. Gaussian
+vertex v is 1 | mask << 1, its facet bitmask shifted past x0. Forward
 elimination keeps each row as one integer that also packs its rhs and its
-history, and yields either the lexicographically determined certificate
-(free variables zeroed, pivots at the lowest unknown indices) or, from the
-history, a set of vertices whose equations sum to 0 = 1. Both are
-re-verified before being returned. A brute-force enumeration over all
-2^(m+1) omniorientations serves as the independent oracle.
+history. The history is kept in slots, one per pivot, not one bit per
+vertex, so a row holds about 2m bits however many vertices there are.
+Elimination yields either the lexicographically determined certificate
+(free variables zeroed, pivots at the lowest unknown indices), found by
+back-substitution, or a set of vertices whose equations sum to 0 = 1,
+expanded from a zero row's slots. Both are the ones Gauss-Jordan
+elimination to RREF finds under the same pivot rule (see ``solve``), and
+both are re-verified before being returned. A brute-force enumeration over
+all 2^(m+1) omniorientations serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -28,11 +32,25 @@ BRUTE_FORCE_MAX_FACETS = 20
 
 @dataclass(frozen=True)
 class Gf2System:
-    """One bit row per vertex over unknowns x0 (global) and x_{1+j} (facet j)."""
+    """One bit row per vertex over unknowns x0 (global) and x_{1+j} (facet j).
+
+    Each row is a bitmask below 1 << num_unknowns and each rhs 0 or 1, one
+    per row: ``solve`` packs the rhs and its history above a row's bits.
+    """
 
     num_unknowns: int
     rows: tuple[int, ...]
     rhs: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.num_unknowns < 0:
+            raise ValueError("num_unknowns must be >= 0")
+        if len(self.rows) != len(self.rhs):
+            raise ValueError(f"{len(self.rows)} rows but {len(self.rhs)} rhs entries")
+        if self.rows and (min(self.rows) < 0 or max(self.rows) >> self.num_unknowns):
+            raise ValueError(f"a row has a bit outside the {self.num_unknowns} unknowns")
+        if not set(self.rhs) <= {0, 1}:
+            raise ValueError("each rhs entry must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -75,49 +93,79 @@ def _omni_from_mask(mask: int, num_facets: int) -> Omniorientation:
 
 
 def solve(system: Gf2System) -> PositivityResult:
-    """Gaussian elimination over GF(2) with witness extraction.
+    """Forward GF(2) elimination with slot histories, then back-substitution.
 
-    Pivots are chosen at the lowest unknown index, rows scanned in order, and
-    the reduction is carried to RREF, so certificates and witnesses are
-    reproducible. With n unknowns, each work row is one integer: its
-    coefficients in bits 0..n-1, its rhs in bit n, and in bit n + 1 + k the
-    history of original row k having been combined into it. A row that
-    reduces to its rhs bit and history, 0 = 1, hands its history back as the
-    inconsistency witness.
+    Pivots are chosen at the lowest unknown index: the first row from
+    position r in the current order that has the column's bit is swapped to
+    position r and XORed into the rows below it that have the bit. With n
+    unknowns, each work row is one integer: its coefficients in bits 0..n-1,
+    its rhs in bit n, and from bit n + 1 its history in slots. The row that
+    becomes the pivot of slot s keeps position s; ``carried[s]`` records the
+    slots in its history then, and from then on it stands for slot bit s
+    alone, so a row holds at most 2n + 1 bits whatever the number of rows.
+
+    A row left with 0 = 1 is the inconsistency witness: its own original
+    index plus the origins of its slots, each slot expanded from the highest
+    down into the lower slots it carried. Otherwise back-substitution from
+    the last pivot finds the solution with every free unknown 0.
+
+    Both are those of Gauss-Jordan elimination to RREF under the same pivot
+    rule. The solution with the free unknowns 0 is unique. The rows at
+    positions >= r receive the same XORs as under Gauss-Jordan, which only
+    adds clearing the rows above, so the pivots, the zero rows, their order
+    and their histories are the same.
     """
     n = system.num_unknowns
-    rows = [c | b << n | 1 << (n + 1 + k) for k, (c, b) in enumerate(zip(system.rows, system.rhs))]
+    top = n + 1  # slot s of the history is bit top + s
+    equation = (1 << top) - 1  # the coefficient and rhs bits
+    rows = [c | b << n for c, b in zip(system.rows, system.rhs)]
     n_rows = len(rows)
-    pivots = []  # pivots[r]: the column of row r's pivot
+    order = list(range(n_rows))  # order[i]: the original index of the row at position i
+    pivots = []  # pivots[s]: the column of slot s, whose pivot row is at position s
+    carried = []  # carried[s]: the slots that row's history held as it became slot s
     for col in range(n):
-        bit = 1 << col  # tested with &, as a shift would copy the history bits
+        bit = 1 << col
         r = len(pivots)
-        piv = next((i for i in range(r, n_rows) if rows[i] & bit), None)
-        if piv is None:
+        for piv in range(r, n_rows):
+            if rows[piv] & bit:
+                break
+        else:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(n_rows):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
+        row = rows[piv]
+        rows[piv] = rows[r]
+        order[r], order[piv] = order[piv], order[r]
+        carried.append(row >> top)
+        row = row & equation | 1 << (top + r)
+        rows[r] = row
+        for i in range(r + 1, n_rows):
+            if rows[i] & bit:
+                rows[i] ^= row
         pivots.append(col)
         if r + 1 == n_rows:
             break
 
-    equation = (2 << n) - 1  # the coefficient and rhs bits
-    for row in rows:
-        if row & equation == 1 << n:
-            hist = row >> (n + 1)
-            witness = tuple(v for v in range(n_rows) if (hist >> v) & 1)
-            return PositivityResult(satisfiable=False, witness=witness)
+    rank = len(pivots)
+    for i in range(rank, n_rows):  # each such row has no coefficient bit left
+        row = rows[i]
+        if row >> n & 1:
+            witness = [order[i]]
+            slots = row >> top
+            while slots:  # the highest slot's row carried only lower slots
+                s = slots.bit_length() - 1
+                witness.append(order[s])
+                slots ^= 1 << s ^ carried[s]
+            witness.sort()
+            return PositivityResult(satisfiable=False, witness=tuple(witness))
 
-    mask = 0
-    for row, col in zip(rows, pivots):
-        if row & 1 << n:
-            mask |= 1 << col
+    mask = 0  # the pivot unknowns already solved, all of a higher column
+    for s in range(rank - 1, -1, -1):
+        row = rows[s]
+        if ((row & mask).bit_count() ^ row >> n) & 1:
+            mask |= 1 << pivots[s]
     return PositivityResult(
         satisfiable=True,
         certificate=_omni_from_mask(mask, n - 1),
-        kernel_dim=n - len(pivots),
+        kernel_dim=n - rank,
     )
 
 

@@ -5,9 +5,11 @@ orientation rule (plain dict sweep over all ridges, no BFS) so library output
 is never checked against itself, and a tuple-keyed ridge map with a deque BFS
 redoes validation's orientation, tree and masks; Bareiss does the same for
 the vertex determinants, the triple loop for matrix products, the subset
-count for the f-vector, and the iterated connected sum for the closed-form
-k-fold sum of CP^2. The random pair generator only composes validated
-constructors, so every emitted pair is valid by construction.
+count for the f-vector, the iterated connected sum for the closed-form
+k-fold sum of CP^2, and Gauss-Jordan elimination to RREF, with one history
+bit per input row, for ``solve``'s forward elimination. The random pair
+generator only composes validated constructors, so every emitted pair is
+valid by construction.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from quasitoric import (
     vertex_cut,
 )
 from quasitoric.linalg import columns, det_bareiss
+from quasitoric.positivity import Gf2System, PositivityResult, _omni_from_mask
 
 
 def ridge_entries(vertices):
@@ -226,3 +229,50 @@ def random_product_factor(rng: random.Random):
     if rng.random() < 0.3:
         pair = basis_change(pair, random_unimodular(rng, pair.polytope.dim))
     return pair
+
+
+def gauss_jordan_solve(system: Gf2System) -> PositivityResult:
+    """Gaussian elimination over GF(2) with witness extraction.
+
+    Pivots are chosen at the lowest unknown index, rows scanned in order, and
+    the reduction is carried to RREF, so certificates and witnesses are
+    reproducible. With n unknowns, each work row is one integer: its
+    coefficients in bits 0..n-1, its rhs in bit n, and in bit n + 1 + k the
+    history of original row k having been combined into it. A row that
+    reduces to its rhs bit and history, 0 = 1, hands its history back as the
+    inconsistency witness.
+    """
+    n = system.num_unknowns
+    rows = [c | b << n | 1 << (n + 1 + k) for k, (c, b) in enumerate(zip(system.rows, system.rhs))]
+    n_rows = len(rows)
+    pivots = []  # pivots[r]: the column of row r's pivot
+    for col in range(n):
+        bit = 1 << col  # tested with &, as a shift would copy the history bits
+        r = len(pivots)
+        piv = next((i for i in range(r, n_rows) if rows[i] & bit), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(n_rows):
+            if i != r and rows[i] & bit:
+                rows[i] ^= rows[r]
+        pivots.append(col)
+        if r + 1 == n_rows:
+            break
+
+    equation = (2 << n) - 1  # the coefficient and rhs bits
+    for row in rows:
+        if row & equation == 1 << n:
+            hist = row >> (n + 1)
+            witness = tuple(v for v in range(n_rows) if (hist >> v) & 1)
+            return PositivityResult(satisfiable=False, witness=witness)
+
+    mask = 0
+    for row, col in zip(rows, pivots):
+        if row & 1 << n:
+            mask |= 1 << col
+    return PositivityResult(
+        satisfiable=True,
+        certificate=_omni_from_mask(mask, n - 1),
+        kernel_dim=n - len(pivots),
+    )

@@ -2,9 +2,10 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasitoric import (
@@ -27,7 +28,7 @@ from quasitoric import (
 from quasitoric.charpair import CharacteristicPair
 from quasitoric.errors import InternalInconsistencyError, TooLargeError
 from quasitoric.positivity import PositivityResult, _omni_from_mask, _verify
-from support import bareiss_dets, random_unimodular, random_valid_pair
+from support import bareiss_dets, gauss_jordan_solve, random_unimodular, random_valid_pair
 
 
 def test_build_system_interval():
@@ -72,6 +73,32 @@ def test_solve_contradiction_witness():
     result = solve(Gf2System(num_unknowns=1, rows=(1, 1), rhs=(0, 1)))
     assert not result.satisfiable
     assert result.witness == (0, 1)
+
+
+def test_system_refuses_rows_and_rhs_of_different_lengths():
+    # zip would drop the second row and answer SAT
+    with pytest.raises(ValueError, match="2 rows but 1 rhs"):
+        Gf2System(1, rows=(1, 1), rhs=(0,))
+
+
+def test_system_refuses_a_bit_outside_the_unknowns():
+    # bit 1 of a one-unknown row would be read as its rhs; a negative row
+    # has every bit above its unknowns set
+    for rows in ((2,), (-1,)):
+        with pytest.raises(ValueError, match="outside the"):
+            Gf2System(1, rows=rows, rhs=(0,))
+
+
+def test_system_refuses_an_rhs_other_than_0_or_1():
+    # -1 << n sets the rhs bit and every history bit above it
+    for rhs in ((-1,), (2,)):
+        with pytest.raises(ValueError, match="rhs entry must be 0 or 1"):
+            Gf2System(2, rows=(1,), rhs=rhs)
+
+
+def test_system_refuses_a_negative_number_of_unknowns():
+    with pytest.raises(ValueError, match="num_unknowns"):
+        Gf2System(-1, rows=(), rhs=())
 
 
 def test_solve_interval():
@@ -296,3 +323,74 @@ def test_verify_rejects_each_bad_result():
         with pytest.raises(InternalInconsistencyError, match=message):
             _verify(pair, bad)
     _verify(unsat, decide_positive(unsat))
+
+
+def test_solve_matches_gauss_jordan_on_pairs():
+    """The whole result, certificate and witness included, against the
+    Gauss-Jordan oracle: seeded random pairs, each also relabelled and
+    basis-changed, and UNSAT products, which have many witnesses."""
+    rng = random.Random(38)
+    pairs = [random_valid_pair(rng) for _ in range(120)]
+    pairs += [product(cp2_sum(2 * a), cp2_sum(b)) for a in range(1, 4) for b in range(1, 5)]
+    pairs += [product(cp2_sum(2 * a), cpn(d)) for a in range(1, 8) for d in (1, 2)]
+    unsat = 0
+    for pair in pairs:
+        perm = list(range(pair.polytope.num_facets))
+        rng.shuffle(perm)
+        relabelled, _ = relabel_facets(pair, perm)
+        changed = basis_change(pair, random_unimodular(rng, pair.polytope.dim))
+        for other in (pair, relabelled, changed):
+            system = build_system(other)
+            result = solve(system)
+            assert result == gauss_jordan_solve(system)
+            unsat += not result.satisfiable
+    assert unsat >= 3 * (12 + 14)
+
+
+@st.composite
+def gf2_systems(draw):
+    """Raw systems over up to 70 unknowns, with any number of rows. Each row
+    is the XOR of a drawn subset of a drawn basis, so the rank is at most
+    the basis size; a small basis gives zero and duplicate rows."""
+    n = draw(st.integers(0, 70))
+    basis = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
+    picks = draw(st.lists(st.integers(0, (1 << len(basis)) - 1), max_size=2 * n + 4))
+    rows = []
+    for pick in picks:
+        row = 0
+        for k, vec in enumerate(basis):
+            if pick >> k & 1:
+                row ^= vec
+        rows.append(row)
+    rhs = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    return Gf2System(n, tuple(rows), tuple(rhs))
+
+
+@settings(deadline=None, max_examples=300)
+@given(system=gf2_systems())
+@example(system=Gf2System(0, (), ()))
+@example(system=Gf2System(3, (), ()))
+@example(system=Gf2System(0, (0, 0), (0, 1)))  # no unknowns: row 1 reads 0 = 1
+@example(system=Gf2System(3, (0, 0, 0), (0, 0, 0)))  # zero rows only
+@example(system=Gf2System(3, (5, 0, 5, 5), (1, 1, 1, 0)))  # a zero row, duplicates
+@example(system=Gf2System(2, (1, 2, 3, 3, 1), (1, 0, 1, 1, 1)))  # more rows than unknowns
+@example(system=Gf2System(6, (6, 12), (1, 0)))  # fewer rows than unknowns
+def test_solve_matches_gauss_jordan_on_raw_systems(system):
+    assert solve(system) == gauss_jordan_solve(system)
+
+
+def test_solve_memory_stays_linear_in_the_vertices():
+    """(CP1)^14 has 16384 vertices over 29 unknowns. Slot histories keep
+    each work row near 2m bits; a history bit per vertex would make the
+    rows V^2 bits together, about 18 MiB of peak here."""
+    pair = cpn(1)
+    for _ in range(13):
+        pair = product(pair, cpn(1))
+    tracemalloc.start()
+    try:
+        result = solve(build_system(pair))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.kernel_dim == 14
+    assert peak < 6 * 2**20
