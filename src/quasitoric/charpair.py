@@ -14,7 +14,6 @@ flips are tracked in eps and never folded into the stored matrix.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, index, itemgetter, mul, neg, sub
@@ -130,7 +129,9 @@ def _walk_dets(polytope: SimplePolytope, rows) -> list:
     # cp2_sum(k) x CP^1, say; polygons never get here)
     tableau = m <= 2 * n
     cols = None if tableau else tuple(zip(*rows))
-    children = Counter(map(itemgetter(1), polytope.bfs_tree))  # vertex index -> tree children
+    children = [0] * len(verts)  # vertex index -> tree children
+    for vi in map(itemgetter(1), polytope.bfs_tree):
+        children[vi] += 1
     dets = [None] * len(verts)
     carried = {}  # vertex index -> rows of T_v or lambda_v^-1, or None, while children remain
 

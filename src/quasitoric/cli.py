@@ -19,7 +19,7 @@ from pathlib import Path
 from .charpair import Omniorientation, all_signs
 from .constructions import cp2_sum, cpn, hirzebruch, product, vertex_cut
 from .errors import QuasitoricError
-from .fileformat import PairDocument, format_sign, parse, parse_int, serialize
+from .fileformat import PairDocument, parse, parse_int, serialize
 from .invariants import compute_invariants
 from .polytope import f_vector, h_vector
 from .positivity import decide_positive
@@ -46,10 +46,18 @@ def _summary_lines(pair) -> list[str]:
     ]
 
 
+# a sign's text by lookup, as fileformat.format_sign writes it
+_SIGN_TEXT = {1: "+1", -1: "-1"}
+_SIGN_SUFFIX = {1: " : +1", -1: " : -1"}
+
+
 def _sign_lines(pair, omni) -> list[str]:
     signs = all_signs(pair, omni)
+    # one str per facet, not per vertex entry; built per call, since a
+    # module-level table of facet names would stay resident
+    names = list(map(str, range(pair.polytope.num_facets)))
     return [
-        "vertex " + " ".join(str(j) for j in v) + " : " + format_sign(s)
+        "vertex " + " ".join(map(names.__getitem__, v)) + _SIGN_SUFFIX[s]
         for v, s in zip(pair.polytope.vertices, signs)
     ]
 
@@ -58,8 +66,8 @@ def _decide_lines(result) -> list[str]:
     if result.satisfiable:
         omni = result.certificate
         signs = [omni.global_sign, *omni.facet_signs]
-        return ["SAT", "omniorientation " + " ".join(format_sign(s) for s in signs)]
-    return ["UNSAT", "witness " + " ".join(str(i) for i in result.witness)]
+        return ["SAT", "omniorientation " + " ".join(map(_SIGN_TEXT.__getitem__, signs))]
+    return ["UNSAT", "witness " + " ".join(map(str, result.witness))]
 
 
 def _invariant_lines(report) -> list[str]:

@@ -29,6 +29,7 @@ from quasitoric import (
 from quasitoric import cli
 from quasitoric.cli import main
 from quasitoric.errors import TooLargeError
+from quasitoric.positivity import PositivityResult
 from support import random_valid_pair
 
 CP2_TEXT = """\
@@ -497,3 +498,28 @@ def test_construction_over_the_budget_exits_2_at_once(capsys):
         assert (code, out) == (2, ""), params
         assert message in err, params
         assert "over the limit of 2097152; refusing" in err, params
+
+
+def test_sign_and_decide_lines_match_str_formatting():
+    """The facet names and sign texts come from lookups; the lines must be
+    the ones str() gives, past the 1024 facets of any cached range and with
+    negative signs."""
+    pair = cp2_sum(1100)  # facets 0..1101
+    rng = random.Random(7)
+    m = pair.polytope.num_facets
+    omni = Omniorientation(-1, tuple(rng.choice((1, -1)) for _ in range(m)))
+    signs = all_signs(pair, omni)
+    assert {1, -1} <= set(signs)
+    assert cli._sign_lines(pair, omni) == [
+        "vertex " + " ".join(str(j) for j in v) + " : " + ("+1" if s > 0 else "-1")
+        for v, s in zip(pair.polytope.vertices, signs)
+    ]
+    assert cli._decide_lines(PositivityResult(True, omni, 1)) == [
+        "SAT",
+        "omniorientation -1 " + " ".join("+1" if s > 0 else "-1" for s in omni.facet_signs),
+    ]
+    witness = tuple(range(0, m, 3))
+    assert cli._decide_lines(PositivityResult(False, witness=witness)) == [
+        "UNSAT",
+        "witness " + " ".join(str(i) for i in witness),
+    ]

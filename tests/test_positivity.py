@@ -20,15 +20,23 @@ from quasitoric import (
     cp2_sum,
     cpn,
     decide_positive,
+    facet_cycle,
     hirzebruch,
     product,
     relabel_facets,
     solve,
 )
 from quasitoric.charpair import CharacteristicPair
+from quasitoric import positivity
 from quasitoric.errors import InternalInconsistencyError, TooLargeError
 from quasitoric.positivity import PositivityResult, _omni_from_mask, _verify
-from support import bareiss_dets, gauss_jordan_solve, random_unimodular, random_valid_pair
+from support import (
+    bareiss_dets,
+    gauss_jordan_solve,
+    random_polygon_pair,
+    random_unimodular,
+    random_valid_pair,
+)
 
 
 def test_build_system_interval():
@@ -394,3 +402,75 @@ def test_solve_memory_stays_linear_in_the_vertices():
         tracemalloc.stop()
     assert result.kernel_dim == 14
     assert peak < 6 * 2**20
+
+
+def _polygon_relabellings(rng, pair):
+    """The pair, a random relabelling of it and, up to 8 facets, for each
+    facet j other than 0 a relabelling that keeps facet 0 and names j m - 1,
+    the others drawn at random."""
+    m = pair.polytope.num_facets
+    perm = list(range(m))
+    rng.shuffle(perm)
+    yield pair
+    yield relabel_facets(pair, perm)[0]
+    if m > 8:
+        return
+    cycle = facet_cycle(pair)
+    for p in range(1, m):
+        rest = list(range(1, m - 1))
+        rng.shuffle(rest)
+        perm = [0] * m
+        perm[cycle[p]] = m - 1
+        for j in cycle[1:p] + cycle[p + 1 :]:
+            perm[j] = rest.pop()
+        yield relabel_facets(pair, perm)[0]
+
+
+def test_polygon_walk_matches_solve_and_gauss_jordan():
+    """On a polygon decide_positive walks the facet cycle and builds no
+    system. Its whole result, certificate and witness included, must be
+    solve's and the Gauss-Jordan oracle's. The draws: cp2_sum(1..40) and
+    two long sums, and random polygon pairs (sums, cuts, Hirzebruch
+    surfaces, basis changes), each relabelled so that facet m - 1 sits
+    anywhere on the cycle, and each with its own base signs and with three
+    random sign vectors in their place."""
+    rng = random.Random(40)
+    pairs = [cp2_sum(k) for k in range(1, 41)] + [cp2_sum(254), cp2_sum(255)]
+    pairs += [random_polygon_pair(rng, max_m=24) for _ in range(150)]
+    seen = set()
+    spots = {}  # m -> the distances round the cycle from facet 0 to facet m - 1
+    for pair in pairs:
+        m = pair.polytope.num_facets
+        for other in _polygon_relabellings(rng, pair):
+            p = facet_cycle(other).index(m - 1)
+            spots.setdefault(m, set()).add(min(p, m - p))
+            signs = [other.base_signs]
+            signs += [tuple(rng.choice((1, -1)) for _ in range(m)) for _ in range(3)]
+            for base_signs in signs:
+                drawn = CharacteristicPair(other.polytope, other.matrix, base_signs)
+                system = build_system(drawn)
+                result = decide_positive(drawn)
+                assert result == solve(system) == gauss_jordan_solve(system)
+                seen.add((m % 2, result.satisfiable))
+    assert seen == {(0, False), (0, True), (1, True)}  # an odd polygon is always SAT
+    assert all(spots[m] == set(range(1, m // 2 + 1)) for m in range(3, 9))
+
+
+def test_decide_positive_builds_no_system_on_a_polygon(monkeypatch):
+    """decide_positive, count_positive_omniorientations and
+    admits_invariant_acs take the cycle walk on every polygon, SAT and
+    UNSAT, and solve on every other pair."""
+    pairs = [cpn(2), hirzebruch(1), hirzebruch(-2), cp2_sum(2), cp2_sum(3), cp2_sum(1000)]
+    expected = [solve(build_system(pair)) for pair in pairs]
+
+    def refuse(*args):
+        raise AssertionError("a GF(2) system was built or solved")
+
+    monkeypatch.setattr(positivity, "build_system", refuse)
+    monkeypatch.setattr(positivity, "solve", refuse)
+    for pair, result in zip(pairs, expected):
+        assert decide_positive(pair) == result
+        assert count_positive_omniorientations(pair) == result.solution_count
+        assert admits_invariant_acs(pair) == result.satisfiable
+    with pytest.raises(AssertionError, match="GF.2. system"):
+        decide_positive(cpn(3))
