@@ -7,8 +7,8 @@ valid pair: most run full validation on what they build, and ``product``,
 which takes validated pairs, builds its pair in closed form from what the
 factors already proved, with the product of their spanning trees for its
 own; the tests check it field by field against full validation. ``cpn``,
-``cp2_sum`` and ``product`` raise TooLargeError, before building anything,
-for a pair whose entries and vertex masks are over
+``polygon``, ``cp2_sum`` and ``product`` raise TooLargeError, before
+building anything, for a pair whose entries and vertex masks are over
 ``polytope.CONSTRUCTION_MAX_ENTRIES``.
 """
 
@@ -21,7 +21,6 @@ from . import linalg
 from .charpair import CharacteristicPair, validate_char
 from .errors import (
     InternalInconsistencyError,
-    NotDimension2Error,
     TooLargeError,
     ValidationError,
     _int_text,
@@ -63,6 +62,7 @@ def polygon(m: int) -> SimplePolytope:
     """m-gon: facets 0..m-1 in a cycle."""
     if m < 3:
         raise ValueError("a polygon needs at least 3 facets")
+    _check_size(m, 2, m)
     vertices = [(i, i + 1) for i in range(m - 1)] + [(0, m - 1)]
     return validate_polytope(2, m, vertices)
 
@@ -140,42 +140,22 @@ def vertex_cut(pair: CharacteristicPair, vertex) -> CharacteristicPair:
         raise InternalInconsistencyError(f"vertex cut produced invalid data: {exc}") from exc
 
 
-def _successors(pair: CharacteristicPair) -> dict[int, int]:
-    """Facet successor map of a dim-2 pair in the cycle direction picked by the
-    orientation class: vertex {a, b} with a < b points a -> b when its sign is
-    +1. Coherence of the class makes it a single directed cycle."""
-    if pair.polytope.dim != 2:
-        raise NotDimension2Error(pair.polytope.dim)
-    succ: dict[int, int] = {}
-    for (a, b), sign in zip(pair.polytope.vertices, pair.polytope.orientation):
-        if sign == 1:
-            succ[a] = b
-        else:
-            succ[b] = a
-    return succ
-
-
 def facet_cycle(pair: CharacteristicPair) -> tuple[int, ...]:
     """Facets of a dim-2 pair in the cycle direction picked by the orientation
-    class (see ``_successors``), starting at facet 0."""
-    succ = _successors(pair)
-    cycle = [0]
-    while (nxt := succ[cycle[-1]]) != 0:
-        cycle.append(nxt)
-    if len(cycle) != pair.polytope.num_facets:  # pragma: no cover - defect guard
-        raise InternalInconsistencyError("facet successor map is not a single cycle")
-    return tuple(cycle)
+    class (see ``SimplePolytope.cycle``), starting at facet 0."""
+    return pair.polytope.cycle[0]
 
 
-def _corner(pair: CharacteristicPair, succ: dict[int, int], vertex) -> tuple[int, int]:
-    """The corner (f, f') of ``vertex`` in the class direction, succ[f] = f'.
-    Walking the class direction, every corner's base sign (``base_signs``,
-    orientation * det) equals its cycle determinant det(col_f, col_f').
-    TypeError for an entry of ``vertex`` that is not an integer."""
+def _corner(poly: SimplePolytope, vertex) -> int:
+    """The position i of ``vertex`` round the polygon's cycle, the corner
+    between facets f = cycle[0][i] and f' after it. Walking the class
+    direction, every corner's base sign (``base_signs``, orientation * det)
+    equals its cycle determinant det(col_f, col_f'). TypeError for an entry
+    of ``vertex`` that is not an integer."""
     v = tuple(sorted(map(index, vertex)))
-    if v not in pair.polytope.vertices:
+    if v not in poly.vertices:
         raise ValueError(f"{v} is not a vertex of the polygon")
-    return v if succ[v[0]] == v[1] else v[::-1]
+    return poly.cycle[1].index(poly.vertices.index(v))
 
 
 def connected_sum_4d(
@@ -199,9 +179,11 @@ def connected_sum_4d(
     (v2 is a vertex of a validated pair) gives S^-1 = d adj S, and det T = d,
     so det A = d^2 = +1 by construction; the gauge is fixed before validation.
     """
-    succ1, succ2 = _successors(p1), _successors(p2)
-    f, f_next = _corner(p1, succ1, v1)
-    g, g_next = _corner(p2, succ2, v2)
+    # each cycle rotated to start after the removed corner: f' ... f, g' ... g
+    (cycle1, corners1), (cycle2, _) = p1.polytope.cycle, p2.polytope.cycle
+    i, j = _corner(p1.polytope, v1) + 1, _corner(p2.polytope, v2) + 1
+    run1, run2 = cycle1[i:] + cycle1[:i], cycle2[j:] + cycle2[:j]
+    f_next, f, g_next, g = run1[0], run1[-1], run2[0], run2[-1]
 
     (xf, xn), (yf, yn) = linalg.columns(p1.matrix, (f, f_next))
     (xg, xh), (yg, yh) = linalg.columns(p2.matrix, (g, g_next))
@@ -216,14 +198,8 @@ def connected_sum_4d(
     # between g' and g.
     m1 = p1.polytope.num_facets
     survivors = [h for h in range(p2.polytope.num_facets) if h not in (g, g_next)]
-    relabel = {h: m1 + i for i, h in enumerate(survivors)}
-    labels = [f_next]
-    while labels[-1] != f:
-        labels.append(succ1[labels[-1]])
-    h = succ2[g_next]
-    while h != g:
-        labels.append(relabel[h])
-        h = succ2[h]
+    relabel = {h: m1 + r for r, h in enumerate(survivors)}
+    labels = [*run1, *map(relabel.__getitem__, run2[1:-1])]
 
     vertices = list(zip(labels, labels[1:] + labels[:1]))
     moved = linalg.mat_mul(align, linalg.columns(p2.matrix, survivors))
@@ -233,11 +209,11 @@ def connected_sum_4d(
     # lex-smallest vertex, which need not extend p1's. Base signs must agree at
     # a surviving p1 corner, whose columns are p1's: where the orientations
     # differ there, negating row 1 (det -1, same as flipping eps0) fixes that.
-    verts1 = p1.polytope.vertices
-    i1 = next(i for i, v in enumerate(verts1) if v != tuple(sorted(v1)))
+    kept = corners1[i % m1]  # p1's corner after v1, between labels 0 and 1
     try:
         poly = validate_polytope(2, len(labels), vertices)
-        if poly.orientation[poly.vertices.index(verts1[i1])] != p1.polytope.orientation[i1]:
+        glued = poly.vertices.index(p1.polytope.vertices[kept])
+        if poly.orientation[glued] != p1.polytope.orientation[kept]:
             lam[1] = [-x for x in lam[1]]
         return validate_char(poly, lam)
     except ValidationError as exc:  # pragma: no cover - defect guard

@@ -50,28 +50,27 @@ def _self_intersections(pair: CharacteristicPair, omni: Omniorientation, signs) 
     """D_j . D_j for each facet j of a dim-2 pair, in the orientation of omni,
     given the fixed-point signs ``all_signs(pair, omni)``.
 
-    Facet j lies in exactly two vertices, shared with its neighbours a and b,
-    where the mixed pairings D_a . D_j and D_b . D_j are the fixed-point signs
-    s_a and s_b. Pairing the two linear relations among the classes with D_j
-    leaves eff_a[r] * s_a + eff_j[r] * D_j^2 + eff_b[r] * s_b = 0 for r = 0, 1,
-    with the effective columns eff = eps_j * col_j (a facet sign flip is the
-    same data as a negated column). So each facet costs O(1).
+    Facet j lies in exactly two vertices, the corners it shares with its
+    neighbours a and b round the polytope's ``cycle``, where the mixed
+    pairings D_a . D_j and D_b . D_j are the fixed-point signs s_a and s_b.
+    Pairing the two linear relations among the classes with D_j leaves
+    eff_a[r] * s_a + eff_j[r] * D_j^2 + eff_b[r] * s_b = 0 for r = 0, 1, with
+    the effective columns eff = eps_j * col_j (a facet sign flip is the same
+    data as a negated column). So each facet costs O(1).
     """
-    m = pair.polytope.num_facets
+    facets, corners = pair.polytope.cycle
+    m = len(facets)
     rows, eps = pair.matrix, omni.facet_signs
     eff = [(eps[j] * rows[0][j], eps[j] * rows[1][j]) for j in range(m)]
-    touching = [[] for _ in range(m)]  # facet -> [(neighbour, sign), (neighbour, sign)]
-    for (i, j), s in zip(pair.polytope.vertices, signs):
-        touching[i].append((j, s))
-        touching[j].append((i, s))
-    diag = []
-    for j, ((a, s_a), (b, s_b)) in enumerate(touching):
-        ea, ej, eb = eff[a], eff[j], eff[b]
+    diag = [0] * m
+    for k, j in enumerate(facets):  # a before j round the cycle, b after it
+        ea, ej, eb = eff[facets[k - 1]], eff[j], eff[facets[k + 1 - m]]
+        s_a, s_b = signs[corners[k - 1]], signs[corners[k]]
         r = 0 if ej[0] != 0 else 1
         d, rem = divmod(-(ea[r] * s_a + eb[r] * s_b), ej[r])
         if rem or ea[1 - r] * s_a + ej[1 - r] * d + eb[1 - r] * s_b:
             raise InternalInconsistencyError(f"facet {j} violates the linear relations")
-        diag.append(d)
+        diag[j] = d
     return diag
 
 

@@ -19,11 +19,11 @@ elimination to RREF finds under the same pivot rule (see ``solve``), and
 both are re-verified before being returned. A brute-force enumeration over
 all 2^(m+1) omniorientations serves as the independent oracle.
 
-A polygon (dim 2) builds no system: its rows are the corners of one facet
-cycle, so the same certificate and witness have a closed form, found by a
-walk round the cycle in O(m) (see ``_decide_polygon``). Forward elimination
-on such a system grows like m^2.6 on ``cp2_sum``, as the all-ones x0
-column fills every row in.
+A polygon (dim 2) builds no system: its rows are the corners of its facet
+cycle (``SimplePolytope.cycle``), so the same certificate and witness have a
+closed form, found by a walk round that cycle in O(m) (see
+``_decide_polygon``). Forward elimination on such a system grows like
+m^2.6 on ``cp2_sum``, as the all-ones x0 column fills every row in.
 """
 
 from __future__ import annotations
@@ -198,36 +198,29 @@ def _decide_polygon(pair: CharacteristicPair) -> PositivityResult:
 
     The walk starts at facet m - 1 with y = 0 and across vertex v sets
     y_next = y + r_v + x0; for m even, x0 is the walk's value at f with
-    x0 = 0, so that y_f = 0. The cycle is followed in the direction of the
-    orientation class, as ``constructions.facet_cycle`` follows it; the
-    solution does not depend on the direction.
+    x0 = 0, so that y_f = 0. It reads the polytope's ``cycle``, rotated to
+    start at facet m - 1; the solution does not depend on the direction.
     """
-    poly = pair.polytope
-    m = poly.num_facets
-    nxt = [0] * m  # the facet after facet j round the cycle
-    rhs = [0] * m  # the rhs of the vertex between facet j and nxt[j]
-    for (a, b), o, s in zip(poly.vertices, poly.orientation, pair.base_signs):
-        if o < 0:
-            a, b = b, a
-        nxt[a] = b
-        rhs[a] = s < 0
+    facets, corners = pair.polytope.cycle
+    m = len(facets)
+    p = facets.index(m - 1)
+    order = facets[p:] + facets[:p]  # the facets in walk order
+    # rhs[i]: the rhs of the vertex between order[i] and the facet after it
+    rhs = [s < 0 for s in map(pair.base_signs.__getitem__, corners[p:] + corners[:p])]
     total = sum(rhs) & 1
-    order = [m - 1]  # the facets in walk order
-    for _ in range(m - 1):
-        order.append(nxt[order[-1]])
     if m & 1:
         x0 = total
     elif total:
         return PositivityResult(satisfiable=False, witness=tuple(range(m)))
     else:
         f = max(order[1::2])
-        x0 = sum(map(rhs.__getitem__, order[: order.index(f)])) & 1
+        x0 = sum(rhs[: order.index(f)]) & 1
     signs = [1] * m
     y = 0
-    for j in order:
+    for j, r in zip(order, rhs):
         if y:
             signs[j] = -1
-        y ^= rhs[j] ^ x0
+        y ^= r ^ x0
     return PositivityResult(
         satisfiable=True,
         certificate=Omniorientation(-1 if x0 else 1, tuple(signs)),

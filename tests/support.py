@@ -4,12 +4,13 @@ The coherence checker here is an independent reimplementation of the
 orientation rule (plain dict sweep over all ridges, no BFS) so library output
 is never checked against itself, and a tuple-keyed ridge map with a deque BFS
 redoes validation's orientation, tree and masks; Bareiss does the same for
-the vertex determinants, the triple loop for matrix products, the subset
-count for the f-vector, the iterated connected sum for the closed-form
-k-fold sum of CP^2, and Gauss-Jordan elimination to RREF, with one history
-bit per input row, for ``solve``'s forward elimination. The random pair
-generator only composes validated constructors, so every emitted pair is
-valid by construction.
+the vertex determinants, the triple loop for matrix products, the
+successor-map walk for a polygon's facet cycle, the subset count for the
+f-vector, the iterated connected sum for the closed-form k-fold sum of
+CP^2, and Gauss-Jordan elimination to RREF, with one history bit per input
+row, for ``solve``'s forward elimination. The random pair generator only
+composes validated constructors, so every emitted pair is valid by
+construction.
 """
 
 from __future__ import annotations
@@ -101,6 +102,26 @@ def bareiss_dets(polytope, rows):
     """det lambda_v for every vertex by Bareiss, one elimination per vertex,
     independent of validation's exchange walk."""
     return [det_bareiss(columns(rows, v)) for v in polytope.vertices]
+
+
+def cycle_by_successors(polytope):
+    """(facets, corners) of a polygon by a walk of its facet successor map,
+    vertex (a, b), a < b, pointing a -> b when its orientation sign is +1:
+    the reference for ``SimplePolytope.cycle``. Each corner is found by
+    looking its two facets up among the vertices."""
+    succ = {}
+    for (a, b), sign in zip(polytope.vertices, polytope.orientation):
+        if sign == 1:
+            succ[a] = b
+        else:
+            succ[b] = a
+    cycle = [0]
+    while (nxt := succ[cycle[-1]]) != 0:
+        cycle.append(nxt)
+    assert len(cycle) == polytope.num_facets, "the successor map is not a single cycle"
+    where = {v: vi for vi, v in enumerate(polytope.vertices)}
+    corners = tuple(where[tuple(sorted(e))] for e in zip(cycle, cycle[1:] + cycle[:1]))
+    return tuple(cycle), corners
 
 
 def mat_mul_by_loops(a, b):

@@ -29,6 +29,7 @@ from quasitoric import (
 from quasitoric import cli
 from quasitoric.cli import main
 from quasitoric.errors import TooLargeError
+from quasitoric.polytope import SimplePolytope
 from quasitoric.positivity import PositivityResult
 from support import random_valid_pair
 
@@ -523,3 +524,24 @@ def test_sign_and_decide_lines_match_str_formatting():
         "UNSAT",
         "witness " + " ".join(str(i) for i in witness),
     ]
+
+
+def test_report_derives_a_polygons_cycle_once(capsys, monkeypatch, tmp_path):
+    """report on a polygon decides and computes its invariants from one facet
+    cycle, derived once and kept on the polytope: SAT and UNSAT alike."""
+    derive = SimplePolytope.cycle.func
+    calls = []
+
+    def counted(poly):
+        calls.append(poly)
+        return derive(poly)
+
+    monkeypatch.setattr(SimplePolytope.cycle, "func", counted)
+    for k, expected in ((5, 0), (4, 1)):
+        path = tmp_path / f"s{k}.qtm"
+        path.write_text(serialize(PairDocument.from_pair(cp2_sum(k))))
+        calls.clear()
+        code, out, _ = run(capsys, ["report", str(path)])
+        assert code == expected
+        assert f"signature = {k}" in out.splitlines()
+        assert len(calls) == 1

@@ -274,6 +274,38 @@ def test_connected_sums_pinned():
     )
 
 
+def test_connected_sums_pinned_at_every_corner_pair():
+    """The glued pair's text at every corner pair (v1, v2) of every ordered
+    pair of small summands: CP^2, H_1, H_-1, CP^2 cut at a vertex and
+    cp2_sum(3), whose facet cycle is not in label order, each in both
+    orientations (the second through the det -1 basis change, which flips
+    every base sign)."""
+    summands = [cpn(2), hirzebruch(1), hirzebruch(-1), vertex_cut(cpn(2), (0, 1)), cp2_sum(3)]
+    summands += [basis_change(pair, ((1, 0), (0, -1))) for pair in summands]
+    digest = hashlib.sha256()
+    sums = 0
+    for a in summands:
+        for b in summands:
+            for v1 in a.polytope.vertices:
+                for v2 in b.polytope.vertices:
+                    glued = connected_sum_4d(a, v1, b, v2)
+                    digest.update(serialize(PairDocument.from_pair(glued)).encode())
+                    sums += 1
+    assert sums == 1600
+    assert digest.hexdigest() == (
+        "0b00bb552ac4b8776c1518bee8471c461f04bde61cbf95d41a18131344adab7b"
+    )
+
+
+def test_connected_sum_takes_each_vertex_as_any_iterable():
+    """A vertex may be a one-shot iterator on either side: the sum reads each
+    vertex once, so every corner pair glues as the tuples do."""
+    a, b = hirzebruch(1), cp2_sum(3)
+    for v1 in a.polytope.vertices:
+        for v2 in b.polytope.vertices:
+            assert connected_sum_4d(a, iter(v1), b, iter(v2)) == connected_sum_4d(a, v1, b, v2)
+
+
 def _any_summand(rng):
     """CP^2, a Hirzebruch surface or cp2_sum(k), cut at a vertex or changed
     by a random basis change some of the time."""
@@ -317,12 +349,14 @@ def test_connected_sum_keeps_every_surviving_fixed_point_sign():
 
 
 def test_constructions_refuse_a_pair_over_the_entry_budget(monkeypatch):
-    """cpn, cp2_sum and product refuse a pair with more than
+    """cpn, polygon, cp2_sum and product refuse a pair with more than
     CONSTRUCTION_MAX_ENTRIES entries and mask words, V*n + n*m + V*ceil(m/64),
     and build one with exactly that many: cpn(4) has 5*4 + 4*5 + 5 = 45,
-    cp2_sum(7) 9*2 + 2*9 + 9 = 45 and CP^2 x CP^2 9*4 + 4*6 + 9 = 69."""
+    polygon(9) and cp2_sum(7) 9*2 + 2*9 + 9 = 45 and CP^2 x CP^2
+    9*4 + 4*6 + 9 = 69."""
     for fits, over, limit in (
         (lambda: cpn(4), lambda: cpn(5), 45),
+        (lambda: polygon(9), lambda: polygon(10), 45),
         (lambda: cp2_sum(7), lambda: cp2_sum(8), 45),
         (lambda: product(cpn(2), cpn(2)), lambda: product(cpn(2), cp2_sum(2)), 69),
     ):
@@ -331,12 +365,14 @@ def test_constructions_refuse_a_pair_over_the_entry_budget(monkeypatch):
         with pytest.raises(TooLargeError, match=f"over the limit of {limit}; refusing"):
             over()
     monkeypatch.undo()
-    # the real budget: the mask words stop cp2_sum at k = 11454 and cpn at
-    # n = 1019; over it, refused at once, before any vertex list is built
+    # the real budget: the mask words stop cp2_sum at k = 11454, polygon at
+    # m = 11456 and cpn at n = 1019; over it, refused at once, before any
+    # vertex list is built
     assert cp2_sum(11454).polytope.num_vertices == 11456
     s = cp2_sum(1000)
     start = time.perf_counter()
     for build in (lambda: cpn(1020), lambda: cpn(1024), lambda: cp2_sum(11455),
+                  lambda: polygon(11457),
                   lambda: cp2_sum(524286), lambda: cp2_sum(10**20), lambda: product(s, s)):
         with pytest.raises(TooLargeError, match="over the limit of 2097152; refusing"):
             build()

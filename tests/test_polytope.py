@@ -30,6 +30,7 @@ from quasitoric.errors import (
     DisconnectedError,
     DuplicateVertexError,
     NonOrientableError,
+    NotDimension2Error,
     RidgeViolationError,
     TooLargeError,
     UnusedFacetError,
@@ -39,7 +40,9 @@ from quasitoric.errors import (
 from support import (
     assert_bfs_tree,
     assert_coherent,
+    cycle_by_successors,
     f_vector_by_subsets,
+    random_polygon_pair,
     random_unimodular,
     random_valid_pair,
     random_vertex,
@@ -674,3 +677,23 @@ def test_h_palindromic_and_relabel_invariant():
         )
         assert f_vector(relabeled) == f_vector(poly)
         assert h_vector(relabeled) == h_vector(poly)
+
+
+def test_cycle_matches_the_successor_walk():
+    """A polygon's cycle, facets and corners, is the successor-map walk's:
+    on cp2_sum(1..40), cp2_sum(2000) and random polygon pairs, each also
+    relabelled at random and basis-changed. It is derived once, and only in
+    dim 2."""
+    rng = random.Random(31)
+    pairs = [cp2_sum(k) for k in range(1, 41)] + [cp2_sum(2000)]
+    pairs += [random_polygon_pair(rng, max_m=16) for _ in range(60)]
+    for pair in pairs:
+        m = pair.polytope.num_facets
+        relabelled = relabel_facets(pair, rng.sample(range(m), m))[0]
+        for other in (pair, relabelled, basis_change(relabelled, random_unimodular(rng, 2))):
+            poly = other.polytope
+            assert poly.cycle == cycle_by_successors(poly)
+            assert poly.cycle is poly.cycle
+    for pair in (cpn(1), cpn(3), product(cpn(1), cpn(2))):
+        with pytest.raises(NotDimension2Error):
+            pair.polytope.cycle
