@@ -6,10 +6,9 @@ including the k-fold sum of CP^2 with itself. Every constructor returns a
 valid pair: most run full validation on what they build, and ``product``,
 which takes validated pairs, builds its pair in closed form from what the
 factors already proved, with the product of their spanning trees for its
-own; the tests check it field by field against full validation. ``cpn``,
-``polygon``, ``cp2_sum`` and ``product`` raise TooLargeError, before
-building anything, for a pair whose entries and vertex masks are over
-``polytope.CONSTRUCTION_MAX_ENTRIES``.
+own; the tests check it field by field against full validation. Every
+constructor raises TooLargeError, before building anything, for a pair whose
+entries and vertex masks are over ``polytope.CONSTRUCTION_MAX_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -129,6 +128,7 @@ def vertex_cut(pair: CharacteristicPair, vertex) -> CharacteristicPair:
     vi = poly.vertex_index(vertex)
     v = poly.vertices[vi]
     m = poly.num_facets
+    _check_size(poly.num_vertices - 1 + poly.dim, poly.dim, m + 1)
     new_vertices = [w for i, w in enumerate(poly.vertices) if i != vi]
     for f in v:
         new_vertices.append(tuple(j for j in v if j != f) + (m,))
@@ -182,6 +182,8 @@ def connected_sum_4d(
     # each cycle rotated to start after the removed corner: f' ... f, g' ... g
     (cycle1, corners1), (cycle2, _) = p1.polytope.cycle, p2.polytope.cycle
     i, j = _corner(p1.polytope, v1) + 1, _corner(p2.polytope, v2) + 1
+    m = len(cycle1) + len(cycle2) - 2  # the glued polygon's facets and vertices
+    _check_size(m, 2, m)
     run1, run2 = cycle1[i:] + cycle1[:i], cycle2[j:] + cycle2[:j]
     f_next, f, g_next, g = run1[0], run1[-1], run2[0], run2[-1]
 

@@ -93,8 +93,9 @@ class NotUnimodularError(QuasitoricError):
 
 class TooLargeError(QuasitoricError):
     """Input refused for its size: a brute-force search space or an f-vector
-    enumeration too big, or an integer longer than Python's int/str digit
-    limit allows to serialize."""
+    enumeration too big, a constructed pair over the construction budget
+    (``polytope.CONSTRUCTION_MAX_ENTRIES``), or an integer longer than
+    Python's int/str digit limit allows to serialize."""
 
 
 class InternalInconsistencyError(QuasitoricError):

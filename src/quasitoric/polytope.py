@@ -38,9 +38,9 @@ from .errors import (
 # vertices) has 1,179,072.
 F_VECTOR_MAX_SUBSETS = 1 << 24
 
-# cpn, cp2_sum and product refuse, before building anything, a pair whose
-# vertex lists, matrix and vertex facet masks hold more than this many entries
-# and 64-bit words, V*n + n*m + V*ceil(m/64). The masks grow as k^2 in
+# Every constructor in constructions refuses, before building anything, a pair
+# whose vertex lists, matrix and vertex facet masks hold more than this many
+# entries and 64-bit words, V*n + n*m + V*ceil(m/64). The masks grow as k^2 in
 # cp2_sum(k), which stops at k = 11454; cpn stops at n = 1019 (0.8 s to build).
 # The benchmark's largest pair (dim 11, 576 vertices) holds 7,110.
 CONSTRUCTION_MAX_ENTRIES = 1 << 21
@@ -101,16 +101,12 @@ class SimplePolytope:
     @cached_property
     def _f_vector(self) -> tuple[int, ...]:
         n, m, verts = self.dim, self.num_facets, self.vertices
-        if n < 5 or m == n + 1:  # no level loop to split, or a closed form
-            g = _face_counts(n, m, verts)
-        else:
-            factors, on = _join_factors(m, verts, self.masks, self.bfs_tree)
-            if factors is None:
-                g = _face_counts(n, m, verts, on)
-            else:
-                g = [1]
-                for factor in factors:
-                    g = _polymul(g, _face_counts(*factor))
+        factors = None
+        if n >= 5 and m > n + 1:  # a level loop to split, and no closed form
+            factors = _join_factors(m, verts, self.masks, self.bfs_tree)
+        g = [1]
+        for factor in factors or [(n, m, verts)]:
+            g = _polymul(g, _face_counts(*factor))
         return tuple(reversed(g[1:]))
 
     @cached_property
@@ -159,9 +155,7 @@ def _polymul(a: list[int], b: list[int]) -> list[int]:
 def _join_factors(m, verts, masks, tree):
     """The join factors of a dual complex, as (dim, num_facets, vertices)
     triples with each factor's facets renumbered in order, when its vertex
-    set is the full product of at least two of them; None otherwise. Returned
-    with the _incidence of ``verts`` when the meet test below built it, else
-    with None.
+    set is the full product of at least two of them; None otherwise.
 
     The facets are grouped by a union-find that is never coarser than any
     join split, so the true factors are unions of groups. It is seeded with
@@ -239,10 +233,10 @@ def _join_factors(m, verts, masks, tree):
     for i, j in {(verts[vi][pos], verts[wi][wpos]) for wi, vi, pos, wpos in tree}:
         join(i, j)
         if left == 1:
-            return None, None
+            return None
     factors = split()
     if factors is not None:
-        return factors, None
+        return factors
     on = _incidence(m, verts)
     for i in verts[0]:
         # meet[j] = |N(i) & N(j)|
@@ -252,16 +246,15 @@ def _join_factors(m, verts, masks, tree):
             if meet[j] * num != ni * nj:
                 join(i, j)
         if left == 1:  # no split: stop before the other facets of vertex 0
-            return None, on
-    return split(), on
+            return None
+    return split()
 
 
-def _face_counts(n: int, m: int, verts, on=None) -> list[int]:
+def _face_counts(n: int, m: int, verts) -> list[int]:
     """[g_0, ..., g_n]: g_k is the number of faces of codimension k, the
     k-subsets of facets contained in some vertex. ``verts`` are n-subsets of
     range(m), ascending tuples in any order, with every facet on a vertex and
-    every ridge on exactly two vertices; ``on`` is their _incidence, built
-    here when not given."""
+    every ridge on exactly two vertices."""
     if m == n + 1:  # validation admits only the simplex boundary: all subsets
         return [comb(m, k) for k in range(n + 1)]
     counts = [0] * (n + 1)  # counts[k]: faces of codimension k
@@ -271,8 +264,7 @@ def _face_counts(n: int, m: int, verts, on=None) -> list[int]:
     if n > 2:  # each ridge lies on exactly two vertices, each vertex on n ridges
         counts[n - 1] = len(verts) * n // 2
     if n > 3:
-        if on is None:
-            on = _incidence(m, verts)
+        on = _incidence(m, verts)
         # A face is counted once, at its first facet in this order (fewest
         # vertices first), and grows only by facets later in the order.
         # Its vertex bitset indexes the vertices of that first facet, and

@@ -349,16 +349,25 @@ def test_connected_sum_keeps_every_surviving_fixed_point_sign():
 
 
 def test_constructions_refuse_a_pair_over_the_entry_budget(monkeypatch):
-    """cpn, polygon, cp2_sum and product refuse a pair with more than
-    CONSTRUCTION_MAX_ENTRIES entries and mask words, V*n + n*m + V*ceil(m/64),
-    and build one with exactly that many: cpn(4) has 5*4 + 4*5 + 5 = 45,
-    polygon(9) and cp2_sum(7) 9*2 + 2*9 + 9 = 45 and CP^2 x CP^2
-    9*4 + 4*6 + 9 = 69."""
+    """cpn, polygon, cp2_sum, product, vertex_cut and connected_sum_4d
+    refuse a pair with more than CONSTRUCTION_MAX_ENTRIES entries and mask
+    words, V*n + n*m + V*ceil(m/64), and build one with exactly that many:
+    cpn(4) has 5*4 + 4*5 + 5 = 45, polygon(9) and cp2_sum(7)
+    9*2 + 2*9 + 9 = 45 and CP^2 x CP^2 9*4 + 4*6 + 9 = 69. The cut of cpn(3)
+    has 6*3 + 3*5 + 6 = 39 and that of cpn(4) 8*4 + 4*6 + 8 = 64; the sum of
+    CP^2 with cp2_sum(6) is a 9-gon (45) and with cp2_sum(7) a 10-gon (50),
+    from base pairs that all fit at 45."""
+
+    def summed(k):
+        return connected_sum_4d(cpn(2), (0, 1), cp2_sum(k), (1, 2))
+
     for fits, over, limit in (
         (lambda: cpn(4), lambda: cpn(5), 45),
         (lambda: polygon(9), lambda: polygon(10), 45),
         (lambda: cp2_sum(7), lambda: cp2_sum(8), 45),
         (lambda: product(cpn(2), cpn(2)), lambda: product(cpn(2), cp2_sum(2)), 69),
+        (lambda: vertex_cut(cpn(3), (0, 1, 2)), lambda: vertex_cut(cpn(4), (0, 1, 2, 3)), 45),
+        (lambda: summed(6), lambda: summed(7), 45),
     ):
         monkeypatch.setattr(constructions, "CONSTRUCTION_MAX_ENTRIES", limit)
         fits()

@@ -472,11 +472,25 @@ def _relabelled(poly, rng):
 
 
 def _split(poly):
-    return polytope._join_factors(poly.num_facets, poly.vertices, poly.masks, poly.bfs_tree)[0]
+    return polytope._join_factors(poly.num_facets, poly.vertices, poly.masks, poly.bfs_tree)
 
 
 def _no_incidence(m, verts):
     raise AssertionError("the split built the incidence lists for the meet test")
+
+
+def _count_incidence(monkeypatch):
+    """Count the calls of polytope._incidence: the returned list gets each
+    call's m."""
+    calls = []
+    incidence = polytope._incidence
+
+    def counted(m, verts):
+        calls.append(m)
+        return incidence(m, verts)
+
+    monkeypatch.setattr(polytope, "_incidence", counted)
+    return calls
 
 
 HEXAGON = polygon(6)
@@ -559,6 +573,20 @@ def test_f_vector_of_relabelled_products_matches_the_subset_oracle(pair):
         assert f_vector(poly) == f_vector_by_subsets(poly)
 
 
+def test_f_vector_counts_the_whole_polytope_after_a_failed_meet_test(monkeypatch):
+    """Hexagon x CP^1 x CP^2 cut twice is no product, but its tree's
+    exchanges leave groups that fail the check: the meet test runs, finds no
+    split either, and the whole polytope is counted, its incidence lists
+    built once for the meet test and once for the level loop."""
+    pair = product(cp2_sum(4), product(cpn(1), cpn(2)))
+    pair = vertex_cut(vertex_cut(pair, (0, 4, 6, 8, 9)), (0, 4, 8, 9, 11))
+    poly = pair.polytope
+    assert (poly.dim, poly.num_vertices, poly.num_facets) == (5, 44, 13)
+    calls = _count_incidence(monkeypatch)
+    assert f_vector(poly) == f_vector_by_subsets(poly) == (44, 110, 110, 55, 13)
+    assert calls == [13, 13]
+
+
 def test_bfs_tree_exchanges_stay_in_one_factor():
     """Each tree edge of a join crosses a ridge of one factor's part, so the
     two facets it swaps lie in one factor, however the facets are numbered:
@@ -592,16 +620,15 @@ def test_bfs_tree_exchanges_stay_in_one_factor():
         [cp2_sum(98), cp2_sum(98), cpn(1)],
     ],
 )
-def test_even_polygon_factors_split_through_the_meet_test(pieces):
+def test_even_polygon_factors_split_through_the_meet_test(pieces, monkeypatch):
     """The tree's exchanges split an even polygon of 6 or more sides into
     its even and its odd facets, groups finer than the factor that fail the
     check: the meet test joins them, and the split is still found."""
     poly = _join(*map(_triple, pieces))
     poly = _relabelled(poly, random.Random(poly.num_vertices))
-    factors, on = polytope._join_factors(
-        poly.num_facets, poly.vertices, poly.masks, poly.bfs_tree
-    )
-    assert on is not None
+    calls = _count_incidence(monkeypatch)
+    factors = _split(poly)
+    assert calls == [poly.num_facets]  # the meet test ran
     assert sorted(m for _, m, _ in factors) == sorted(_triple(p)[1] for p in pieces)
 
 
@@ -613,10 +640,10 @@ def test_the_projection_check_refuses_pairwise_independent_vertices():
     test without being a product, so the helper is called directly."""
     verts = [(0, 2, 4), (0, 3, 5), (1, 2, 5), (1, 3, 4)]
     masks = [sum(1 << j for j in v) for v in verts]
-    assert polytope._join_factors(6, verts, masks, ())[0] is None
+    assert polytope._join_factors(6, verts, masks, ()) is None
     full = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
     masks = [sum(1 << j for j in v) for v in full]
-    factors = polytope._join_factors(6, full, masks, ())[0]
+    factors = polytope._join_factors(6, full, masks, ())
     assert sorted(factors) == [(1, 2, [(0,), (1,)])] * 3
 
 
