@@ -100,27 +100,28 @@ def _exchange(t, u, pos, wpos):
 
 
 def _walk_dets(polytope: SimplePolytope, rows) -> list:
-    """det lambda_v for every vertex, in vertex order, from a basis-exchange
-    walk over the spanning tree ``bfs_tree``, which needs only each parent
-    listed before its children and every vertex reached (ValueError,
-    naming the first misplaced or unreached vertex, otherwise).
+    """det lambda_v for every vertex, in vertex order, from a depth-first
+    basis-exchange walk over the spanning tree ``bfs_tree`` from vertex 0,
+    whose edges may come in any order. Every vertex must be reached once
+    (ValueError, naming the first vertex reached twice or never, otherwise).
 
     Crossing a tree edge v -> w swaps the column of lambda_v at position pos
     for the new facet's column c_j, which then moves to position wpos; by
     Cramer's rule det lambda_w = det lambda_v * u_pos * (-1)^(pos + wpos) for
-    u = lambda_v^-1 c_j. While lambda_v is unimodular the walk carries, for
-    vertices that have tree children, either the tableau T_v = lambda_v^-1
-    lambda (n x m) or, when m > 2n, the inverse lambda_v^-1 (n x n). On the
+    u = lambda_v^-1 c_j. While lambda_v is unimodular the walk holds either
+    the tableau T_v = lambda_v^-1 lambda (n x m) or, when m > 2n, the inverse
+    lambda_v^-1 (n x n). A leaf below v is read from them at once: on the
     tableau u is column j, so a leaf costs the one entry T_v[pos][j]; on the
-    inverse each entry of u is a dot product with c_j, O(n) for a leaf and
-    O(n^2) for a vertex with children. Either is updated by the exact
-    rank-one pivot on row pos, which rebuilds only the rows with u_r != 0;
-    the others are the same objects in both, which is safe because no row is
-    mutated once built. The walk starts afresh at the root and at vertices
-    whose parent is singular: one fraction-free Gauss-Jordan, on lambda
-    pivoting in the vertex's columns or on [lambda_v | I], gives the
-    determinant of such a vertex and, when it is unimodular, the tableau or
-    inverse kept for its children.
+    inverse each entry of u is a dot product with c_j, O(n). Every other
+    child waits on one stack with the rows of v, so the rows alive follow
+    the tree's depth, not its width; once popped it takes them through the
+    exact rank-one pivot on row pos (O(n^2) on the inverse, for all of u),
+    which rebuilds only the rows with u_r != 0; the others are the same
+    objects in both, which is safe because no row is mutated once built.
+    The root and each child of a singular vertex start afresh: one
+    fraction-free Gauss-Jordan, on lambda pivoting in the vertex's columns or
+    on [lambda_v | I], gives the determinant and, when it is unimodular, the
+    rows for its children.
     """
     n, m = polytope.dim, polytope.num_facets
     verts = polytope.vertices
@@ -129,43 +130,36 @@ def _walk_dets(polytope: SimplePolytope, rows) -> list:
     # cp2_sum(k) x CP^1, say; polygons never get here)
     tableau = m <= 2 * n
     cols = None if tableau else tuple(zip(*rows))
-    children = [0] * len(verts)  # vertex index -> tree children
-    for vi in map(itemgetter(1), polytope.bfs_tree):
-        children[vi] += 1
+    below = [[] for _ in verts]  # vertex index -> its tree edges down
+    for edge in polytope.bfs_tree:
+        below[edge[1]].append(edge)
     dets = [None] * len(verts)
-    carried = {}  # vertex index -> rows of T_v or lambda_v^-1, or None, while children remain
-
-    def restart(vi):
-        if tableau:
-            dets[vi], t = linalg.det_and_reduce(rows, verts[vi])
-        else:
-            dets[vi], t = linalg.det_and_inverse(linalg.columns(rows, verts[vi]))
-        if children[vi]:
-            carried[vi] = t
-
-    restart(0)
-    for wi, vi, pos, wpos in polytope.bfs_tree:
-        t = carried.get(vi)
+    stack = [(0, None, 0, 0, None)]  # a tree edge and the parent's rows, or None
+    while stack:
+        wi, vi, pos, wpos, t = stack.pop()
+        if dets[wi] is not None:
+            raise ValueError(f"bfs_tree reaches vertex {wi}, {verts[wi]}, twice")
         if t is None:
-            if dets[vi] is None:
-                raise ValueError(f"bfs_tree lists vertex {wi} before its parent {vi}")
-            restart(wi)
+            if tableau:
+                dets[wi], t = linalg.det_and_reduce(rows, verts[wi])
+            else:
+                dets[wi], t = linalg.det_and_inverse(linalg.columns(rows, verts[wi]))
         else:
             j = verts[wi][wpos]
-            if not children[wi]:  # a leaf needs only its determinant
-                step = t[pos][j] if tableau else sum(map(mul, t[pos], cols[j]))
+            if tableau:
+                u = [row[j] for row in t]
             else:
-                if tableau:
-                    u = [row[j] for row in t]
-                else:
-                    u = [sum(map(mul, row, cols[j])) for row in t]
-                step = u[pos]
-                if step in (1, -1):
-                    carried[wi] = _exchange(t, u, pos, wpos)
+                u = [sum(map(mul, row, cols[j])) for row in t]
+            step = u[pos]
+            t = _exchange(t, u, pos, wpos) if step in (1, -1) else None
             dets[wi] = dets[vi] * (-step if (pos + wpos) & 1 else step)
-        children[vi] -= 1
-        if not children[vi]:
-            carried.pop(vi, None)
+        for ci, _, pos, wpos in below[wi]:
+            if t is None or below[ci] or dets[ci] is not None:
+                stack.append((ci, wi, pos, wpos, t))
+            else:  # a leaf needs only its determinant
+                j = verts[ci][wpos]
+                step = t[pos][j] if tableau else sum(map(mul, t[pos], cols[j]))
+                dets[ci] = dets[wi] * (-step if (pos + wpos) & 1 else step)
     if None in dets:
         vi = dets.index(None)
         raise ValueError(f"bfs_tree never reaches vertex {vi}, {verts[vi]}")

@@ -60,7 +60,9 @@ class SimplePolytope:
     vertex, each parent listed before its children, where the parent's
     facet at ascending position ``pos`` is swapped for the vertex's facet at
     position ``wpos`` across their shared ridge. Nothing downstream needs
-    more. ``validate_polytope`` gives the tree of its breadth-first search
+    more, and only ``charpair.relabel_facets`` reads the parent-first order:
+    it propagates the orientation down the list and re-roots the tree.
+    ``validate_polytope`` gives the tree of its breadth-first search
     (a simplex the same tree in closed form), ``constructions.product`` the
     product of its factors' trees, and ``charpair.relabel_facets`` its
     input's tree renamed and re-rooted at the new vertex 0, neither with a

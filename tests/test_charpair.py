@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -583,7 +584,8 @@ def test_tableau_walk_restarts_below_a_singular_internal_vertex(monkeypatch):
                 expected = [(v, d) for v, d in zip(poly.vertices, dets) if d not in (1, -1)]
                 assert list(exc.value.offenders) == expected
                 below = [wi for wi, vi, _, _ in poly.bfs_tree if dets[vi] not in (1, -1)]
-                assert calls == [poly.vertices[0]] + [poly.vertices[wi] for wi in below]
+                assert calls[0] == poly.vertices[0]
+                assert sorted(calls[1:]) == [poly.vertices[wi] for wi in sorted(below)]
                 restarted += 1
     assert restarted > 10
 
@@ -707,18 +709,19 @@ def _parent_after_child(pair, q):
     return dataclasses.replace(pair.polytope, bfs_tree=tuple(tree))
 
 
-def test_a_tree_listing_a_child_before_its_parent_is_refused():
-    """A hand-built tree that breaks the bfs_tree contract, one Q copy of a
-    dim-3 product moved before its P edge, raises ValueError on both walk
-    forms (m = 2n, m > 2n) instead of restarting. With the tree as product
-    built it, a perturbed entry that makes a vertex with tree children
-    singular still raises SingularVertexError with Bareiss's offenders."""
+def test_a_tree_listing_a_child_before_its_parent_walks_the_same():
+    """The walk reads the tree in any edge order: one Q copy of a dim-3
+    product moved before its P edge gives the product's own base signs on
+    both walk forms (m <= 2n, m > 2n). With the tree as product built it, a
+    perturbed entry that makes a vertex with tree children singular raises
+    SingularVertexError with Bareiss's offenders."""
     rng = random.Random(83)
+    forms = set()
     for q in (cpn(2), hirzebruch(1), cp2_sum(3)):
         pair = product(cpn(1), q)
-        broken = _parent_after_child(pair, q)
-        with pytest.raises(ValueError, match="bfs_tree lists vertex .* before its parent"):
-            validate_char(broken, pair.matrix)
+        moved = _parent_after_child(pair, q)
+        assert validate_char(moved, pair.matrix).base_signs == pair.base_signs
+        forms.add(moved.num_facets > 2 * moved.dim)
 
         poly = pair.polytope
         parents = {vi for _, vi, _, _ in poly.bfs_tree} - {0}
@@ -736,6 +739,53 @@ def test_a_tree_listing_a_child_before_its_parent_is_refused():
                 assert list(exc.value.offenders) == expected
                 restarted += 1
         assert restarted, q
+    assert forms == {False, True}
+
+
+def test_a_tree_that_reaches_a_vertex_twice_is_refused():
+    """One extra edge to a vertex already walked: the first or the last tree
+    edge turned round, which makes a cycle through the root or the last
+    edge's parent, or the last edge listed twice, which reaches its leaf
+    twice. On both walk forms the walk raises ValueError naming the edge's
+    target instead of going round the cycle or reading the leaf again."""
+    for pair in (product(cpn(1), cpn(2)), product(cpn(1), cp2_sum(3))):
+        tree = pair.polytope.bfs_tree
+        leaf = tree[-1]
+        assert all(vi != leaf[0] for _, vi, _, _ in tree)
+        turned = [(vi, wi, wpos, pos) for wi, vi, pos, wpos in (tree[0], leaf)]
+        for extra in (*turned, leaf):
+            poly = dataclasses.replace(pair.polytope, bfs_tree=(*tree, extra))
+            wi = extra[0]
+            twice = f"bfs_tree reaches vertex {wi}, {re.escape(str(poly.vertices[wi]))}, twice"
+            with pytest.raises(ValueError, match=twice):
+                validate_char(poly, pair.matrix)
+
+
+def test_walk_memory_follows_the_tree_depth(monkeypatch):
+    """The cut of cpn(100) at a vertex has 200 vertices over 102 facets, and
+    its validation tree is two levels deep: 99 of the root's 100 children
+    have one child each. The walk keeps the rows of the vertices on its
+    current path only, about 0.3 MiB of peak; a breadth-first walk, holding
+    a tableau for each of those 99 children at once, peaks at about 9 MiB.
+    Only those 99 children take a rank-one pivot: a leaf is read from its
+    parent's rows."""
+    pair = vertex_cut(cpn(100), tuple(range(100)))
+    tracemalloc.start()
+    try:
+        signs = validate_char(pair.polytope, pair.matrix).base_signs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert signs == pair.base_signs
+    assert peak < 2 * 2**20
+
+    pivots = []
+    exchange = charpair._exchange
+    monkeypatch.setattr(
+        charpair, "_exchange", lambda t, u, pos, wpos: pivots.append(pos) or exchange(t, u, pos, wpos)
+    )
+    assert validate_char(pair.polytope, pair.matrix).base_signs == pair.base_signs
+    assert len(pivots) == 99
 
 
 def test_a_tree_that_misses_a_vertex_is_refused():
