@@ -19,20 +19,14 @@ from pathlib import Path
 from .charpair import Omniorientation, all_signs
 from .constructions import cp2_sum, cpn, hirzebruch, product, vertex_cut
 from .errors import QuasitoricError
-from .fileformat import PairDocument, parse, parse_int, serialize
+from .fileformat import SIGN_TEXT, PairDocument, omniorientation_line, parse, parse_int, serialize
 from .invariants import compute_invariants
 from .polytope import f_vector, h_vector
 from .positivity import decide_positive
 
 
-def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _load(path: str) -> PairDocument:
-    return parse(_read(path))
+    return parse(sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8"))
 
 
 def _summary_lines(pair) -> list[str]:
@@ -46,9 +40,7 @@ def _summary_lines(pair) -> list[str]:
     ]
 
 
-# a sign's text by lookup, as fileformat.format_sign writes it
-_SIGN_TEXT = {1: "+1", -1: "-1"}
-_SIGN_SUFFIX = {1: " : +1", -1: " : -1"}
+_SIGN_SUFFIX = {s: " : " + text for s, text in SIGN_TEXT.items()}
 
 
 def _sign_lines(pair, omni) -> list[str]:
@@ -64,13 +56,13 @@ def _sign_lines(pair, omni) -> list[str]:
 
 def _decide_lines(result) -> list[str]:
     if result.satisfiable:
-        omni = result.certificate
-        signs = [omni.global_sign, *omni.facet_signs]
-        return ["SAT", "omniorientation " + " ".join(map(_SIGN_TEXT.__getitem__, signs))]
+        return ["SAT", omniorientation_line(result.certificate)]
     return ["UNSAT", "witness " + " ".join(map(str, result.witness))]
 
 
-def _invariant_lines(report) -> list[str]:
+def _invariant_lines(pair, omni) -> list[str]:
+    omni = omni or Omniorientation.all_positive(pair.polytope.num_facets)
+    report = compute_invariants(pair, omni)
     lines = [f"euler = {report.euler}", f"chern_top = {report.chern_top}"]
     if report.signature is not None:
         lines.append(f"signature = {report.signature}")
@@ -97,9 +89,7 @@ def cmd_decide(args) -> tuple[int, list[str]]:
 
 def cmd_invariants(args) -> tuple[int, list[str]]:
     doc = _load(args.file)
-    pair = doc.to_pair()
-    omni = doc.omniorientation or Omniorientation.all_positive(pair.polytope.num_facets)
-    return 0, _invariant_lines(compute_invariants(pair, omni))
+    return 0, _invariant_lines(doc.to_pair(), doc.omniorientation)
 
 
 def cmd_report(args) -> tuple[int, list[str]]:
@@ -111,8 +101,7 @@ def cmd_report(args) -> tuple[int, list[str]]:
     result = decide_positive(pair)
     lines += _decide_lines(result)
     lines.append(f"positive_count = {result.solution_count}")
-    omni = doc.omniorientation or Omniorientation.all_positive(pair.polytope.num_facets)
-    lines += _invariant_lines(compute_invariants(pair, omni))
+    lines += _invariant_lines(pair, doc.omniorientation)
     return 0 if result.satisfiable else 1, lines
 
 

@@ -46,9 +46,15 @@ class WrongVertexSizeError(ValidationError):
 
 
 class UnusedFacetError(ValidationError):
-    def __init__(self, facets):
+    """Facets that appear in no vertex: ``facets`` holds the first ten at
+    most, in order, and ``more`` counts the rest, so the message stays short
+    however many facets a polytope leaves unused."""
+
+    def __init__(self, facets, more=0):
         self.facets = tuple(facets)
-        super().__init__(f"facets {self.facets} appear in no vertex")
+        self.more = more
+        rest = f" and {_int_text(more)} more" if more else ""
+        super().__init__(f"facets {self.facets}{rest} appear in no vertex")
 
 
 class RidgeViolationError(ValidationError):

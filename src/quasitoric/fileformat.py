@@ -19,8 +19,10 @@ larger value, a bad token) goes through ``parse_int``, so the value and the
 error are the same on both paths. Parsing refuses a ``dim`` or ``facets``
 below 1 on its own line, as the count would size the vertex and lambda
 lines after it, and otherwise canonicalizes (each vertex ascending, vertex
-list sorted lexicographically) without validating, so serialize(parse(x))
-is idempotent and documents round-trip byte-for-byte.
+list sorted lexicographically) without validating; ``serialize`` writes a
+document in the order it holds, so serialize(parse(x)) is idempotent and
+documents round-trip byte-for-byte. ``SIGN_TEXT`` spells each sign, and
+``omniorientation_line`` alone writes the directive, for the CLI too.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from .polytope import validate_polytope
 
 @dataclass(frozen=True)
 class PairDocument:
-    """Parsed, canonicalized, not-yet-validated pair data."""
+    """Parsed, canonicalized, not-yet-validated pair data. Built by hand,
+    it keeps the vertex order it is given, and ``serialize`` writes that."""
 
     dim: int
     num_facets: int
@@ -101,9 +104,10 @@ class _Decimals(dict):
 # read by parse through one lookup per token; nothing writes to it after import
 _DECIMALS = _Decimals((str(i), i) for i in range(-256, 1024))
 
-# the omniorientation signs as serialize writes them; "+1" is not str(1), so
-# the table alone would send every positive sign through parse_int
-_SIGNS = {"+1": 1, "-1": -1}
+# a sign's text, as serialize and ``qtm decide`` write it; parse reads it back
+# through _SIGNS, since "+1" is not str(1) and would miss the table
+SIGN_TEXT = {1: "+1", -1: "-1"}
+_SIGNS = {text: s for s, text in SIGN_TEXT.items()}
 
 
 def parse(text: str) -> PairDocument:
@@ -194,24 +198,24 @@ def parse(text: str) -> PairDocument:
     )
 
 
-def format_sign(s: int) -> str:
-    return "+1" if s > 0 else "-1"
+def omniorientation_line(omni: Omniorientation) -> str:
+    """The ``omniorientation`` directive: eps0, then one sign per facet."""
+    signs = (omni.global_sign, *omni.facet_signs)
+    return "omniorientation " + " ".join(map(SIGN_TEXT.__getitem__, signs))
 
 
 def serialize(doc: PairDocument) -> str:
-    """Canonical text form; parse(serialize(doc)) == doc."""
+    """Text of doc, vertices in the order it holds: canonical for a document
+    from parse or from_pair, so parse(serialize(doc)) == doc. Nothing is
+    sorted; parse reads a hand-built document's text as its canonical form."""
     lines = [f"dim {doc.dim}", f"facets {doc.num_facets}"]
-    for v in sorted(tuple(sorted(x)) for x in doc.vertices):
-        lines.append("vertex " + " ".join(str(j) for j in v))
+    lines += ["vertex " + " ".join(map(str, v)) for v in doc.vertices]
     lines.append("lambda")
     try:
-        for row in doc.matrix:
-            lines.append(" ".join(str(x) for x in row))
+        lines += [" ".join(map(str, row)) for row in doc.matrix]
     except ValueError:  # str() refuses integers over the digit limit
         limit = sys.get_int_max_str_digits()
         raise TooLargeError(f"lambda entry over the int/str limit of {limit} digits") from None
     if doc.omniorientation is not None:
-        omni = doc.omniorientation
-        signs = [omni.global_sign, *omni.facet_signs]
-        lines.append("omniorientation " + " ".join(format_sign(s) for s in signs))
+        lines.append(omniorientation_line(doc.omniorientation))
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, filterfalse, islice
 from math import comb
 from operator import index
 
@@ -421,9 +421,11 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
         )
 
     used = {j for v in canon for j in v}
-    missing = sorted(set(range(m)) - used)
-    if missing:
-        raise UnusedFacetError(missing)
+    if len(used) < m:
+        # the first ten unused facets lie among the first len(used) + 10
+        # indices, so the scan is O(V*n) however large m is
+        shown = tuple(islice(filterfalse(used.__contains__, range(m)), 10))
+        raise UnusedFacetError(shown, m - len(used) - len(shown))
 
     masks, partner = _ridge_partners(n, m, canon)
 

@@ -21,7 +21,9 @@ from quasitoric import (
     all_signs,
     cp2_sum,
     cpn,
+    decide_positive,
     hirzebruch,
+    parse,
     product,
     serialize,
     vertex_cut,
@@ -103,18 +105,38 @@ def test_decide_sat_certificate(capsys, cp2_file):
     assert lines[1] == "omniorientation +1 +1 +1 +1"
 
 
-def test_certificate_feeds_back_into_signs(capsys, monkeypatch, cp2_file):
-    code, out, _ = run(capsys, ["decide", cp2_file])
+@pytest.mark.parametrize(
+    "text, global_sign, facet_0",
+    [
+        (CP2_TEXT, 1, 1),
+        (serialize(PairDocument.from_pair(cp2_sum(3))), 1, -1),
+        (serialize(PairDocument.from_pair(vertex_cut(cpn(3), (0, 1, 2)))), -1, 1),
+    ],
+    ids=["cp2", "cp2_sum(3)", "vertex_cut(cpn(3))"],
+)
+def test_certificate_feeds_back_into_signs(
+    capsys, monkeypatch, tmp_path, text, global_sign, facet_0
+):
+    """decide's SAT line is the document's omniorientation directive: appended
+    to the document, it reads back as the certificate, whose signs (one of
+    them -1 outside CP^2) make every fixed-point sign +1."""
+    path = tmp_path / "pair.qtm"
+    path.write_text(text)
+    code, out, _ = run(capsys, ["decide", str(path)])
     assert code == 0
     cert_line = out.splitlines()[1]
+    omni = parse(text + cert_line + "\n").omniorientation
+    assert omni == decide_positive(parse(text).to_pair()).certificate
+    assert (omni.global_sign, omni.facet_signs[0]) == (global_sign, facet_0)
     code, out, _ = run(
-        capsys, ["signs", "-"], stdin_text=CP2_TEXT + cert_line + "\n", monkeypatch=monkeypatch
+        capsys, ["signs", "-"], stdin_text=text + cert_line + "\n", monkeypatch=monkeypatch
     )
     assert code == 0
     lines = out.splitlines()
-    assert len(lines) == 3
-    assert all(line.endswith("+1") for line in lines)
-    assert lines[0] == "vertex 0 1 : +1"
+    assert len(lines) == len(parse(text).vertices)
+    assert all(line.endswith(": +1") for line in lines)
+    if text == CP2_TEXT:
+        assert lines[0] == "vertex 0 1 : +1"
 
 
 def test_signs_requires_omniorientation(capsys, cp2_file):

@@ -48,6 +48,16 @@ def test_serialize_round_trip_idempotent():
     assert serialize(parse(text)) == text
 
 
+def test_serialize_writes_a_hand_built_document_as_it_stands():
+    """serialize sorts nothing: unsorted vertices are written in the order the
+    document holds them, and parse reads the text as the canonical document."""
+    canonical = parse(CP2_TEXT)
+    doc = PairDocument(2, 3, ((1, 2), (1, 0), (0, 2)), canonical.matrix)
+    text = serialize(doc)
+    assert text.splitlines()[2:5] == ["vertex 1 2", "vertex 1 0", "vertex 0 2"]
+    assert parse(text) == canonical
+
+
 def test_vertex_line_canonicalized():
     text = CP2_TEXT.replace("vertex 0 1", "vertex 1 0")
     doc = parse(text)

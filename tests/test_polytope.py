@@ -132,6 +132,14 @@ def test_unused_facet():
     with pytest.raises(UnusedFacetError) as exc:
         validate_polytope(1, 3, [(0,), (1,)])
     assert exc.value.facets == (2,)
+    assert str(exc.value) == "facets (2,) appear in no vertex"
+    # past ten unused facets only the first ten are listed, and the scan stops
+    # there: a triangle's vertices with a million facets
+    with pytest.raises(UnusedFacetError) as exc:
+        validate_polytope(2, 10**6, [(0, 1), (1, 2), (0, 2)])
+    assert exc.value.facets == tuple(range(3, 13))
+    assert str(exc.value) == f"facets {tuple(range(3, 13))} and 999987 more appear in no vertex"
+    assert len(str(exc.value)) < 200
 
 
 def test_disconnected():
@@ -151,12 +159,15 @@ def test_non_orientable():
 
 
 def test_scalar_errors():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^dim must be >= 1, got 0$"):
         validate_polytope(0, 2, [(0,), (1,)])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^need at least dim\+1 = 3 facets, got 2$"):
         validate_polytope(2, 2, [(0, 1)])
     with pytest.raises(ValidationError):
         validate_polytope(1, 2, [(0,), (5,)])
+    # a negative index is refused also where the vertex's last index is in range
+    with pytest.raises(ValidationError, match=r"facet index outside \[0, 3\)$"):
+        validate_polytope(2, 3, [(-1, 1), (0, 1), (0, 2)])
     with pytest.raises(ValidationError, match="polytope has no vertices"):
         validate_polytope(2, 3, [])
 
