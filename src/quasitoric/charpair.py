@@ -15,8 +15,8 @@ flips are tracked in eps and never folded into the stored matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import add, index, itemgetter, mul, neg, sub
+from itertools import repeat
+from operator import add, index, mul, neg, sub
 
 from . import linalg
 from .errors import NotUnimodularError, ShapeMismatchError, SingularVertexError
@@ -101,8 +101,9 @@ def _exchange(t, u, pos, wpos):
 
 def _walk_dets(polytope: SimplePolytope, rows) -> list:
     """det lambda_v for every vertex, in vertex order, from a depth-first
-    basis-exchange walk over the spanning tree ``bfs_tree`` from vertex 0,
-    whose edges may come in any order. Every vertex must be reached once
+    basis-exchange walk over the spanning tree ``bfs_tree`` from its root,
+    the parent of its first edge (vertex 0 when it has none); the other
+    edges may come in any order. Every vertex must be reached once
     (ValueError, naming the first vertex reached twice or never, otherwise).
 
     Crossing a tree edge v -> w swaps the column of lambda_v at position pos
@@ -134,7 +135,8 @@ def _walk_dets(polytope: SimplePolytope, rows) -> list:
     for edge in polytope.bfs_tree:
         below[edge[1]].append(edge)
     dets = [None] * len(verts)
-    stack = [(0, None, 0, 0, None)]  # a tree edge and the parent's rows, or None
+    root = polytope.bfs_tree[0][1] if polytope.bfs_tree else 0
+    stack = [(root, None, 0, 0, None)]  # a tree edge and the parent's rows, or None
     while stack:
         wi, vi, pos, wpos, t = stack.pop()
         if dets[wi] is not None:
@@ -277,23 +279,24 @@ def relabel_facets(pair: CharacteristicPair, perm, omni: Omniorientation | None 
     what the input proved, with no validation of the polytope or the matrix.
     Its vertices are the renamed ones, sorted into canonical order, and its
     masks are rebuilt from them. Its tree is the input's ``bfs_tree``
-    renamed: each edge crosses the same ridge, at the positions the swapped
-    facets' new labels take, and the tree is re-rooted at the new vertex 0 by
-    turning round the edges on the path to the old root, O(V) edges in all.
-    The orientation class is propagated down that tree by validation's rule
-    (the child takes the parent's sign when pos + wpos is odd, minus it
-    otherwise), from +1 at the new vertex 0. Moving the columns of vertex v
-    into the new ascending order multiplies det lambda_v by the sign of the
-    permutation that sorts perm over v, and the transported orientation
-    class by the same sign, so every base sign moves with its vertex, times
-    one global constant c: the rebuilt class is normalized at the new
-    lex-smallest vertex. c is read off old vertex 0 (orientation +1) and its
-    image w0, as the new orientation at w0 times that sort sign. c is also
-    folded into the transported eps0, so that vertex signs are preserved as a
-    map on vertices. With omni=None the second element is None and the
-    compensation is dropped. ValueError when perm is not a permutation or
-    omni does not carry one facet sign per facet; TypeError for an entry of
-    perm that is not an integer (anything ``operator.index`` accepts).
+    renamed, edge for edge in the input's order, so it is rooted at the
+    image of the input's root: each edge crosses the same ridge, at the
+    positions the swapped facets' new labels take. The orientation class is
+    propagated down that tree by validation's rule (the child takes the
+    parent's sign when pos + wpos is odd, minus it otherwise), from +1 at
+    the root, and negated when the new vertex 0 then reads -1. Moving the
+    columns of vertex v into the new ascending order multiplies det lambda_v
+    by the sign of the permutation that sorts perm over v, and the
+    transported orientation class by the same sign, so every base sign moves
+    with its vertex, times one global constant c: the rebuilt class is
+    normalized at the new lex-smallest vertex. c is read off old vertex 0
+    (orientation +1) and its image w0, as the new orientation at w0 times
+    that sort sign. c is also folded into the transported eps0, so that
+    vertex signs are preserved as a map on vertices. With omni=None the
+    second element is None and the compensation is dropped. ValueError when
+    perm is not a permutation or omni does not carry one facet sign per
+    facet; TypeError for an entry of perm that is not an integer (anything
+    ``operator.index`` accepts).
     """
     m = pair.polytope.num_facets
     perm = tuple(map(index, perm))
@@ -311,20 +314,9 @@ def relabel_facets(pair: CharacteristicPair, perm, omni: Omniorientation | None 
     for wi, vi in enumerate(order):
         new_index[vi] = wi
 
-    # Re-root the old tree at old vertex order[0]: the edges on its path up
-    # to old vertex 0 turn round and come first, from the new root out, and
-    # every other edge keeps its parent and its place after that parent.
-    edge = dict(zip(map(itemgetter(0), old.bfs_tree), old.bfs_tree))  # child -> its edge
-    path = []
-    wi = order[0]
-    while wi:  # up from the new root to the old one
-        _, vi, pos, wpos = edge.pop(wi)
-        path.append((vi, wi, wpos, pos))
-        wi = vi
-    signs = [0] * len(order)
-    signs[0] = 1
+    signs = [1] * len(order)  # the root, which no edge reaches, keeps +1
     tree = []
-    for wi, vi, pos, wpos in chain(path, edge.values()):
+    for wi, vi, pos, wpos in old.bfs_tree:
         # the facets swapped across the edge keep their ridge, at the
         # positions their new labels take in the new ascending vertices
         pos = moved[vi].index(perm[verts[vi][pos]])
@@ -332,6 +324,8 @@ def relabel_facets(pair: CharacteristicPair, perm, omni: Omniorientation | None 
         wi, vi = new_index[wi], new_index[vi]
         signs[wi] = signs[vi] if (pos + wpos) & 1 else -signs[vi]
         tree.append((wi, vi, pos, wpos))
+    if signs[0] < 0:
+        signs = [-s for s in signs]
     bits = [1 << j for j in range(m)]
     new_poly = SimplePolytope(
         old.dim,

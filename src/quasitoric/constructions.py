@@ -85,12 +85,13 @@ def product(p1: CharacteristicPair, p2: CharacteristicPair) -> CharacteristicPai
     coherent on both kinds of ridge and +1 at vertex (0, 0); its base sign is
     s1[a] * s2[b], as det lambda_(a,b) is the product of the blocks' dets.
     The vertex graph of P x Q is the product of the factors' graphs, so the
-    product of their trees spans it: Q's tree at a = 0, then each edge
-    (wa <- va) of P's tree at b = 0, at the same positions, followed by Q's
-    tree at a = wa, its positions shifted by n1. Each parent comes before
-    its children and each edge crosses the ridge it names, which is all the
-    spanning-tree contract of ``SimplePolytope.bfs_tree`` asks; it is not
-    the tree validation's breadth-first search would find. O(V) tree edges.
+    product of their trees spans it: P's tree at b = r2, the root of Q's
+    tree, at the same positions, then Q's tree at each a in turn, its
+    positions shifted by n1. It is rooted at (P's root, r2), each parent
+    comes before its children and each edge crosses the ridge it names,
+    which is all the spanning-tree contract of ``SimplePolytope.bfs_tree``
+    asks; it is not the tree validation's breadth-first search would find.
+    O(V) tree edges.
     """
     poly1, poly2 = p1.polytope, p2.polytope
     n1, m1, verts1 = poly1.dim, poly1.num_facets, poly1.vertices
@@ -103,14 +104,15 @@ def product(p1: CharacteristicPair, p2: CharacteristicPair) -> CharacteristicPai
     orientation = tuple(x * y for x in poly1.orientation for y in poly2.orientation)
     base_signs = tuple(x * y for x in p1.base_signs for y in p2.base_signs)
 
-    inner = [(w, v, n1 + p, n1 + q) for w, v, p, q in poly2.bfs_tree]
-    tree = inner[:]
-    for wa, va, p, q in poly1.bfs_tree:
-        row = wa * v2
-        tree.append((row, va * v2, p, q))
-        tree += [(row + w, row + v, p, q) for w, v, p, q in inner]
+    r2 = poly2.bfs_tree[0][1]
+    tree = tuple((wa * v2 + r2, va * v2 + r2, p, q) for wa, va, p, q in poly1.bfs_tree)
+    tree += tuple(
+        (row + w, row + v, n1 + p, n1 + q)
+        for row in range(0, v1 * v2, v2)
+        for w, v, p, q in poly2.bfs_tree
+    )
 
-    poly = SimplePolytope(n1 + n2, m1 + m2, vertices, orientation, tuple(tree), masks)
+    poly = SimplePolytope(n1 + n2, m1 + m2, vertices, orientation, tree, masks)
     rows = tuple(row + (0,) * m2 for row in p1.matrix)
     rows += tuple((0,) * m1 + row for row in p2.matrix)
     return CharacteristicPair(poly, rows, base_signs)
@@ -150,12 +152,10 @@ def _corner(poly: SimplePolytope, vertex) -> int:
     """The position i of ``vertex`` round the polygon's cycle, the corner
     between facets f = cycle[0][i] and f' after it. Walking the class
     direction, every corner's base sign (``base_signs``, orientation * det)
-    equals its cycle determinant det(col_f, col_f'). TypeError for an entry
-    of ``vertex`` that is not an integer."""
-    v = tuple(sorted(map(index, vertex)))
-    if v not in poly.vertices:
-        raise ValueError(f"{v} is not a vertex of the polygon")
-    return poly.cycle[1].index(poly.vertices.index(v))
+    equals its cycle determinant det(col_f, col_f'). ValueError when it is
+    not a vertex, TypeError for an entry that is not an integer (see
+    ``SimplePolytope.vertex_index``)."""
+    return poly.cycle[1].index(poly.vertex_index(vertex))
 
 
 def connected_sum_4d(

@@ -208,14 +208,16 @@ def serialize(doc: PairDocument) -> str:
     """Text of doc, vertices in the order it holds: canonical for a document
     from parse or from_pair, so parse(serialize(doc)) == doc. Nothing is
     sorted; parse reads a hand-built document's text as its canonical form."""
-    lines = [f"dim {doc.dim}", f"facets {doc.num_facets}"]
-    lines += ["vertex " + " ".join(map(str, v)) for v in doc.vertices]
-    lines.append("lambda")
+    what = "integer"
     try:
+        lines = [f"dim {doc.dim}", f"facets {doc.num_facets}"]
+        lines += ["vertex " + " ".join(map(str, v)) for v in doc.vertices]
+        lines.append("lambda")
+        what = "lambda entry"
         lines += [" ".join(map(str, row)) for row in doc.matrix]
     except ValueError:  # str() refuses integers over the digit limit
         limit = sys.get_int_max_str_digits()
-        raise TooLargeError(f"lambda entry over the int/str limit of {limit} digits") from None
+        raise TooLargeError(f"{what} over the int/str limit of {limit} digits") from None
     if doc.omniorientation is not None:
         lines.append(omniorientation_line(doc.omniorientation))
     return "\n".join(lines) + "\n"

@@ -55,17 +55,17 @@ class SimplePolytope:
     validation found: ``orientation[i]`` is the sign (+1 or -1) of
     ``vertices[i]`` read as an ascending simplex of the dual sphere, +1 at the
     lex-smallest vertex; on a connected dual sphere the class is unique up to
-    one global sign. ``bfs_tree`` is a spanning tree of the vertex graph
-    rooted at vertex 0: one ``(vertex, parent, pos, wpos)`` per other
-    vertex, each parent listed before its children, where the parent's
-    facet at ascending position ``pos`` is swapped for the vertex's facet at
-    position ``wpos`` across their shared ridge. Nothing downstream needs
-    more, and only ``charpair.relabel_facets`` reads the parent-first order:
-    it propagates the orientation down the list and re-roots the tree.
-    ``validate_polytope`` gives the tree of its breadth-first search
-    (a simplex the same tree in closed form), ``constructions.product`` the
-    product of its factors' trees, and ``charpair.relabel_facets`` its
-    input's tree renamed and re-rooted at the new vertex 0, neither with a
+    one global sign. ``bfs_tree`` is a spanning tree of the vertex graph:
+    one ``(vertex, parent, pos, wpos)`` per vertex but its root, each parent
+    listed before its children, so the first edge leaves the root, where the
+    parent's facet at ascending position ``pos`` is swapped for the vertex's
+    facet at position ``wpos`` across their shared ridge. Nothing downstream
+    needs more: the determinant walk starts at the first edge's parent, and
+    ``charpair.relabel_facets`` propagates the orientation down the list.
+    ``validate_polytope`` gives the tree of its breadth-first search from
+    vertex 0 (a simplex the same tree in closed form),
+    ``constructions.product`` the product of its factors' trees, and
+    ``charpair.relabel_facets`` its input's tree renamed, neither with a
     ridge map. ``masks[i]`` is the facet bitmask of ``vertices[i]``, bit j
     set for each facet j there. All three are derived from the vertices, so
     equality and hashing ignore them. Two more are derived on first use and

@@ -58,6 +58,39 @@ EQUIVALENT = {
     ("polytope:validate_polytope", "expected = signs[vi] if pos - wpos & 1 else -signs[vi]"): (
         "pos - wpos and pos + wpos have the same parity"
     ),
+    ("charpair:relabel_facets", "new_index = [-1] * len(order)"): (
+        "the loop below writes every entry before any is read"
+    ),
+    ("charpair:relabel_facets", "new_index = [1] * len(order)"): (
+        "the loop below writes every entry before any is read"
+    ),
+    ("charpair:relabel_facets", "signs[wi] = signs[vi] if pos - wpos & 1 else -signs[vi]"): (
+        "pos - wpos and pos + wpos have the same parity"
+    ),
+    ("charpair:relabel_facets", "signs[0] <= 0"): "every sign is +1 or -1",
+    ("charpair:relabel_facets", "signs[0] < 1"): "every sign is +1 or -1",
+    ("charpair:_walk_dets", "stack = [(root, None, -1, 0, None)]"): (
+        "the root starts afresh with no parent's rows, so its pos and wpos are never read"
+    ),
+    ("charpair:_walk_dets", "stack = [(root, None, 1, 0, None)]"): (
+        "the root starts afresh with no parent's rows, so its pos and wpos are never read"
+    ),
+    ("charpair:_walk_dets", "stack = [(root, None, 0, -1, None)]"): (
+        "the root starts afresh with no parent's rows, so its pos and wpos are never read"
+    ),
+    ("charpair:_walk_dets", "stack = [(root, None, 0, 1, None)]"): (
+        "the root starts afresh with no parent's rows, so its pos and wpos are never read"
+    ),
+    ("charpair:_walk_dets", "dets[wi] = dets[vi] * (-step if pos - wpos & 1 else step)"): (
+        "pos - wpos and pos + wpos have the same parity"
+    ),
+    ("charpair:_walk_dets", "dets[ci] = dets[wi] * (-step if pos - wpos & 1 else step)"): (
+        "pos - wpos and pos + wpos have the same parity"
+    ),
+    (
+        "constructions:product",
+        "masks = tuple((a ^ b << m1 for a in poly1.masks for b in poly2.masks))",
+    ): "a has bits below m1 only and b << m1 none below it, so ^ and | agree",
 }
 
 _BINOPS = {

@@ -15,6 +15,7 @@ construction.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import deque
 from itertools import combinations
@@ -26,6 +27,7 @@ from quasitoric import (
     cpn,
     hirzebruch,
     product,
+    relabel_facets,
     vertex_cut,
 )
 from quasitoric.linalg import columns, det_bareiss
@@ -74,18 +76,38 @@ def validate_by_ridge_map(vertices):
 
 
 def assert_bfs_tree(poly):
-    """The contract of ``bfs_tree``, a spanning tree rooted at vertex 0: each
-    vertex but 0 is reached once, after its parent, across the ridge its tree
-    edge names."""
+    """The contract of ``bfs_tree``, a spanning tree listing each parent
+    before its children, so rooted where its first edge starts: each vertex
+    but that root is reached once, after its parent, across the ridge its
+    tree edge names."""
     tree = poly.bfs_tree
-    assert sorted(w for w, _, _, _ in tree) == list(range(1, poly.num_vertices))
-    reached = {0}
+    root = tree[0][1] if tree else 0
+    assert sorted(w for w, _, _, _ in tree) == sorted(set(range(poly.num_vertices)) - {root})
+    reached = {root}
     for w, v, pos, wpos in tree:
         assert v in reached  # each parent is reached before its children
         reached.add(w)
         vv, ww = poly.vertices[v], poly.vertices[w]
         assert vv[:pos] + vv[pos + 1 :] == ww[:wpos] + ww[wpos + 1 :]
         assert vv[pos] != ww[wpos]
+
+
+def depth_first(pair):
+    """pair with its tree's edges listed depth first from the root, each
+    vertex's edges down in their own order. Parents still come first, but
+    the second edge leaves the root's first child wherever that child has
+    children of its own, not the root."""
+    tree = pair.polytope.bfs_tree
+    below: dict[int, list] = {}
+    for edge in tree:
+        below.setdefault(edge[1], []).append(edge)
+    order, stack = [], below[tree[0][1]][::-1]
+    while stack:
+        edge = stack.pop()
+        order.append(edge)
+        stack += below.get(edge[0], [])[::-1]
+    poly = dataclasses.replace(pair.polytope, bfs_tree=tuple(order))
+    return dataclasses.replace(pair, polytope=poly)
 
 
 def assert_coherent(vertices, signs):
@@ -250,6 +272,14 @@ def random_product_factor(rng: random.Random):
     if rng.random() < 0.3:
         pair = basis_change(pair, random_unimodular(rng, pair.polytope.dim))
     return pair
+
+
+def random_relabelling(rng: random.Random, pair):
+    """pair relabelled by a random permutation of its facets, its tree
+    rooted wherever its old root went."""
+    perm = list(range(pair.polytope.num_facets))
+    rng.shuffle(perm)
+    return relabel_facets(pair, perm)[0]
 
 
 def gauss_jordan_solve(system: Gf2System) -> PositivityResult:

@@ -40,9 +40,11 @@ from quasitoric.linalg import det_bareiss
 from support import (
     assert_bfs_tree,
     bareiss_dets,
+    depth_first,
     mat_mul_by_loops,
     random_polygon_pair,
     random_product_factor,
+    random_relabelling,
     random_unimodular,
     random_unimodular_det1,
     random_valid_pair,
@@ -553,8 +555,8 @@ def test_both_walk_forms_match_bareiss_at_the_boundary(monkeypatch):
 def test_tableau_walk_restarts_below_a_singular_internal_vertex(monkeypatch):
     """A perturbed entry that makes a vertex with tree children singular: the
     tableau walk cannot pivot there, so it starts afresh at each child, with
-    one det_and_reduce per child, and its offenders are Bareiss's, in vertex
-    order."""
+    one det_and_reduce per child after the one at the tree's root, and its
+    offenders are Bareiss's, in vertex order."""
     rng = random.Random(67)
     calls = []
     det_and_reduce = linalg.det_and_reduce
@@ -569,13 +571,14 @@ def test_tableau_walk_restarts_below_a_singular_internal_vertex(monkeypatch):
         pair = _disguised(rng, base, 12)
         poly = pair.polytope
         assert poly.num_facets <= 2 * poly.dim
-        parents = {vi for _, vi, _, _ in poly.bfs_tree}
+        root = poly.bfs_tree[0][1]
+        parents = {vi for _, vi, _, _ in poly.bfs_tree} - {root}
         for i in range(poly.dim):
             for j in range(poly.num_facets):
                 rows = [list(row) for row in pair.matrix]
                 rows[i][j] += 2
                 dets = bareiss_dets(poly, rows)
-                singular = {vi for vi in parents if vi and dets[vi] not in (1, -1)}
+                singular = {vi for vi in parents if dets[vi] not in (1, -1)}
                 if not singular:
                     continue
                 calls.clear()
@@ -584,7 +587,7 @@ def test_tableau_walk_restarts_below_a_singular_internal_vertex(monkeypatch):
                 expected = [(v, d) for v, d in zip(poly.vertices, dets) if d not in (1, -1)]
                 assert list(exc.value.offenders) == expected
                 below = [wi for wi, vi, _, _ in poly.bfs_tree if dets[vi] not in (1, -1)]
-                assert calls[0] == poly.vertices[0]
+                assert calls[0] == poly.vertices[root]
                 assert sorted(calls[1:]) == [poly.vertices[wi] for wi in sorted(below)]
                 restarted += 1
     assert restarted > 10
@@ -698,15 +701,13 @@ def test_a_polygon_reads_no_tree():
 
 
 def _parent_after_child(pair, q):
-    """pair, a product P x Q, with the copy of Q's tree at P's first tree
-    edge moved before that edge: each of its vertices now comes before the
-    parent the P edge reaches."""
-    tree = list(pair.polytope.bfs_tree)
-    k = len(q.polytope.bfs_tree)  # Q's tree at P's vertex 0 comes first
-    edge, copy = tree[k], tree[k + 1: 2 * k + 1]
-    assert copy[0][1] == edge[0]
-    tree[k: 2 * k + 1] = [*copy, edge]
-    return dataclasses.replace(pair.polytope, bfs_tree=tuple(tree))
+    """pair, a product CP^1 x Q, with P's one tree edge, which comes first,
+    moved behind the copy of Q's tree at the vertex that edge reaches: each
+    edge of that copy now comes before the edge that reaches its root."""
+    edge, *tree = pair.polytope.bfs_tree
+    k = len(q.polytope.bfs_tree)  # then Q's tree at P's vertices 0 and 1
+    assert len(tree) == 2 * k and tree[k][1] == edge[0]
+    return dataclasses.replace(pair.polytope, bfs_tree=(*tree, edge))
 
 
 def test_a_tree_listing_a_child_before_its_parent_walks_the_same():
@@ -739,6 +740,46 @@ def test_a_tree_listing_a_child_before_its_parent_walks_the_same():
                 assert list(exc.value.offenders) == expected
                 restarted += 1
         assert restarted, q
+    assert forms == {False, True}
+
+
+def test_a_depth_first_tree_walks_relabels_and_multiplies_the_same():
+    """A tree listed depth first still lists each parent first, so its first
+    edge leaves its root, but its second edge does not. On relabelled
+    products and a relabelled cut, rooted off vertex 0, on both walk forms
+    (m <= 2n, m > 2n), the walk over it finds the pair's own base signs, a
+    relabelling gives the pair it gives over the tree as built, and so does
+    a product with CP^1 on either side, whose tree walks the same."""
+    rng = random.Random(89)
+    pairs = [
+        product(cpn(2), cpn(2)),
+        product(hirzebruch(1), cp2_sum(3)),
+        vertex_cut(product(cpn(1), cpn(3)), (0, 2, 3, 4)),
+    ]
+    forms = set()
+    for base in pairs:
+        perm = list(range(base.polytope.num_facets))
+        pair = base
+        while pair.polytope.bfs_tree[0][1] == 0:  # a permutation that moves the root
+            rng.shuffle(perm)
+            pair = relabel_facets(base, perm)[0]
+        moved = depth_first(pair)
+        tree = moved.polytope.bfs_tree
+        assert tree[1][1] != tree[0][1]
+        assert_bfs_tree(moved.polytope)
+        assert validate_char(moved.polytope, pair.matrix).base_signs == pair.base_signs
+        forms.add(pair.polytope.num_facets > 2 * pair.polytope.dim)
+
+        rng.shuffle(perm)
+        omni = Omniorientation(-1, tuple(rng.choice((1, -1)) for _ in perm))
+        assert _relabelled_fields(*relabel_facets(moved, perm, omni)) == _relabelled_fields(
+            *relabel_facets(pair, perm, omni)
+        )
+        for p, q in ((moved, cpn(1)), (cpn(1), moved)):
+            built = product(p, q)
+            assert built == product(*(pair if f is moved else f for f in (p, q)))
+            assert_bfs_tree(built.polytope)
+            assert validate_char(built.polytope, built.matrix).base_signs == built.base_signs
     assert forms == {False, True}
 
 
@@ -792,7 +833,8 @@ def test_a_tree_that_misses_a_vertex_is_refused():
     """A tree cut short by its last edge never reaches that edge's vertex: on
     a product and on relabelled pairs, on both walk forms (m <= 2n and
     m > 2n), the walk raises ValueError naming it instead of reporting it
-    as a singular vertex with no determinant."""
+    as a singular vertex with no determinant. An empty tree starts the walk
+    at vertex 0 and never reaches vertex 1."""
     cube = product(product(cpn(1), cpn(1)), cpn(1))
     pairs = [
         product(cpn(1), cpn(2)),
@@ -805,6 +847,10 @@ def test_a_tree_that_misses_a_vertex_is_refused():
         poly = dataclasses.replace(pair.polytope, bfs_tree=tree[:-1])
         wi = tree[-1][0]
         missed = f"bfs_tree never reaches vertex {wi}, {re.escape(str(poly.vertices[wi]))}"
+        with pytest.raises(ValueError, match=missed):
+            validate_char(poly, pair.matrix)
+        poly = dataclasses.replace(pair.polytope, bfs_tree=())
+        missed = f"bfs_tree never reaches vertex 1, {re.escape(str(poly.vertices[1]))}"
         with pytest.raises(ValueError, match=missed):
             validate_char(poly, pair.matrix)
 
@@ -873,7 +919,7 @@ def test_relabel_base_signs_match_validate_char():
     carries the global sign that keeps the fixed point over old vertex 0."""
     rng = random.Random(91)
     cases = [_relabel_case(rng) for _ in range(400)] + _long_relabel_cases(rng)
-    wide = rerooted = 0
+    wide = moved = 0
     for pair, perm, omni in cases:
         new_pair, new_omni = relabel_facets(pair, perm, omni)
         poly = new_pair.polytope
@@ -884,7 +930,7 @@ def test_relabel_base_signs_match_validate_char():
         assert_bfs_tree(poly)
         wide += poly.num_facets > 2 * poly.dim
         wi = poly.vertex_index(perm[j] for j in pair.polytope.vertices[0])
-        rerooted += wi != 0
+        moved += wi != 0
         if omni is None:
             assert new_omni is None
             continue
@@ -893,7 +939,7 @@ def test_relabel_base_signs_match_validate_char():
         assert new_omni == Omniorientation(
             g * omni.global_sign, tuple(omni.facet_signs[j] for j in back)
         )
-    assert wide > 80 and rerooted > 300
+    assert wide > 80 and moved > 300
 
 
 def test_relabel_runs_no_validation(monkeypatch):
@@ -927,27 +973,30 @@ def test_relabel_runs_no_validation(monkeypatch):
 
 def test_walk_over_a_relabelled_tree_matches_bareiss():
     """validate_char walks the tree a relabelled pair carries, its input's
-    renamed and re-rooted: on 200 seeded relabelled products and vertex cuts
-    of products, with one matrix entry perturbed, it gives Bareiss's base
-    signs or Bareiss's offenders in vertex order, on both walk forms (the
-    tableau for m <= 2n, the inverse past it)."""
+    renamed, from that tree's root, most often not vertex 0: on 200 seeded
+    relabelled products and vertex cuts of products, and products of
+    relabelled factors over the product's own tree, rooted at its factors'
+    roots, with one matrix entry perturbed, it gives Bareiss's base signs or
+    Bareiss's offenders in vertex order, on both walk forms (the tableau
+    for m <= 2n, the inverse past it)."""
     rng = random.Random(97)
     forms = {False: 0, True: 0}
-    singular = rerooted = 0
+    singular = off_root = 0
     for i in range(200):
-        pair = product(random_product_factor(rng), random_product_factor(rng))
+        factors = random_product_factor(rng), random_product_factor(rng)
+        if i % 4 == 2:  # relabelled factors, and no relabelling after
+            factors = [random_relabelling(rng, f) for f in factors]
+        pair = product(*factors)
         if pair.polytope.dim == 2:  # a polygon takes its minors and walks nowhere
             pair = product(pair, cpn(1))
         if i % 2:
             pair = vertex_cut(pair, random_vertex(rng, pair))
-        perm = list(range(pair.polytope.num_facets))
-        rng.shuffle(perm)
-        image = tuple(sorted(perm[j] for j in pair.polytope.vertices[0]))
-        pair = relabel_facets(pair, perm)[0]
+        if i % 4 != 2:
+            pair = random_relabelling(rng, pair)
         if rng.random() < 0.5:
             pair = basis_change(pair, random_unimodular(rng, pair.polytope.dim))
         poly = pair.polytope
-        rerooted += poly.vertices[0] != image
+        off_root += poly.bfs_tree[0][1] != 0
         forms[poly.num_facets > 2 * poly.dim] += 1
         rows = [list(row) for row in pair.matrix]
         rows[rng.randrange(poly.dim)][rng.randrange(poly.num_facets)] += rng.choice((-2, -1, 1, 2))
@@ -961,4 +1010,4 @@ def test_walk_over_a_relabelled_tree_matches_bareiss():
             validate_char(poly, rows)
         assert list(exc.value.offenders) == offenders
         singular += 1
-    assert min(forms.values()) > 80 and rerooted > 150 and singular > 80
+    assert min(forms.values()) > 80 and off_root > 150 and singular > 80

@@ -31,6 +31,7 @@ from support import (
     bareiss_dets,
     cp2_sum_by_folding,
     random_product_factor,
+    random_relabelling,
     random_unimodular,
     random_valid_pair,
     random_vertex,
@@ -234,7 +235,7 @@ def test_connected_sum_rejects_a_non_vertex():
         for args in ((cpn(2), vertex, cpn(2), (0, 1)), (cpn(2), (0, 1), cpn(2), vertex)):
             with pytest.raises(ValueError) as exc:
                 connected_sum_4d(*args)
-            assert str(exc.value) == f"{vertex} is not a vertex of the polygon"
+            assert str(exc.value) == f"{vertex} is not a vertex of the polytope"
 
 
 def test_facet_cycle():
@@ -409,18 +410,15 @@ def _fields(pair):
 
 
 def _product_tree(p1, p2):
-    """The product's documented tree, written in (a, b) coordinates: Q's tree
-    at a = 0, then each edge of P's tree at b = 0 followed by Q's tree at the
-    edge's new vertex a; Q's positions come after P's n1."""
+    """The product's documented tree, written in (a, b) coordinates: P's tree
+    at b = r2, the root of Q's tree, then Q's tree at each vertex a of P in
+    turn; Q's positions come after P's n1."""
     n1, v2 = p1.polytope.dim, p2.polytope.num_vertices
-
-    def q_tree(a):
-        return [((a, w), (a, v), n1 + pos, n1 + wpos) for w, v, pos, wpos in p2.polytope.bfs_tree]
-
-    edges = q_tree(0)
-    for w, v, pos, wpos in p1.polytope.bfs_tree:
-        edges.append(((w, 0), (v, 0), pos, wpos))
-        edges += q_tree(w)
+    q_tree = p2.polytope.bfs_tree
+    r2 = q_tree[0][1]
+    edges = [((w, r2), (v, r2), pos, wpos) for w, v, pos, wpos in p1.polytope.bfs_tree]
+    for a in range(p1.polytope.num_vertices):
+        edges += [((a, w), (a, v), n1 + pos, n1 + wpos) for w, v, pos, wpos in q_tree]
     return tuple((a * v2 + b, c * v2 + d, pos, wpos) for (a, b), (c, d), pos, wpos in edges)
 
 
@@ -438,12 +436,19 @@ def test_product_equals_full_validation():
     the spanning tree, orientation, masks and base signs included, and its
     tree is the documented product of the factors' trees: on 320 seeded
     products of dim-1, simplex, polygon, vertex-cut, basis-changed and
-    product factors, and on factors past m = 61 facets, where validation's
-    ridge keys are coded."""
+    product factors, on factors past m = 61 facets, where validation's
+    ridge keys are coded, and on 80 products of relabelled factors, whose
+    trees, and so the product's, are rooted off vertex 0."""
     rng = random.Random(81)
     for _ in range(320):
         p, q = random_product_factor(rng), random_product_factor(rng)
         assert _built(product(p, q)) == _product_fields(p, q)
+    off_root = 0
+    for _ in range(80):
+        p, q = (random_relabelling(rng, random_product_factor(rng)) for _ in range(2))
+        assert _built(product(p, q)) == _product_fields(p, q)
+        off_root += p.polytope.bfs_tree[0][1] != 0 and q.polytope.bfs_tree[0][1] != 0
+    assert off_root > 40
     long = cp2_sum(60)
     for p, q in ((long, cpn(1)), (cpn(1), long), (product(long, cpn(1)), hirzebruch(1))):
         assert _built(product(p, q)) == _product_fields(p, q)

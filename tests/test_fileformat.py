@@ -143,9 +143,22 @@ def test_integers_are_ascii_decimals(token):
 
 
 def test_serialize_refuses_integers_over_the_digit_limit():
+    """A lambda entry over the int/str limit raises TooLargeError, and so
+    does a vertex entry, a dim or a facet count, naming the limit but no
+    lambda entry."""
     doc = PairDocument.from_pair(hirzebruch(10**5000))
-    with pytest.raises(TooLargeError, match="limit of 4300 digits"):
+    with pytest.raises(TooLargeError) as exc:
         serialize(doc)
+    assert str(exc.value) == "lambda entry over the int/str limit of 4300 digits"
+    huge = 10**5000
+    for doc in (
+        PairDocument(1, 2, ((0,), (huge,)), ((1, 1),)),
+        PairDocument(huge, 2, ((0,), (1,)), ((1, 1),)),
+        PairDocument(1, huge, ((0,), (1,)), ((1, 1),)),
+    ):
+        with pytest.raises(TooLargeError) as exc:
+            serialize(doc)
+        assert str(exc.value) == "integer over the int/str limit of 4300 digits"
 
 
 def test_unknown_directive():

@@ -327,8 +327,9 @@ def test_simplex_inputs_that_are_not_the_simplex_raise(n):
 
 def test_bfs_tree_reaches_every_other_vertex_once():
     """Validation's trees and the product's own trees, of products of
-    products, of a product past m = 61 and of a product relabelled, cut or
-    basis-changed, all keep the spanning-tree contract."""
+    products, of a product past m = 61, of a product relabelled, cut or
+    basis-changed, and of products of relabelled factors, rooted off vertex
+    0, all keep the spanning-tree contract."""
     rng = random.Random(37)
     polys = [random_valid_pair(rng).polytope for _ in range(40)]
     polys += [cpn(n).polytope for n in (1, 2, 5)]
@@ -348,8 +349,16 @@ def test_bfs_tree_reaches_every_other_vertex_once():
         basis_change(pair, random_unimodular(rng, pair.polytope.dim)),
     ]
     polys += [pair.polytope for pair in pairs]
-    for poly in polys:
+    relabelled = []
+    for pair in (prism, pentagon, cpn(1), cpn(3), pairs[1]):
+        perm = list(range(pair.polytope.num_facets))
+        perm = perm[1:] + perm[:1]  # facet j becomes j + 1 mod m, so vertex 0 moves
+        relabelled.append(relabel_facets(pair, perm)[0])
+    products = [product(p, q) for p, q in zip(relabelled, relabelled[1:])]
+    products.append(product(products[0], products[2]))
+    for poly in polys + [pair.polytope for pair in relabelled + products]:
         assert_bfs_tree(poly)
+    assert all(pair.polytope.bfs_tree[0][1] != 0 for pair in relabelled + products)
 
 
 @settings(deadline=None)
@@ -570,7 +579,7 @@ def test_f_vector_of_a_cut_product_falls_back_to_the_whole_count(pair, monkeypat
     ],
 )
 def test_f_vector_of_relabelled_products_matches_the_subset_oracle(pair):
-    """relabel_facets carries a product's tree over, renamed and re-rooted,
+    """relabel_facets carries a product's tree over, renamed, in its order,
     with no validation, and the join split is seeded from that tree's facet
     exchanges: the relabelled products still split into at least two
     factors and count the faces the subset oracle counts."""
