@@ -188,7 +188,14 @@ def validate_char(polytope: SimplePolytope, matrix) -> CharacteristicPair:
             i = next(i for i, r in enumerate(rows) if len(r) != m)
             got = f"row {i} of length {len(rows[i])}"
         raise ShapeMismatchError(f"{n}x{m}", got)
-    if n == 2:
+    return _validate_rows(polytope, rows)
+
+
+def _validate_rows(polytope: SimplePolytope, rows) -> CharacteristicPair:
+    """The rest of ``validate_char``, after its shape check: the
+    determinants, then SingularVertexError or the pair. ``rows`` must be a
+    tuple of n tuples of m ints."""
+    if polytope.dim == 2:
         r0, r1 = rows
         dets = [r0[a] * r1[b] - r0[b] * r1[a] for a, b in polytope.vertices]
     else:

@@ -18,19 +18,34 @@ any other token (another spelling such as ``+1``, ``007`` or ``-0``, a
 larger value, a bad token) goes through ``parse_int``, so the value and the
 error are the same on both paths. Parsing refuses a ``dim`` or ``facets``
 below 1 on its own line, as the count would size the vertex and lambda
-lines after it, and otherwise canonicalizes (each vertex ascending, vertex
-list sorted lexicographically) without validating; ``serialize`` writes a
-document in the order it holds, so serialize(parse(x)) is idempotent and
-documents round-trip byte-for-byte. ``SIGN_TEXT`` spells each sign, and
-``omniorientation_line`` alone writes the directive, for the CLI too.
+lines after it, and raises nothing but ParseError subclasses. It
+canonicalizes (each vertex ascending, vertex list sorted lexicographically)
+and runs, without raising, the checks that ``validate_polytope`` makes
+before its ridges (more facets than ``dim``, at least one vertex, n
+distinct facets a vertex, every index in [0, facets), no vertex twice); a
+parsed lambda block already has the n x m shape ``validate_char`` checks.
+When all of them pass the document is marked, and ``to_pair`` then skips
+those checks and the conversion of every entry; on any other document it
+runs them, so an invalid document fails as it would through the two
+validators. ``serialize`` writes a document in the order it holds, so
+serialize(parse(x)) is idempotent and documents round-trip byte-for-byte.
+``SIGN_TEXT`` spells each sign, and ``omniorientation_line`` alone writes
+the directive, for the CLI too.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import eq, itemgetter
 
-from .charpair import CharacteristicPair, Omniorientation, _check_facet_signs, validate_char
+from .charpair import (
+    CharacteristicPair,
+    Omniorientation,
+    _check_facet_signs,
+    _validate_rows,
+    validate_char,
+)
 from .errors import (
     ArityError,
     DuplicateDirectiveError,
@@ -39,21 +54,33 @@ from .errors import (
     TooLargeError,
     UnknownDirectiveError,
 )
-from .polytope import validate_polytope
+from .polytope import _validate_canonical, validate_polytope
 
 
 @dataclass(frozen=True)
 class PairDocument:
     """Parsed, canonicalized, not-yet-validated pair data. Built by hand,
-    it keeps the vertex order it is given, and ``serialize`` writes that."""
+    it keeps the vertex order it is given, and ``serialize`` writes that.
+
+    ``to_pair`` validates. ``_checked`` is set by ``parse`` alone, when the
+    document passed every check ``validate_polytope`` makes before its
+    ridges; ``to_pair`` then runs only the rest of the two validators. A
+    document built by hand or through ``dataclasses.replace`` is never
+    marked and takes the full path. The mark is no field of the document's
+    value: equality, hashing and ``repr`` ignore it.
+    """
 
     dim: int
     num_facets: int
     vertices: tuple[tuple[int, ...], ...]
     matrix: tuple[tuple[int, ...], ...]
     omniorientation: Omniorientation | None = None
+    _checked: bool = field(default=False, init=False, compare=False, repr=False)
 
     def to_pair(self) -> CharacteristicPair:
+        if self._checked:
+            poly = _validate_canonical(self.dim, self.num_facets, self.vertices)
+            return _validate_rows(poly, self.matrix)
         poly = validate_polytope(self.dim, self.num_facets, self.vertices)
         return validate_char(poly, self.matrix)
 
@@ -111,7 +138,9 @@ _SIGNS = {text: s for s, text in SIGN_TEXT.items()}
 
 
 def parse(text: str) -> PairDocument:
-    """Parse a .qtm document, raising line-numbered ParseError subclasses."""
+    """Parse a .qtm document, raising line-numbered ParseError subclasses;
+    the document is marked when validation's checks before the ridges pass
+    (see the module docstring)."""
     dim = None
     facets = None
     vertices: list[tuple[int, ...]] = []
@@ -121,7 +150,9 @@ def parse(text: str) -> PairDocument:
     read = _DECIMALS.__getitem__
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            tokens = raw.split("#", 1)[0].split()
+            if "#" in raw:  # most lines have no comment: split them as they are
+                raw = raw[: raw.index("#")]
+            tokens = raw.split()
             if not tokens:
                 continue
             if rows_needed:
@@ -189,13 +220,27 @@ def parse(text: str) -> PairDocument:
         raise ParseError(end, "missing dim or facets directive")
     if matrix is None or rows_needed:
         raise MissingLambdaError(end, "lambda block missing or truncated")
-    return PairDocument(
+    vertices.sort()
+    verts = tuple(vertices)
+    doc = PairDocument(
         dim=dim,
         num_facets=facets,
-        vertices=tuple(sorted(vertices)),
+        vertices=verts,
         matrix=tuple(matrix),
         omniorientation=omni,
     )
+    # Each vertex is ascending and the list sorted, so verts[0][0] is the
+    # smallest index and a repeated vertex sits next to its twin.
+    if (
+        facets > dim
+        and verts
+        and verts[0][0] >= 0
+        and max(map(itemgetter(-1), verts)) < facets
+        and min(map(len, map(set, verts))) == dim
+        and not any(map(eq, verts, verts[1:]))
+    ):
+        object.__setattr__(doc, "_checked", True)
+    return doc
 
 
 def omniorientation_line(omni: Omniorientation) -> str:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, filterfalse, islice
+from functools import cached_property, reduce
+from itertools import chain
 from math import comb
-from operator import index
+from operator import index, or_
 
 from .errors import (
     DisconnectedError,
@@ -326,8 +326,10 @@ def _ridge_partners(n: int, m: int, verts) -> tuple[list[int], list[int]]:
     """The facet bitmasks of ``verts`` (canonical n-subsets of range(m)) and
     their ridge partners: slot s = vi*n + pos stands for vertex vi with its
     facet at position pos deleted, and ``partner[s]`` is the other slot on
-    that ridge. RidgeViolationError, naming the first vertex/facet pair in
-    scan order, when a ridge does not lie on exactly two vertices.
+    that ridge. UnusedFacetError, from the union of the masks before any
+    ridge is paired, when a facet lies on no vertex; RidgeViolationError,
+    naming the first vertex/facet pair in scan order, when a ridge does not
+    lie on exactly two vertices.
 
     Ridge key (the XOR of the codes of the vertex's facets but the deleted
     one) -> the slots on that ridge; a ridge enters the dict at its first
@@ -353,6 +355,15 @@ def _ridge_partners(n: int, m: int, verts) -> tuple[list[int], list[int]]:
     if m > 61:  # drop the low bits from the coded masks
         for vi, mask in enumerate(masks):
             masks[vi] = mask >> 64
+    unused = ((1 << m) - 1) ^ reduce(or_, masks)
+    if unused:
+        # the first ten unused facets by lowest-set-bit steps, each O(m/64)
+        shown = []
+        while unused and len(shown) < 10:
+            low = unused & -unused
+            shown.append(low.bit_length() - 1)
+            unused ^= low
+        raise UnusedFacetError(tuple(shown), unused.bit_count())
     partner = [0] * s
     for entries in ridges.values():
         if len(entries) != 2:
@@ -402,7 +413,16 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
     for a, b in zip(canon, canon[1:]):
         if a == b:
             raise DuplicateVertexError(a)
+    return _validate_canonical(n, m, canon)
 
+
+def _validate_canonical(n: int, m: int, canon) -> SimplePolytope:
+    """The rest of ``validate_polytope``, from the simplex closed form on:
+    UnusedFacetError, RidgeViolationError, DisconnectedError and
+    NonOrientableError, in that order. ``canon`` must pass every check
+    before it: m > n >= 1, at least one vertex, each an ascending tuple of
+    n distinct ints in range(m), the list sorted with no two alike.
+    """
     if m == n + 1 and len(canon) == m:
         # m distinct n-subsets of range(n + 1) are all of them: the simplex,
         # whose check always passes and whose BFS result has a closed form.
@@ -419,13 +439,6 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
             tuple((n - p, 0, p, n - 1) for p in range(n)),
             tuple(full ^ (1 << n - i) for i in range(m)),
         )
-
-    used = {j for v in canon for j in v}
-    if len(used) < m:
-        # the first ten unused facets lie among the first len(used) + 10
-        # indices, so the scan is O(V*n) however large m is
-        shown = tuple(islice(filterfalse(used.__contains__, range(m)), 10))
-        raise UnusedFacetError(shown, m - len(used) - len(shown))
 
     masks, partner = _ridge_partners(n, m, canon)
 

@@ -47,16 +47,34 @@ PACKAGE = Path("src") / "quasitoric"
 # survivor: ast.unparse of the mutated statement, or of the mutated
 # expression in the header of a statement with a body.
 EQUIVALENT = {
-    ("polytope:validate_polytope", "m == n - 1 and len(canon) == m"): (
+    ("polytope:_validate_canonical", "m == n - 1 and len(canon) == m"): (
         "the simplex shortcut never fires, as m >= n + 1 by then, and the "
         "general path finds the closed form's polytope"
     ),
-    ("polytope:validate_polytope", "m == n + 0 and len(canon) == m"): (
+    ("polytope:_validate_canonical", "m == n + 0 and len(canon) == m"): (
         "the simplex shortcut never fires, as m >= n + 1 by then, and the "
         "general path finds the closed form's polytope"
     ),
-    ("polytope:validate_polytope", "expected = signs[vi] if pos - wpos & 1 else -signs[vi]"): (
+    ("polytope:_validate_canonical", "expected = signs[vi] if pos - wpos & 1 else -signs[vi]"): (
         "pos - wpos and pos + wpos have the same parity"
+    ),
+    ("fileformat:parse", "dim = read(args[-1])"): (
+        "args holds exactly one token here, so args[-1] is args[0]"
+    ),
+    ("fileformat:parse", "facets = read(args[-1])"): (
+        "args holds exactly one token here, so args[-1] is args[0]"
+    ),
+    ("polytope:_ridge_partners", "partner = [-1] * s"): (
+        "every slot lies on one ridge, and the loop writes both slots of each "
+        "ridge before any is read or raises"
+    ),
+    ("polytope:_ridge_partners", "partner = [1] * s"): (
+        "every slot lies on one ridge, and the loop writes both slots of each "
+        "ridge before any is read or raises"
+    ),
+    ("charpair:validate_char", "got = f'{len(rows)}x{(len(rows[-1]) if rows else 0)}'"): (
+        "a ragged matrix is named by its first bad row below, so here every "
+        "row has one length and rows[-1] is as long as rows[0]"
     ),
     ("charpair:relabel_facets", "new_index = [-1] * len(order)"): (
         "the loop below writes every entry before any is read"

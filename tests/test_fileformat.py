@@ -1,5 +1,6 @@
 """Text format: parsing, canonicalization, round trips, diagnostics."""
 
+import dataclasses
 import random
 import sys
 
@@ -7,15 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasitoric import Omniorientation, PairDocument, cpn, fileformat, hirzebruch, parse, serialize
+from quasitoric import (
+    Omniorientation,
+    PairDocument,
+    charpair,
+    cpn,
+    fileformat,
+    hirzebruch,
+    parse,
+    polytope,
+    product,
+    serialize,
+    validate_char,
+    validate_polytope,
+)
 from quasitoric.fileformat import _DECIMALS, parse_int
 from quasitoric.errors import (
     ArityError,
     DuplicateDirectiveError,
     MissingLambdaError,
     ParseError,
+    ShapeMismatchError,
     TooLargeError,
     UnknownDirectiveError,
+    ValidationError,
 )
 from support import random_valid_pair
 
@@ -221,6 +237,22 @@ def test_order_and_value_errors():
         parse("facets 0\ndim 2\n")
 
 
+def test_errors_at_the_end_and_in_a_sign_count_name_their_line():
+    """A directive missing at the end is named on the line after the last
+    newline; an omniorientation of the wrong length names the count it
+    needs, eps0 and one sign per facet."""
+    cases = [
+        ("dim 2\n", "line 2: missing dim or facets directive"),
+        ("facets 3\n# no dim", "line 2: missing dim or facets directive"),
+        ("dim 2\nfacets 3\nvertex 0 1\nlambda\n1 0 -1\n", "line 6: lambda block missing or truncated"),
+        (CP2_TEXT + "omniorientation +1 +1\n", "line 9: omniorientation takes 4 signs, got 2"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+
 def test_from_pair_round_trip():
     pair = cpn(2)
     doc = PairDocument.from_pair(pair, Omniorientation.all_positive(3))
@@ -333,3 +365,188 @@ def test_random_pair_documents_round_trip(seed, data):
     assert parse(text) == doc
     assert serialize(parse(text)) == text
     assert parse(text).to_pair() == pair
+
+
+def _outcome(build):
+    """What build() gives: the error's type and message, or the pair with
+    the fields its equality leaves out."""
+    try:
+        pair = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    poly = pair.polytope
+    return pair, poly.orientation, poly.bfs_tree, poly.masks, pair.base_signs
+
+
+def _assert_to_pair_is_the_full_path(doc):
+    full = _outcome(
+        lambda: validate_char(validate_polytope(doc.dim, doc.num_facets, doc.vertices), doc.matrix)
+    )
+    assert _outcome(doc.to_pair) == full
+
+
+def _mutate_document(text, kind, pick):
+    """text with one fault of the given kind; pick(k) chooses in range(k).
+    The faults parse lets through are validation's: repeated facets, an
+    index of -1 or m, a vertex line twice, facets <= dim, unused facets,
+    a vertex dropped or changed (bad ridges) and a changed lambda entry."""
+    lines = text.splitlines()
+    n, m = int(lines[0].split()[1]), int(lines[1].split()[1])
+    rows = [i for i, line in enumerate(lines) if line.startswith("vertex ")]
+    top = lines.index("lambda")
+    vi = rows[pick(len(rows))]
+    tokens = lines[vi].split()
+    if kind == "repeat":  # one facet of a vertex written over another
+        p = 1 + pick(n)
+        tokens[p] = tokens[1 + (p % n)]
+    elif kind == "outside":
+        tokens[1 + pick(n)] = str((-1, m)[pick(2)])
+    elif kind == "twice":
+        lines.insert(rows[pick(len(rows))], lines[vi])
+    elif kind in ("few", "unused"):  # lambda rows cut or padded to match
+        k = 1 + pick(n) if kind == "few" else m + 1 + pick(3)
+        lines[1] = f"facets {k}"
+        for r in range(top + 1, top + 1 + n):
+            entries = lines[r].split()
+            lines[r] = " ".join((entries + ["0"] * k)[:k])
+    elif kind == "drop":
+        del lines[vi]
+    elif kind == "move":  # one facet of a vertex changed to any facet
+        tokens[1 + pick(n)] = str(pick(m))
+    elif kind == "lambda":
+        r = top + 1 + pick(n)
+        entries = lines[r].split()
+        entries[pick(m)] = str(pick(5) - 2)
+        lines[r] = " ".join(entries)
+    if kind in ("repeat", "outside", "move"):
+        lines[vi] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+# kind -> whether parse marks the document: the faults that validation finds
+# before its ridges leave it unmarked
+_FAULTS = {
+    "repeat": False, "outside": False, "twice": False, "few": False,
+    "unused": True, "drop": True, "lambda": True,
+}
+
+
+def _pairs(rng):
+    return [random_valid_pair(rng) for _ in range(6)] + [
+        cpn(1), cpn(4), product(cpn(2), cpn(2)), product(cpn(1), hirzebruch(2))
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(_FAULTS) + ["move"])
+def test_parsed_documents_fail_or_pass_as_the_full_path_does(kind):
+    """A document with one fault: to_pair raises what validate_polytope and
+    validate_char raise on its data, with the same message, or gives the
+    same pair, tree, orientation, masks and base signs. Parse marks it
+    exactly when the fault is one validation finds after its vertex checks,
+    and a faultless document always."""
+    rng = random.Random(f"fault:{kind}")
+    for pair in _pairs(rng):
+        text = serialize(PairDocument.from_pair(pair))
+        assert parse(text)._checked
+        _assert_to_pair_is_the_full_path(parse(text))
+        if kind == "repeat" and pair.polytope.dim == 1:
+            continue
+        for _ in range(4):
+            doc = parse(_mutate_document(text, kind, rng.randrange))
+            if kind in _FAULTS:
+                assert doc._checked is _FAULTS[kind]
+            _assert_to_pair_is_the_full_path(doc)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_mutated_documents_fail_or_pass_as_the_full_path_does(seed, data):
+    pair = random_valid_pair(random.Random(seed))
+    text = serialize(PairDocument.from_pair(pair))
+    kinds = sorted(_FAULTS) + ["move"]
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "repeat" and pair.polytope.dim == 1:
+            continue
+        text = _mutate_document(text, kind, lambda k: data.draw(st.integers(0, k - 1)))
+    _assert_to_pair_is_the_full_path(parse(text))
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("vertex 0 1", "vertex 0 0"),
+        ("vertex 0 2", "vertex 0 3"),
+        ("vertex 0 1", "vertex -1 1"),
+        ("vertex 0 1", "vertex 0 1\nvertex 0 1"),
+        ("facets 3\nvertex 0 1\nvertex 0 2\nvertex 1 2\nlambda\n1 0 -1\n0 1 -1",
+         "facets 2\nvertex 0 1\nlambda\n1 0\n0 1"),
+    ],
+)
+def test_a_document_failing_a_vertex_check_is_not_marked(old, new):
+    """A repeated facet, an index equal to facets, a negative index, a
+    vertex line twice and facets equal to dim (with every index in range):
+    parse returns the document unmarked, and to_pair raises what the two
+    validators raise."""
+    doc = parse(CP2_TEXT.replace(old, new, 1))
+    assert not doc._checked
+    with pytest.raises(ValidationError):
+        doc.to_pair()
+    _assert_to_pair_is_the_full_path(doc)
+
+
+def test_short_or_ragged_lambda_takes_the_full_path():
+    """parse refuses a short or ragged lambda block, so such a matrix comes
+    only by hand or through dataclasses.replace: unmarked, it raises
+    validate_char's ShapeMismatchError."""
+    doc = parse(serialize(PairDocument.from_pair(cpn(3))))
+    rows = doc.matrix
+    for matrix, got in (
+        (rows[:2], "2x4"),
+        (rows + rows[:1], "4x4"),
+        ((rows[0], rows[1][:3], rows[2]), "row 1 of length 3"),
+        ((), "0x0"),
+    ):
+        for bad in (
+            dataclasses.replace(doc, matrix=matrix),
+            PairDocument(doc.dim, doc.num_facets, doc.vertices, matrix),
+        ):
+            assert not bad._checked
+            _assert_to_pair_is_the_full_path(bad)
+            with pytest.raises(ShapeMismatchError) as exc:
+                bad.to_pair()
+            assert str(exc.value) == f"characteristic matrix must be 3x4, got {got}"
+
+
+def test_a_marked_document_skips_the_checks_parse_ran(monkeypatch):
+    """On a parsed document to_pair converts no vertex entry and no lambda
+    entry again; a hand-built one, one from from_pair and one through
+    dataclasses.replace run both conversions. The mark changes neither
+    equality, hashing nor repr."""
+
+    def refuse(*args):
+        raise AssertionError("converted again")
+
+    for pair in _pairs(random.Random(41)):
+        doc = parse(serialize(PairDocument.from_pair(pair)))
+        expected = _outcome(doc.to_pair)
+        unmarked = [
+            dataclasses.replace(doc),
+            PairDocument(doc.dim, doc.num_facets, doc.vertices, doc.matrix),
+            PairDocument.from_pair(pair),
+        ]
+        for other in unmarked:
+            assert not other._checked
+            assert (other, hash(other), repr(other)) == (doc, hash(doc), repr(doc))
+        assert "_checked" not in repr(doc)
+        for module in (polytope, charpair):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "index", refuse)
+                assert _outcome(doc.to_pair) == expected
+                for other in unmarked:
+                    with pytest.raises(AssertionError, match="converted again"):
+                        other.to_pair()
+        with monkeypatch.context() as patch:
+            patch.setattr(fileformat, "validate_polytope", refuse)
+            patch.setattr(fileformat, "validate_char", refuse)
+            assert _outcome(doc.to_pair) == expected
