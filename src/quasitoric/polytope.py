@@ -60,8 +60,10 @@ class SimplePolytope:
     listed before its children, so the first edge leaves the root, where the
     parent's facet at ascending position ``pos`` is swapped for the vertex's
     facet at position ``wpos`` across their shared ridge. Nothing downstream
-    needs more: the determinant walk starts at the first edge's parent, and
-    ``charpair.relabel_facets`` propagates the orientation down the list.
+    needs more: the determinant walk starts at the first edge's parent,
+    ``charpair.relabel_facets`` propagates the orientation down the list,
+    and the join split and ``positivity.decide_positive`` read only the
+    facet exchanges of its edges.
     ``validate_polytope`` gives the tree of its breadth-first search from
     vertex 0 (a simplex the same tree in closed form),
     ``constructions.product`` the product of its factors' trees, and

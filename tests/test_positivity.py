@@ -25,6 +25,7 @@ from quasitoric import (
     product,
     relabel_facets,
     solve,
+    vertex_cut,
 )
 from quasitoric.charpair import CharacteristicPair
 from quasitoric import positivity
@@ -32,10 +33,16 @@ from quasitoric.errors import InternalInconsistencyError, TooLargeError
 from quasitoric.positivity import PositivityResult, _omni_from_mask, _verify
 from support import (
     bareiss_dets,
+    depth_first,
     gauss_jordan_solve,
+    random_3d_pair,
     random_polygon_pair,
+    random_product_factor,
+    random_relabelling,
     random_unimodular,
     random_valid_pair,
+    random_vertex,
+    ridge_entries,
 )
 
 
@@ -459,9 +466,18 @@ def test_polygon_walk_matches_solve_and_gauss_jordan():
 def test_decide_positive_builds_no_system_on_a_polygon(monkeypatch):
     """decide_positive, count_positive_omniorientations and
     admits_invariant_acs take the cycle walk on every polygon, SAT and
-    UNSAT, and solve on every other pair."""
+    UNSAT, and the tree's facet exchanges on every SAT pair of another
+    dimension; only an UNSAT pair of dim 3 or more builds and solves a
+    system, for its witness."""
     pairs = [cpn(2), hirzebruch(1), hirzebruch(-2), cp2_sum(2), cp2_sum(3), cp2_sum(1000)]
+    cube = product(product(cpn(1), cpn(1)), cpn(1))
+    trees = [cpn(1), cpn(3), cube, vertex_cut(cube, cube.polytope.vertices[0])]
+    assert all(solve(build_system(pair)).satisfiable for pair in trees)
+    pairs += trees
     expected = [solve(build_system(pair)) for pair in pairs]
+    unsat = product(cp2_sum(2), cpn(1))
+    unsat_expected = solve(build_system(unsat))
+    assert not unsat_expected.satisfiable
 
     def refuse(*args):
         raise AssertionError("a GF(2) system was built or solved")
@@ -473,4 +489,89 @@ def test_decide_positive_builds_no_system_on_a_polygon(monkeypatch):
         assert count_positive_omniorientations(pair) == result.solution_count
         assert admits_invariant_acs(pair) == result.satisfiable
     with pytest.raises(AssertionError, match="GF.2. system"):
-        decide_positive(cpn(3))
+        decide_positive(unsat)
+    monkeypatch.undo()
+    assert decide_positive(unsat) == unsat_expected
+
+
+def _exchange_components(poly):
+    """The number of classes of facets joined by the exchange across every
+    edge of the vertex graph, found from the ridges, not the spanning tree."""
+    label = list(range(poly.num_facets))
+    for (vi, pos), (wi, wpos) in ridge_entries(poly.vertices).values():
+        a, b = label[poly.vertices[vi][pos]], label[poly.vertices[wi][wpos]]
+        if a != b:
+            label = [a if c == b else c for c in label]
+    return len(set(label))
+
+
+def _tree_pairs(rng):
+    """Pairs of dim 3 or more: products of relabelled random factors, each
+    also relabelled, basis-changed, cut at a vertex and with its tree listed
+    depth first, and random 3-dimensional pairs."""
+    for _ in range(60):
+        p, q = random_product_factor(rng), random_product_factor(rng)
+        pair = product(random_relabelling(rng, p), random_relabelling(rng, q))
+        if pair.polytope.dim < 3 or pair.polytope.num_vertices > 200:
+            continue
+        yield pair
+        yield random_relabelling(rng, pair)
+        yield basis_change(pair, random_unimodular(rng, pair.polytope.dim))
+        yield vertex_cut(pair, random_vertex(rng, pair))
+        yield depth_first(pair)
+    for _ in range(60):
+        pair = random_3d_pair(rng)
+        yield pair
+        yield depth_first(pair)
+
+
+def test_tree_decision_matches_solve_and_gauss_jordan(monkeypatch):
+    """On a pair of dim 3 or more decide_positive searches the facet
+    exchanges of the spanning tree. Its whole result must be solve's and the
+    Gauss-Jordan oracle's, each pair also with its first base sign negated,
+    which makes many UNSAT. decide_positive runs solve exactly for the UNSAT
+    pairs, for their witness. A SAT kernel dimension is the number of
+    facet-exchange components, which _verify does not check."""
+    solved = []
+
+    def counted(system):
+        solved.append(system)
+        return solve(system)
+
+    monkeypatch.setattr(positivity, "solve", counted)
+    rng = random.Random(42)
+    seen = {True: 0, False: 0}
+    for pair in _tree_pairs(rng):
+        assert pair.polytope.dim >= 3
+        negated = (-pair.base_signs[0],) + pair.base_signs[1:]
+        for base_signs in (pair.base_signs, negated):
+            drawn = CharacteristicPair(pair.polytope, pair.matrix, base_signs)
+            system = build_system(drawn)
+            result = decide_positive(drawn)
+            assert result == solve(system) == gauss_jordan_solve(system)
+            if result.satisfiable:
+                assert result.kernel_dim == _exchange_components(drawn.polytope)
+            seen[result.satisfiable] += 1
+            assert len(solved) == seen[False]
+    assert seen[True] >= 300 and seen[False] >= 300, seen
+
+
+def test_decide_positive_memory_on_a_tree(monkeypatch):
+    """(CP1)^14, 16384 vertices, is decided from its tree's 14 distinct
+    facet exchanges, with no system, where solve peaks at about 1.25 MiB."""
+    pair = cpn(1)
+    for _ in range(13):
+        pair = product(pair, cpn(1))
+
+    def refuse(*args):
+        raise AssertionError("a GF(2) system was built or solved")
+
+    monkeypatch.setattr(positivity, "solve", refuse)
+    tracemalloc.start()
+    try:
+        result = decide_positive(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.kernel_dim == 14
+    assert peak < 2**20
