@@ -126,9 +126,13 @@ def _walk_dets(polytope: SimplePolytope, rows) -> list:
     """
     n, m = polytope.dim, polytope.num_facets
     verts = polytope.vertices
-    # a tableau row is m wide: past m = 2n it costs more than an inverse row
-    # of n plus the O(n) dot products it saves (cut products and
-    # cp2_sum(k) x CP^1, say; polygons never get here)
+    # a tableau row is m wide, an inverse row n wide but read through O(n)
+    # dot products; the costs do not cross at m = 2n. validate_char, best of
+    # 5, tableau against inverse (CPython 3.11): the cut of (CP1)^10 (n = 10,
+    # m = 21) 2.6-3.2 against 7.6-8.1 ms, cp2_sum(20) x CP^3 (n = 5, m = 26)
+    # 0.25-0.30 against 0.28-0.34 ms; cp2_sum(40) x CP^1 (n = 3, m = 44)
+    # 0.53-0.58 against 0.33-0.39 ms, cp2_sum(98)^2 (n = 4, m = 200) 214-320
+    # against 47-67 ms (polygons never get here)
     tableau = m <= 2 * n
     cols = None if tableau else tuple(zip(*rows))
     below = [[] for _ in verts]  # vertex index -> its tree edges down

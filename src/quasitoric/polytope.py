@@ -71,8 +71,8 @@ class SimplePolytope:
     ridge map. ``masks[i]`` is the facet bitmask of ``vertices[i]``, bit j
     set for each facet j there. All three are derived from the vertices, so
     equality and hashing ignore them. Two more are derived on first use and
-    kept: the f-vector, and a polygon's ``cycle``, which the connected sum,
-    the polygon decision and the self-intersections all read.
+    kept: the f-vector, and a polygon's ``cycle``, which the connected sum
+    and the self-intersections read.
     Construct through :func:`validate_polytope`, ``constructions.product``
     for the product of two validated pairs or ``charpair.relabel_facets``
     for a validated pair relabelled; the dataclass itself performs no

@@ -13,18 +13,18 @@ vertex v is 1 | mask << 1, its facet bitmask shifted past x0.
 of the polytope's spanning tree (``SimplePolytope.bfs_tree``) facet a is
 swapped for facet b, so the two rows sum to x_a + x_b = b_v + b_w. Every
 row is the root's row plus the edge rows on its tree path, so one vertex's
-row and the V - 1 edge rows are row-equivalent to the whole system: the
-decision is a parity search over the m facets joined by these facet
-exchanges, O(V), and the system is SAT iff no cycle of them has odd
-parity. Its kernel is constant on each exchange component, so the free
-unknowns of ``solve``'s lowest-unknown pivot rule are the largest facet of
-each component, and the kernel dimension is their number; setting them 0
-and reading x0 off one row gives ``solve``'s certificate (see
-``_decide_by_tree``). A polygon takes a walk round its facet cycle
-(``SimplePolytope.cycle``) instead, whose UNSAT witness has a closed form
-too (see ``_decide_polygon``), so no polygon builds a system. On
-cp2_sum(199) x cp2_sum(199), 40401 vertices, ``decide_positive`` takes
-about 17 ms, where elimination took 1.5 s (CPython 3.11).
+row and the V - 1 edge rows are row-equivalent to the whole system, in
+every dimension: one pass over the tree's edges joins the m facets into
+parity classes, O(V + m log m), and the system is SAT iff no exchange
+contradicts the parities inside a class. Its kernel is constant on each
+class, so the free unknowns of ``solve``'s lowest-unknown pivot rule are
+the largest facet of each class, and the kernel dimension is their number;
+setting them 0 and reading x0 off one row gives ``solve``'s certificate
+(see ``_decide_by_tree``). An UNSAT polygon's rows have one dependency,
+their sum, so its witness is every vertex, and no polygon builds a
+system. On cp2_sum(199) x cp2_sum(199), 40401 vertices,
+``decide_positive`` takes 12-20 ms, where elimination took 1.5 s
+(CPython 3.11).
 
 ``solve`` is forward elimination over the system. It keeps each row as one
 integer that also packs its rhs and its history. The history is kept in
@@ -36,7 +36,7 @@ vertices whose equations sum to 0 = 1, expanded from a zero row's slots.
 Both are the ones Gauss-Jordan elimination to RREF finds under the same
 pivot rule. ``decide_positive`` runs it only for the witness of an UNSAT
 pair of dim other than 2, which has no closed form; the tests run it as
-the oracle of the two shortcuts. Every result is re-verified before being
+the oracle of the tree pass. Every result is re-verified before being
 returned. A brute-force enumeration over all 2^(m+1) omniorientations
 serves as the independent oracle.
 """
@@ -44,6 +44,7 @@ serves as the independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .charpair import CharacteristicPair, Omniorientation, all_signs
 from .errors import InternalInconsistencyError, TooLargeError
@@ -190,110 +191,72 @@ def solve(system: Gf2System) -> PositivityResult:
     )
 
 
-def _decide_polygon(pair: CharacteristicPair) -> PositivityResult:
-    """``solve(build_system(pair))`` for a polygon, from a walk round its
-    facet cycle, with no system.
-
-    Read the facets as the nodes of a cycle and the vertices as its edges,
-    with y_j the unknown of facet j (x_{1+j} in the system) and r_v the rhs
-    of vertex v, whose row is x0 + y_a + y_b = r_v. ``solve`` pivots on the lowest unknown
-    first, so its pivot columns are the lexicographically first column
-    basis; the free unknowns are the rest, and the certificate sets them 0.
-    The facet columns sum to 0 (each row has two facets), any m - 1 of them
-    are independent, and the all-ones x0 column is their sum over one colour
-    class when m is even and outside their span when m is odd:
-
-    - m odd: the rows are independent, the only free unknown is y_{m-1},
-      x0 is the sum of every r_v and the kernel dimension is 1;
-    - m even: the only dependency among the rows is their sum, so an odd
-      sum of r_v is UNSAT with every vertex as the witness. Otherwise the
-      free unknowns are y_{m-1} and y_f, for f the largest facet at odd
-      distance from m - 1 round the cycle (the first column that closes a
-      colour class with x0), and the kernel dimension is 2.
-
-    The walk starts at facet m - 1 with y = 0 and across vertex v sets
-    y_next = y + r_v + x0; for m even, x0 is the walk's value at f with
-    x0 = 0, so that y_f = 0. It reads the polytope's ``cycle``, rotated to
-    start at facet m - 1; the solution does not depend on the direction.
-    """
-    facets, corners = pair.polytope.cycle
-    m = len(facets)
-    p = facets.index(m - 1)
-    order = facets[p:] + facets[:p]  # the facets in walk order
-    # rhs[i]: the rhs of the vertex between order[i] and the facet after it
-    rhs = [s < 0 for s in map(pair.base_signs.__getitem__, corners[p:] + corners[:p])]
-    total = sum(rhs) & 1
-    if m & 1:
-        x0 = total
-    elif total:
-        return PositivityResult(satisfiable=False, witness=tuple(range(m)))
-    else:
-        f = max(order[1::2])
-        x0 = sum(rhs[: order.index(f)]) & 1
-    signs = [1] * m
-    y = 0
-    for j, r in zip(order, rhs):
-        if y:
-            signs[j] = -1
-        y ^= r ^ x0
-    return PositivityResult(
-        satisfiable=True,
-        certificate=Omniorientation(-1 if x0 else 1, tuple(signs)),
-        kernel_dim=2 - (m & 1),
-    )
-
-
 def _decide_by_tree(pair: CharacteristicPair) -> PositivityResult | None:
     """``solve(build_system(pair))`` for a SAT pair, from the facet exchanges
     of its spanning tree with no system; None when the pair is UNSAT.
 
-    Each tree edge v -> w swaps facet a of v for facet b of w, a link
-    x_a + x_b = r with r = b_v + b_w. The distinct links are searched from
-    the largest facet down: a facet not yet reached is the largest of its
-    component, and gets x = 0; every facet it reaches gets its parity to
-    it. A link that contradicts the parities, which closes a cycle of odd
-    parity, is UNSAT. Otherwise the kernel of the system is one free bit
-    per component, the same on all of its facets, with x0 fixed by the root
-    row. A kernel vector's highest unknown is thus a component's largest
-    facet, so those are the unknowns that are no pivot of ``solve``, which
-    pivots on the lowest unknown first: the kernel dimension is the number
-    of components, and ``solve`` sets each largest facet 0. x0 comes from
-    vertex 0's row. A parity union-find gives the same answer, but its
-    ``find`` calls took several times the search's time on the simplices
-    that make up most decisions.
+    In signs, vertex v's row says eps0 * s_v * prod_{j in v} eps_j = 1, with
+    s_v its base sign. Each tree edge v -> w swaps facet a of v for facet b
+    of w, so the two rows give the exchange eps_a * eps_b = s_v * s_w. One
+    pass over the edges, in list order, joins the facets into classes: the
+    facets of a class share one list and know their signs relative to one
+    another. An exchange that meets a facet alone adds it to the other
+    facet's class, and one between two classes moves the smaller into the
+    larger, its relative signs negated if the exchange asks for it, so a
+    facet moves at most log2 m times. An exchange inside one class that its
+    relative signs break closes a cycle of odd parity: UNSAT. Otherwise the
+    kernel of the system is one free bit per class, the same on all of its
+    facets, with x0 fixed by the root row. A kernel vector's highest unknown
+    is thus a class's largest facet, so those are the unknowns that are no
+    pivot of ``solve``, which pivots on the lowest unknown first: the kernel
+    dimension is the number of classes, and ``solve`` gives each largest
+    facet the sign +1. The global sign then makes vertex 0's sign +1.
     """
     poly = pair.polytope
     verts, signs = poly.vertices, pair.base_signs
     m = poly.num_facets
-    linked = [[] for _ in range(m)]  # linked[a]: (b, x_a + x_b) for each link at a
-    for a, b, r in {
-        (verts[v][pos], verts[w][wpos], signs[v] != signs[w])
-        for w, v, pos, wpos in poly.bfs_tree
-    }:
-        linked[a].append((b, r))
-        linked[b].append((a, r))
-    x = [None] * m
-    components = 0
-    for top in reversed(range(m)):
-        if x[top] is not None:
-            continue
-        components += 1
-        x[top] = 0
-        stack = [top]
-        while stack:
-            a = stack.pop()
-            for b, r in linked[a]:
-                y = x[a] ^ r
-                if x[b] is None:
-                    x[b] = y
-                    stack.append(b)
-                elif x[b] != y:
-                    return None
-    x0 = (signs[0] == -1) ^ sum(map(x.__getitem__, verts[0])) & 1
+    classes = [None] * m  # classes[a]: the facets of a's class, None while a is alone
+    rel = [1] * m  # rel[a] * rel[b] = eps_a * eps_b for a, b of one class
+    for w, v, pos, wpos in poly.bfs_tree:
+        a, b = verts[v][pos], verts[w][wpos]
+        r = signs[v] * signs[w] * rel[a] * rel[b]  # -1 where the exchange fails
+        ca, cb = classes[a], classes[b]
+        if cb is None:  # b is alone, and joins a's class
+            if ca is None:
+                ca = classes[a] = [a]
+            ca.append(b)
+            classes[b] = ca
+            rel[b] = r
+        elif ca is None:  # a is alone, and joins b's class
+            cb.append(a)
+            classes[a] = cb
+            rel[a] = r
+        elif ca is cb:
+            if r < 0:
+                return None
+        else:  # the smaller class moves into the larger
+            if len(ca) < len(cb):
+                ca, cb = cb, ca
+            for f in cb:
+                classes[f] = ca
+                rel[f] *= r
+            ca += cb
+    # every facet is in a class by now: a facet at a vertex is missing from
+    # the vertex across the ridge without it, and the tree path between the
+    # two swaps it
+    eps = [0] * m
+    kernel_dim = 0
+    for top in reversed(range(m)):  # the first facet met of each class is its largest
+        if not eps[top]:
+            kernel_dim += 1
+            t = rel[top]
+            for f in classes[top]:
+                eps[f] = rel[f] * t
+    global_sign = signs[0] * prod(map(eps.__getitem__, verts[0]))
     return PositivityResult(
         satisfiable=True,
-        certificate=Omniorientation(-1 if x0 else 1, tuple(-1 if y else 1 for y in x)),
-        kernel_dim=components,
+        certificate=Omniorientation(global_sign, eps),
+        kernel_dim=kernel_dim,
     )
 
 
@@ -320,19 +283,22 @@ def _verify(pair: CharacteristicPair, result: PositivityResult) -> None:
 def decide_positive(pair: CharacteristicPair) -> PositivityResult:
     """Decide whether the pair admits a positive omniorientation.
 
-    A polygon takes ``_decide_polygon``'s walk round its facet cycle, O(m)
-    with no system. Every other pair takes ``_decide_by_tree``'s parity
-    search over the facet exchanges of its spanning tree, O(V) with no
-    system, and only an UNSAT one then runs ``solve(build_system(pair))``
-    for its witness. All three give the same result, the one Gauss-Jordan
-    elimination to RREF gives. The returned certificate or witness is
-    verified against the pair before being handed out; a verification
-    failure is a defect, not an input error.
+    ``_decide_by_tree``'s one pass over the facet exchanges of the spanning
+    tree decides every pair, O(V + m log m) with no system, and gives a SAT
+    pair's certificate and kernel dimension. An UNSAT polygon's witness is
+    every vertex, since its rows' one dependency is their sum; any other
+    UNSAT pair runs ``solve(build_system(pair))`` for its witness. Both
+    give the result Gauss-Jordan elimination to RREF gives. The returned
+    certificate or witness is verified against the pair before being
+    handed out; a verification failure is a defect, not an input error.
     """
-    if pair.polytope.dim == 2:
-        result = _decide_polygon(pair)
-    else:
-        result = _decide_by_tree(pair) or solve(build_system(pair))
+    result = _decide_by_tree(pair)
+    if result is None:
+        poly = pair.polytope
+        if poly.dim == 2:
+            result = PositivityResult(satisfiable=False, witness=tuple(range(poly.num_vertices)))
+        else:
+            result = solve(build_system(pair))
     _verify(pair, result)
     return result
 

@@ -109,6 +109,12 @@ EQUIVALENT = {
         "constructions:product",
         "masks = tuple((a ^ b << m1 for a in poly1.masks for b in poly2.masks))",
     ): "a has bits below m1 only and b << m1 none below it, so ^ and | agree",
+    ("positivity:_decide_by_tree", "r <= 0"): "r is a product of signs, +1 or -1",
+    ("positivity:_decide_by_tree", "r < 1"): "r is a product of signs, +1 or -1",
+    ("positivity:_decide_by_tree", "len(ca) <= len(cb)"): (
+        "on a tie either class may move: the signs are relative and only "
+        "products of two in one class are read"
+    ),
 }
 
 _BINOPS = {

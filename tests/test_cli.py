@@ -549,8 +549,9 @@ def test_sign_and_decide_lines_match_str_formatting():
 
 
 def test_report_derives_a_polygons_cycle_once(capsys, monkeypatch, tmp_path):
-    """report on a polygon decides and computes its invariants from one facet
-    cycle, derived once and kept on the polytope: SAT and UNSAT alike."""
+    """report on a polygon computes its invariants from one facet cycle,
+    derived once and kept on the polytope, and decides without reading it:
+    SAT and UNSAT alike."""
     derive = SimplePolytope.cycle.func
     calls = []
 

@@ -30,6 +30,7 @@ from quasitoric import (
 from quasitoric.charpair import CharacteristicPair
 from quasitoric import positivity
 from quasitoric.errors import InternalInconsistencyError, TooLargeError
+from quasitoric.polytope import SimplePolytope
 from quasitoric.positivity import PositivityResult, _omni_from_mask, _verify
 from support import (
     bareiss_dets,
@@ -434,13 +435,14 @@ def _polygon_relabellings(rng, pair):
 
 
 def test_polygon_walk_matches_solve_and_gauss_jordan():
-    """On a polygon decide_positive walks the facet cycle and builds no
-    system. Its whole result, certificate and witness included, must be
-    solve's and the Gauss-Jordan oracle's. The draws: cp2_sum(1..40) and
-    two long sums, and random polygon pairs (sums, cuts, Hirzebruch
-    surfaces, basis changes), each relabelled so that facet m - 1 sits
-    anywhere on the cycle, and each with its own base signs and with three
-    random sign vectors in their place."""
+    """On a polygon decide_positive decides from the facet exchanges of the
+    spanning tree, like every pair, and takes every vertex as an UNSAT
+    polygon's witness, with no system. Its whole result, certificate and
+    witness included, must be solve's and the Gauss-Jordan oracle's. The
+    draws: cp2_sum(1..40) and two long sums, and random polygon pairs
+    (sums, cuts, Hirzebruch surfaces, basis changes), each relabelled so
+    that facet m - 1 sits anywhere on the cycle, and each with its own base
+    signs and with three random sign vectors in their place."""
     rng = random.Random(40)
     pairs = [cp2_sum(k) for k in range(1, 41)] + [cp2_sum(254), cp2_sum(255)]
     pairs += [random_polygon_pair(rng, max_m=24) for _ in range(150)]
@@ -465,10 +467,10 @@ def test_polygon_walk_matches_solve_and_gauss_jordan():
 
 def test_decide_positive_builds_no_system_on_a_polygon(monkeypatch):
     """decide_positive, count_positive_omniorientations and
-    admits_invariant_acs take the cycle walk on every polygon, SAT and
-    UNSAT, and the tree's facet exchanges on every SAT pair of another
-    dimension; only an UNSAT pair of dim 3 or more builds and solves a
-    system, for its witness."""
+    admits_invariant_acs decide every pair from the tree's facet exchanges
+    and read no polygon's cycle. An UNSAT polygon's witness is every
+    vertex, so no polygon, SAT or UNSAT, builds a system: only an UNSAT
+    pair of dim 3 or more builds and solves one, for its witness."""
     pairs = [cpn(2), hirzebruch(1), hirzebruch(-2), cp2_sum(2), cp2_sum(3), cp2_sum(1000)]
     cube = product(product(cpn(1), cpn(1)), cpn(1))
     trees = [cpn(1), cpn(3), cube, vertex_cut(cube, cube.polytope.vertices[0])]
@@ -482,8 +484,14 @@ def test_decide_positive_builds_no_system_on_a_polygon(monkeypatch):
     def refuse(*args):
         raise AssertionError("a GF(2) system was built or solved")
 
+    def refuse_cycle(poly):
+        raise AssertionError("a polygon's cycle was read")
+
     monkeypatch.setattr(positivity, "build_system", refuse)
     monkeypatch.setattr(positivity, "solve", refuse)
+    # a property, unlike the cached_property it replaces, is consulted
+    # even where the cycle is already kept on the polytope
+    monkeypatch.setattr(SimplePolytope, "cycle", property(refuse_cycle))
     for pair, result in zip(pairs, expected):
         assert decide_positive(pair) == result
         assert count_positive_omniorientations(pair) == result.solution_count
@@ -526,12 +534,12 @@ def _tree_pairs(rng):
 
 
 def test_tree_decision_matches_solve_and_gauss_jordan(monkeypatch):
-    """On a pair of dim 3 or more decide_positive searches the facet
-    exchanges of the spanning tree. Its whole result must be solve's and the
-    Gauss-Jordan oracle's, each pair also with its first base sign negated,
-    which makes many UNSAT. decide_positive runs solve exactly for the UNSAT
-    pairs, for their witness. A SAT kernel dimension is the number of
-    facet-exchange components, which _verify does not check."""
+    """On a pair of dim 3 or more decide_positive takes one pass over the
+    facet exchanges of the spanning tree. Its whole result must be solve's
+    and the Gauss-Jordan oracle's, each pair also with its first base sign
+    negated, which makes many UNSAT. decide_positive runs solve exactly for
+    the UNSAT pairs, for their witness. A SAT kernel dimension is the number
+    of facet-exchange components, which _verify does not check."""
     solved = []
 
     def counted(system):
