@@ -20,6 +20,7 @@ from . import linalg
 from .charpair import CharacteristicPair, validate_char
 from .errors import (
     InternalInconsistencyError,
+    NotDimension2Error,
     TooLargeError,
     ValidationError,
     _int_text,
@@ -143,19 +144,21 @@ def vertex_cut(pair: CharacteristicPair, vertex) -> CharacteristicPair:
 
 
 def facet_cycle(pair: CharacteristicPair) -> tuple[int, ...]:
-    """Facets of a dim-2 pair in the cycle direction picked by the orientation
-    class (see ``SimplePolytope.cycle``), starting at facet 0."""
-    return pair.polytope.cycle[0]
-
-
-def _corner(poly: SimplePolytope, vertex) -> int:
-    """The position i of ``vertex`` round the polygon's cycle, the corner
-    between facets f = cycle[0][i] and f' after it. Walking the class
-    direction, every corner's base sign (``base_signs``, orientation * det)
-    equals its cycle determinant det(col_f, col_f'). ValueError when it is
-    not a vertex, TypeError for an entry that is not an integer (see
-    ``SimplePolytope.vertex_index``)."""
-    return poly.cycle[1].index(poly.vertex_index(vertex))
+    """Facets of a dim-2 pair round its polygon from facet 0, in the direction
+    of the orientation class: corner (a, b), a < b, runs a -> b when its sign
+    is +1, and coherence makes the successor map a single cycle.
+    NotDimension2Error in any other dimension."""
+    poly = pair.polytope
+    if poly.dim != 2:
+        raise NotDimension2Error(poly.dim)
+    # the facet after each facet: the corner read with step o, reversed at -1
+    succ = dict(v[::o] for v, o in zip(poly.vertices, poly.orientation))
+    facets = [0]
+    while (f := succ[facets[-1]]) != 0:
+        facets.append(f)
+    if len(facets) != poly.num_facets:  # pragma: no cover - defect guard
+        raise InternalInconsistencyError("facet successor map is not a single cycle")
+    return tuple(facets)
 
 
 def connected_sum_4d(
@@ -163,8 +166,12 @@ def connected_sum_4d(
 ) -> CharacteristicPair:
     """Equivariant connected sum of two dim-2 pairs at fixed points.
 
-    The polygons are spliced at the removed corners: with (f, f') the facets
-    at v1 and (g, g') at v2 in cycle order, f merges with g' and f' with g.
+    The polygons are spliced at the removed corners. Corner (a, b), a < b,
+    runs a -> b when its orientation sign is +1; read so, v1 is f -> f' and
+    v2 is g -> g', and f merges with g', f' with g. The glued corners are
+    p1's others and p2's others, g' renamed f, g renamed f' and each
+    surviving facet h renamed m1 + its rank among p2's survivors.
+
     The second pair's columns are transformed by the unique A in GL(2,Z) with
     det A = +1 carrying col(g) to col(f') and col(g') to +-col(f); the sign is
     forced by the determinant condition and equals minus the product of the
@@ -179,13 +186,17 @@ def connected_sum_4d(
     (v2 is a vertex of a validated pair) gives S^-1 = d adj S, and det T = d,
     so det A = d^2 = +1 by construction; the gauge is fixed before validation.
     """
-    # each cycle rotated to start after the removed corner: f' ... f, g' ... g
-    (cycle1, corners1), (cycle2, _) = p1.polytope.cycle, p2.polytope.cycle
-    i, j = _corner(p1.polytope, v1) + 1, _corner(p2.polytope, v2) + 1
-    m = len(cycle1) + len(cycle2) - 2  # the glued polygon's facets and vertices
+    poly1, poly2 = p1.polytope, p2.polytope
+    for poly in (poly1, poly2):
+        if poly.dim != 2:
+            raise NotDimension2Error(poly.dim)
+    i, j = poly1.vertex_index(v1), poly2.vertex_index(v2)
+    m1, m2 = poly1.num_facets, poly2.num_facets
+    m = m1 + m2 - 2  # the glued polygon's facets and vertices
     _check_size(m, 2, m)
-    run1, run2 = cycle1[i:] + cycle1[:i], cycle2[j:] + cycle2[:j]
-    f_next, f, g_next, g = run1[0], run1[-1], run2[0], run2[-1]
+    # a step of -1 reverses a corner whose sign is -1
+    f, f_next = poly1.vertices[i][:: poly1.orientation[i]]
+    g, g_next = poly2.vertices[j][:: poly2.orientation[j]]
 
     (xf, xn), (yf, yn) = linalg.columns(p1.matrix, (f, f_next))
     (xg, xh), (yg, yh) = linalg.columns(p2.matrix, (g, g_next))
@@ -196,26 +207,25 @@ def connected_sum_4d(
 
     # p1 keeps its labels and p2's survivors take m1, m1 + 1, ... in ascending
     # order, so the glued matrix is p1's columns followed by the moved ones.
-    # The glued cycle runs f' -> ... -> f along p1, then along p2 strictly
-    # between g' and g.
-    m1 = p1.polytope.num_facets
-    survivors = [h for h in range(p2.polytope.num_facets) if h not in (g, g_next)]
-    relabel = {h: m1 + r for r, h in enumerate(survivors)}
-    labels = [*run1, *map(relabel.__getitem__, run2[1:-1])]
-
-    vertices = list(zip(labels, labels[1:] + labels[:1]))
+    survivors = [h for h in range(m2) if h != g and h != g_next]
+    rename = dict(zip(survivors, range(m1, m)))
+    rename[g_next], rename[g] = f, f_next
+    vertices = [v for vi, v in enumerate(poly1.vertices) if vi != i]
+    vertices += [(rename[a], rename[b]) for vi, (a, b) in enumerate(poly2.vertices) if vi != j]
     moved = linalg.mat_mul(align, linalg.columns(p2.matrix, survivors))
     lam = [row + new for row, new in zip(p1.matrix, moved)]
 
     # The rebuilt orientation class is normalized at the glued polygon's
-    # lex-smallest vertex, which need not extend p1's. Base signs must agree at
-    # a surviving p1 corner, whose columns are p1's: where the orientations
-    # differ there, negating row 1 (det -1, same as flipping eps0) fixes that.
-    kept = corners1[i % m1]  # p1's corner after v1, between labels 0 and 1
+    # lex-smallest vertex, which need not extend p1's. p1's surviving corners
+    # keep their ridges, so there the two classes differ by one global sign,
+    # read at any of them. Base signs must agree there, as the columns are
+    # p1's: where the orientations differ, negating row 1 (det -1, same as
+    # flipping eps0) fixes that.
+    kept = 1 if i == 0 else 0  # a surviving p1 corner
     try:
-        poly = validate_polytope(2, len(labels), vertices)
-        glued = poly.vertices.index(p1.polytope.vertices[kept])
-        if poly.orientation[glued] != p1.polytope.orientation[kept]:
+        poly = validate_polytope(2, m, vertices)
+        glued = poly.vertices.index(poly1.vertices[kept])
+        if poly.orientation[glued] != poly1.orientation[kept]:
             lam[1] = [-x for x in lam[1]]
         return validate_char(poly, lam)
     except ValidationError as exc:  # pragma: no cover - defect guard

@@ -50,27 +50,35 @@ def _self_intersections(pair: CharacteristicPair, omni: Omniorientation, signs) 
     """D_j . D_j for each facet j of a dim-2 pair, in the orientation of omni,
     given the fixed-point signs ``all_signs(pair, omni)``.
 
-    Facet j lies in exactly two vertices, the corners it shares with its
-    neighbours a and b round the polytope's ``cycle``, where the mixed
-    pairings D_a . D_j and D_b . D_j are the fixed-point signs s_a and s_b.
-    Pairing the two linear relations among the classes with D_j leaves
+    Facet j lies in exactly two vertices, its corners with its neighbours a
+    and b, where the mixed pairings D_a . D_j and D_b . D_j are the
+    fixed-point signs s_a and s_b. Pairing the two linear relations among
+    the classes with D_j leaves
     eff_a[r] * s_a + eff_j[r] * D_j^2 + eff_b[r] * s_b = 0 for r = 0, 1, with
     the effective columns eff = eps_j * col_j (a facet sign flip is the same
-    data as a negated column). So each facet costs O(1).
+    data as a negated column). The relation is symmetric in a and b, so one
+    pass over the vertices sums each facet's two corner terms, in no order
+    round the polygon, and each facet then costs O(1).
     """
-    facets, corners = pair.polytope.cycle
-    m = len(facets)
-    rows, eps = pair.matrix, omni.facet_signs
-    eff = [(eps[j] * rows[0][j], eps[j] * rows[1][j]) for j in range(m)]
-    diag = [0] * m
-    for k, j in enumerate(facets):  # a before j round the cycle, b after it
-        ea, ej, eb = eff[facets[k - 1]], eff[j], eff[facets[k + 1 - m]]
-        s_a, s_b = signs[corners[k - 1]], signs[corners[k]]
-        r = 0 if ej[0] != 0 else 1
-        d, rem = divmod(-(ea[r] * s_a + eb[r] * s_b), ej[r])
-        if rem or ea[1 - r] * s_a + ej[1 - r] * d + eb[1 - r] * s_b:
+    eff = [(e * x, e * y) for e, x, y in zip(omni.facet_signs, *pair.matrix)]
+    xs, ys = [0] * len(eff), [0] * len(eff)  # eff_a * s_a + eff_b * s_b per facet
+    for (a, b), s in zip(pair.polytope.vertices, signs):
+        (xa, ya), (xb, yb) = eff[a], eff[b]
+        xs[a] += s * xb
+        ys[a] += s * yb
+        xs[b] += s * xa
+        ys[b] += s * ya
+    diag = []
+    for j, ((xj, yj), x, y) in enumerate(zip(eff, xs, ys)):
+        if xj:
+            d, rem = divmod(-x, xj)
+            rest = yj * d + y
+        else:
+            d, rem = divmod(-y, yj)
+            rest = x
+        if rem or rest:
             raise InternalInconsistencyError(f"facet {j} violates the linear relations")
-        diag[j] = d
+        diag.append(d)
     return diag
 
 

@@ -20,9 +20,7 @@ from operator import index, or_
 from .errors import (
     DisconnectedError,
     DuplicateVertexError,
-    InternalInconsistencyError,
     NonOrientableError,
-    NotDimension2Error,
     RidgeViolationError,
     TooLargeError,
     UnusedFacetError,
@@ -70,9 +68,8 @@ class SimplePolytope:
     ``charpair.relabel_facets`` its input's tree renamed, neither with a
     ridge map. ``masks[i]`` is the facet bitmask of ``vertices[i]``, bit j
     set for each facet j there. All three are derived from the vertices, so
-    equality and hashing ignore them. Two more are derived on first use and
-    kept: the f-vector, and a polygon's ``cycle``, which the connected sum
-    and the self-intersections read.
+    equality and hashing ignore them. The f-vector is derived on first use
+    and kept.
     Construct through :func:`validate_polytope`, ``constructions.product``
     for the product of two validated pairs or ``charpair.relabel_facets``
     for a validated pair relabelled; the dataclass itself performs no
@@ -112,30 +109,6 @@ class SimplePolytope:
         for factor in factors or [(n, m, verts)]:
             g = _polymul(g, _face_counts(*factor))
         return tuple(reversed(g[1:]))
-
-    @cached_property
-    def cycle(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """A polygon's facets round its cycle from facet 0, and for each
-        facet the index of the vertex between it and the next. The cycle
-        runs in the direction of the orientation class: vertex (a, b), a < b,
-        points a -> b when its sign is +1, and coherence makes that a single
-        cycle. NotDimension2Error in any other dimension."""
-        if self.dim != 2:
-            raise NotDimension2Error(self.dim)
-        m = self.num_facets
-        succ = [0] * m  # the facet after facet j
-        corner = [0] * m  # the vertex between facet j and succ[j]
-        for vi, ((a, b), o) in enumerate(zip(self.vertices, self.orientation)):
-            if o < 0:
-                a, b = b, a
-            succ[a] = b
-            corner[a] = vi
-        facets = [0]
-        while (f := succ[facets[-1]]) != 0:
-            facets.append(f)
-        if len(facets) != m:  # pragma: no cover - defect guard
-            raise InternalInconsistencyError("facet successor map is not a single cycle")
-        return tuple(facets), tuple(map(corner.__getitem__, facets))
 
 
 def _incidence(m: int, verts) -> list[list[int]]:

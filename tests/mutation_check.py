@@ -109,6 +109,10 @@ EQUIVALENT = {
         "constructions:product",
         "masks = tuple((a ^ b << m1 for a in poly1.masks for b in poly2.masks))",
     ): "a has bits below m1 only and b << m1 none below it, so ^ and | agree",
+    ("constructions:connected_sum_4d", "kept = 2 if i == 0 else 0"): (
+        "the gauge may be read at any surviving p1 corner, and vertex 2 of a "
+        "polygon exists and is not v1, vertex 0"
+    ),
     ("positivity:_decide_by_tree", "r <= 0"): "r is a product of signs, +1 or -1",
     ("positivity:_decide_by_tree", "r < 1"): "r is a product of signs, +1 or -1",
     ("positivity:_decide_by_tree", "len(ca) <= len(cb)"): (

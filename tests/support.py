@@ -5,12 +5,12 @@ orientation rule (plain dict sweep over all ridges, no BFS) so library output
 is never checked against itself, and a tuple-keyed ridge map with a deque BFS
 redoes validation's orientation, tree and masks; Bareiss does the same for
 the vertex determinants, the triple loop for matrix products, the
-successor-map walk for a polygon's facet cycle, the subset count for the
-f-vector, the iterated connected sum for the closed-form k-fold sum of
-CP^2, and Gauss-Jordan elimination to RREF, with one history bit per input
-row, for ``solve``'s forward elimination. The random pair generator only
-composes validated constructors, so every emitted pair is valid by
-construction.
+successor-map walk for a polygon's facet cycle and a walk round it for the
+facets' self-intersections, the subset count for the f-vector, the iterated
+connected sum for the closed-form k-fold sum of CP^2, and Gauss-Jordan
+elimination to RREF, with one history bit per input row, for ``solve``'s
+forward elimination. The random pair generator only composes validated
+constructors, so every emitted pair is valid by construction.
 """
 
 from __future__ import annotations
@@ -129,8 +129,9 @@ def bareiss_dets(polytope, rows):
 def cycle_by_successors(polytope):
     """(facets, corners) of a polygon by a walk of its facet successor map,
     vertex (a, b), a < b, pointing a -> b when its orientation sign is +1:
-    the reference for ``SimplePolytope.cycle``. Each corner is found by
-    looking its two facets up among the vertices."""
+    the reference for ``constructions.facet_cycle``. Each corner, the vertex
+    between a facet and the next, is found by looking its two facets up
+    among the vertices."""
     succ = {}
     for (a, b), sign in zip(polytope.vertices, polytope.orientation):
         if sign == 1:
@@ -144,6 +145,33 @@ def cycle_by_successors(polytope):
     where = {v: vi for vi, v in enumerate(polytope.vertices)}
     corners = tuple(where[tuple(sorted(e))] for e in zip(cycle, cycle[1:] + cycle[:1]))
     return tuple(cycle), corners
+
+
+def self_intersections_round_the_cycle(pair, omni):
+    """D_j . D_j for each facet j of a polygon pair under omni, walking the
+    cycle of ``cycle_by_successors``: facet j's neighbours a before it and b
+    after it meet it at the corners on either side, whose fixed-point signs
+    s_a and s_b, g * orientation * det of the effective columns by Bareiss,
+    solve eff_a * s_a + eff_j * D_j^2 + eff_b * s_b = 0 in both rows. The
+    reference for ``invariants._self_intersections``, which reads no cycle
+    and takes the library's signs."""
+    facets, corners = cycle_by_successors(pair.polytope)
+    m, poly = len(facets), pair.polytope
+    eff = [[e * x for e, x in zip(omni.facet_signs, row)] for row in pair.matrix]
+    signs = [
+        omni.global_sign * o * det_bareiss(columns(eff, v))
+        for v, o in zip(poly.vertices, poly.orientation)
+    ]
+    diag = [0] * m
+    for k, j in enumerate(facets):
+        a, b = facets[k - 1], facets[(k + 1) % m]
+        s_a, s_b = signs[corners[k - 1]], signs[corners[k]]
+        r = 0 if eff[0][j] else 1
+        d, rem = divmod(-(eff[r][a] * s_a + eff[r][b] * s_b), eff[r][j])
+        assert rem == 0, f"facet {j}: D_j^2 is not an integer"
+        assert eff[1 - r][a] * s_a + eff[1 - r][j] * d + eff[1 - r][b] * s_b == 0
+        diag[j] = d
+    return diag
 
 
 def mat_mul_by_loops(a, b):

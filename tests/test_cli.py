@@ -31,7 +31,6 @@ from quasitoric import (
 from quasitoric import cli
 from quasitoric.cli import main
 from quasitoric.errors import TooLargeError
-from quasitoric.polytope import SimplePolytope
 from quasitoric.positivity import PositivityResult
 from support import random_valid_pair
 
@@ -548,23 +547,12 @@ def test_sign_and_decide_lines_match_str_formatting():
     ]
 
 
-def test_report_derives_a_polygons_cycle_once(capsys, monkeypatch, tmp_path):
-    """report on a polygon computes its invariants from one facet cycle,
-    derived once and kept on the polytope, and decides without reading it:
-    SAT and UNSAT alike."""
-    derive = SimplePolytope.cycle.func
-    calls = []
-
-    def counted(poly):
-        calls.append(poly)
-        return derive(poly)
-
-    monkeypatch.setattr(SimplePolytope.cycle, "func", counted)
+def test_report_on_a_sat_and_an_unsat_polygon(capsys, tmp_path):
+    """report on a polygon decides and computes its invariants, SAT and
+    UNSAT alike."""
     for k, expected in ((5, 0), (4, 1)):
         path = tmp_path / f"s{k}.qtm"
         path.write_text(serialize(PairDocument.from_pair(cp2_sum(k))))
-        calls.clear()
         code, out, _ = run(capsys, ["report", str(path)])
         assert code == expected
         assert f"signature = {k}" in out.splitlines()
-        assert len(calls) == 1

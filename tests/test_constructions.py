@@ -194,6 +194,21 @@ def test_cp2_sum_matches_the_fold():
         assert text == serialize(PairDocument.from_pair(folded, omni)), k
 
 
+def test_one_more_sum_of_cp2_matches_the_closed_form_at_scale():
+    """CP^2 summed into cp2_sum(k), at vertex 0 of each, is cp2_sum(k + 1) in
+    value, orientation, base signs, tree and masks, far past the fold test's
+    62 facets and the switch to coded ridge keys past 61."""
+    for k in (300, 2000):
+        acc = cp2_sum(k)
+        summed = connected_sum_4d(acc, acc.polytope.vertices[0], cpn(2), (0, 1))
+        pair = cp2_sum(k + 1)
+        assert summed == pair, k
+        assert summed.polytope.orientation == pair.polytope.orientation, k
+        assert summed.base_signs == pair.base_signs, k
+        assert summed.polytope.bfs_tree == pair.polytope.bfs_tree, k
+        assert summed.polytope.masks == pair.polytope.masks, k
+
+
 def test_cp2_sum_is_built_in_linear_time():
     """The fold would take minutes at k = 5000; the closed form takes about
     0.1 s, so the bound only catches a return to quadratic cost."""
@@ -225,6 +240,15 @@ def test_connected_sum_requires_dim2():
         connected_sum_4d(cpn(3), (0, 1, 2), cpn(2), (0, 1))
     with pytest.raises(ValueError):
         cp2_sum(0)
+
+
+def test_connected_sum_requires_a_second_summand_of_dim2():
+    """A second summand of any other dim raises NotDimension2Error, before
+    either vertex is looked up."""
+    for other in (cpn(1), cpn(3), product(cpn(2), cpn(1))):
+        for v1 in ((0, 1), (5, 6)):
+            with pytest.raises(NotDimension2Error):
+                connected_sum_4d(cpn(2), v1, other, other.polytope.vertices[0])
 
 
 def test_connected_sum_rejects_a_non_vertex():

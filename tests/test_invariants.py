@@ -24,9 +24,17 @@ from quasitoric import (
     todd_genus_4d,
     vertex_cut,
 )
+from quasitoric.charpair import all_signs
 from quasitoric.errors import NotDimension2Error
+from quasitoric.invariants import _self_intersections
 from quasitoric.linalg import det_bareiss
-from support import random_polygon_pair, random_unimodular_det1, random_valid_pair
+from support import (
+    random_polygon_pair,
+    random_unimodular,
+    random_unimodular_det1,
+    random_valid_pair,
+    self_intersections_round_the_cycle,
+)
 
 
 def all_pos(pair):
@@ -251,6 +259,26 @@ def test_local_signature_matches_congruence_diagonalization(seed, data):
         assert 4 * rep.todd == rep.euler + rep.signature
         assert todd_genus_4d(pair, o) == rep.todd
         assert almost_complex_exists_4d(pair, o) == rep.almost_complex_4d
+
+
+def test_self_intersections_match_the_walk_round_the_cycle():
+    """Each facet's D_j . D_j, summed over its two corners in vertex order,
+    is the walk round the cycle's, facet by facet: on random polygon pairs
+    and cp2_sum(1..40), each relabelled at random and basis-changed, under
+    a random omniorientation, its global flip and every facet flip."""
+    rng = random.Random(39)
+    pairs = [random_polygon_pair(rng, max_m=16) for _ in range(150)]
+    pairs += [cp2_sum(k) for k in range(1, 41)]
+    for pair in pairs:
+        m = pair.polytope.num_facets
+        signs = [rng.choice((1, -1)) for _ in range(m + 1)]
+        pair, omni = relabel_facets(
+            pair, rng.sample(range(m), m), Omniorientation(signs[0], tuple(signs[1:]))
+        )
+        for other in (pair, basis_change(pair, random_unimodular(rng, 2))):
+            for o in (omni, omni.flip_global(), *map(omni.flip_facet, range(m))):
+                diag = _self_intersections(other, o, all_signs(other, o))
+                assert diag == self_intersections_round_the_cycle(other, o)
 
 
 def test_cp2_sum_signature_counts_summands():

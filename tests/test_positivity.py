@@ -30,7 +30,6 @@ from quasitoric import (
 from quasitoric.charpair import CharacteristicPair
 from quasitoric import positivity
 from quasitoric.errors import InternalInconsistencyError, TooLargeError
-from quasitoric.polytope import SimplePolytope
 from quasitoric.positivity import PositivityResult, _omni_from_mask, _verify
 from support import (
     bareiss_dets,
@@ -467,10 +466,10 @@ def test_polygon_walk_matches_solve_and_gauss_jordan():
 
 def test_decide_positive_builds_no_system_on_a_polygon(monkeypatch):
     """decide_positive, count_positive_omniorientations and
-    admits_invariant_acs decide every pair from the tree's facet exchanges
-    and read no polygon's cycle. An UNSAT polygon's witness is every
-    vertex, so no polygon, SAT or UNSAT, builds a system: only an UNSAT
-    pair of dim 3 or more builds and solves one, for its witness."""
+    admits_invariant_acs decide every pair from the tree's facet exchanges.
+    An UNSAT polygon's witness is every vertex, so no polygon, SAT or
+    UNSAT, builds a system: only an UNSAT pair of dim 3 or more builds and
+    solves one, for its witness."""
     pairs = [cpn(2), hirzebruch(1), hirzebruch(-2), cp2_sum(2), cp2_sum(3), cp2_sum(1000)]
     cube = product(product(cpn(1), cpn(1)), cpn(1))
     trees = [cpn(1), cpn(3), cube, vertex_cut(cube, cube.polytope.vertices[0])]
@@ -484,14 +483,8 @@ def test_decide_positive_builds_no_system_on_a_polygon(monkeypatch):
     def refuse(*args):
         raise AssertionError("a GF(2) system was built or solved")
 
-    def refuse_cycle(poly):
-        raise AssertionError("a polygon's cycle was read")
-
     monkeypatch.setattr(positivity, "build_system", refuse)
     monkeypatch.setattr(positivity, "solve", refuse)
-    # a property, unlike the cached_property it replaces, is consulted
-    # even where the cycle is already kept on the polytope
-    monkeypatch.setattr(SimplePolytope, "cycle", property(refuse_cycle))
     for pair, result in zip(pairs, expected):
         assert decide_positive(pair) == result
         assert count_positive_omniorientations(pair) == result.solution_count
