@@ -119,6 +119,12 @@ def _walk_dets(polytope: SimplePolytope, rows) -> list:
     exact rank-one pivot on row pos (O(n^2) on the inverse, for all of u),
     which rebuilds only the rows with u_r != 0; the others are the same
     objects in both, which is safe because no row is mutated once built.
+    A unimodular w whose children are all leaves takes no pivot: row wpos
+    of its rows is v's row pos times u_pos, and any other row is v's row r
+    less u_r * u_pos times v's row pos, for the r that lands there once row
+    pos has moved to wpos, so each leaf below w is read off v's rows, O(1)
+    on the tableau and O(n) on the inverse. Without this the cut of cpn(n)
+    would pivot at n - 1 children of its root, O(n^3) in all.
     The root and each child of a singular vertex start afresh: one
     fraction-free Gauss-Jordan, on lambda pivoting in the vertex's columns or
     on [lambda_v | I], gives the determinant and, when it is unimodular, the
@@ -145,6 +151,7 @@ def _walk_dets(polytope: SimplePolytope, rows) -> list:
         wi, vi, pos, wpos, t = stack.pop()
         if dets[wi] is not None:
             raise ValueError(f"bfs_tree reaches vertex {wi}, {verts[wi]}, twice")
+        u = None  # while None, t holds the rows of w itself
         if t is None:
             if tableau:
                 dets[wi], t = linalg.det_and_reduce(rows, verts[wi])
@@ -157,15 +164,27 @@ def _walk_dets(polytope: SimplePolytope, rows) -> list:
             else:
                 u = [sum(map(mul, row, cols[j])) for row in t]
             step = u[pos]
-            t = _exchange(t, u, pos, wpos) if step in (1, -1) else None
             dets[wi] = dets[vi] * (-step if (pos + wpos) & 1 else step)
-        for ci, _, pos, wpos in below[wi]:
+            if step not in (1, -1):
+                t = None
+            elif any(below[ci] for ci, *_ in below[wi]):
+                t, u = _exchange(t, u, pos, wpos), None
+            # else only leaves hang below w, and they read t, v's rows, through u
+        for ci, _, cpos, cwpos in below[wi]:
             if t is None or below[ci] or dets[ci] is not None:
-                stack.append((ci, wi, pos, wpos, t))
-            else:  # a leaf needs only its determinant
-                j = verts[ci][wpos]
-                step = t[pos][j] if tableau else sum(map(mul, t[pos], cols[j]))
-                dets[ci] = dets[wi] * (-step if (pos + wpos) & 1 else step)
+                stack.append((ci, wi, cpos, cwpos, t))
+                continue
+            # a leaf needs only its determinant: one entry of w's rows
+            j = verts[ci][cwpos]
+            if u is None:
+                step = t[cpos][j] if tableau else sum(map(mul, t[cpos], cols[j]))
+            else:  # row cpos of T_w: v's row pos over u_pos, moved to wpos ...
+                step = (t[pos][j] if tableau else sum(map(mul, t[pos], cols[j]))) * u[pos]
+                if cpos != wpos:  # ... or v's row r, less u_r times that
+                    r = cpos - (cpos > wpos)
+                    r += r >= pos
+                    step = (t[r][j] if tableau else sum(map(mul, t[r], cols[j]))) - u[r] * step
+            dets[ci] = dets[wi] * (-step if (cpos + cwpos) & 1 else step)
     if None in dets:
         vi = dets.index(None)
         raise ValueError(f"bfs_tree never reaches vertex {vi}, {verts[vi]}")

@@ -7,6 +7,13 @@ SIGPIPE) when the reader of stdout closed it before all output was written,
 with nothing on stderr. All output is a pure function of the input;
 diagnostics go to stderr. A command writes stdout only once it has its whole
 answer, so an error leaves stdout empty.
+
+``qtm <command> <file>`` for the five commands that read one file, with a
+file that is ``-`` or does not start with ``-``, is dispatched from one table
+without argparse: argparse would read that file token as the positional, so
+the result is the same, and parsing it took longer than parsing a small
+document. Every other command line, help and usage errors included, goes
+through argparse.
 """
 
 from __future__ import annotations
@@ -149,6 +156,17 @@ def cmd_construct(args) -> tuple[int, list[str]]:
     return 0, []
 
 
+# name -> the command that reads one .qtm file; main dispatches `qtm <name>
+# <file>` from here without argparse, and the parser lists them from here
+_FILE_COMMANDS = {
+    "validate": cmd_validate,
+    "signs": cmd_signs,
+    "decide": cmd_decide,
+    "invariants": cmd_invariants,
+    "report": cmd_report,
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def _print_message(self, message, file=None):
         # argparse drops an OSError from its writes. Help goes to stdout, and a
@@ -171,13 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for cmd, func in (
-        ("validate", cmd_validate),
-        ("signs", cmd_signs),
-        ("decide", cmd_decide),
-        ("invariants", cmd_invariants),
-        ("report", cmd_report),
-    ):
+    for cmd, func in _FILE_COMMANDS.items():
         p = sub.add_parser(cmd)
         p.add_argument("file", help=".qtm file, or - for stdin")
         p.set_defaults(func=func)
@@ -203,9 +215,20 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
-            args = _PARSER.parse_args(argv)
+            # argparse reads a second token that is - or starts with no - as
+            # the positional file, so this is the namespace it would build;
+            # any other argv (options, --, construct) is left to argparse
+            if len(argv) == 2 and argv[0] in _FILE_COMMANDS and (
+                argv[1] == "-" or not argv[1].startswith("-")
+            ):
+                args = argparse.Namespace(
+                    command=argv[0], file=argv[1], func=_FILE_COMMANDS[argv[0]]
+                )
+            else:
+                args = _PARSER.parse_args(argv)
             code, lines = args.func(args)
             # line by line: one large write to a pipe whose reader has gone can
             # return short without raising, and the rest is dropped unnoticed

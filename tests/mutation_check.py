@@ -102,8 +102,11 @@ EQUIVALENT = {
     ("charpair:_walk_dets", "dets[wi] = dets[vi] * (-step if pos - wpos & 1 else step)"): (
         "pos - wpos and pos + wpos have the same parity"
     ),
-    ("charpair:_walk_dets", "dets[ci] = dets[wi] * (-step if pos - wpos & 1 else step)"): (
-        "pos - wpos and pos + wpos have the same parity"
+    ("charpair:_walk_dets", "dets[ci] = dets[wi] * (-step if cpos - cwpos & 1 else step)"): (
+        "cpos - cwpos and cpos + cwpos have the same parity"
+    ),
+    ("charpair:_walk_dets", "r = cpos - (cpos >= wpos)"): (
+        "cpos != wpos on this branch, so >= and > agree"
     ),
     (
         "constructions:product",

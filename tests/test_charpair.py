@@ -354,16 +354,24 @@ def test_int_text_counts_digits_at_the_boundaries():
 
 
 def _oracle_pair(rng: random.Random):
-    """A random_valid_pair, or a relabelled, basis-changed cpn(n) or (CP1)^k."""
-    kind = rng.randrange(3)
+    """A random_valid_pair, or a relabelled, basis-changed cpn(n), (CP1)^k,
+    vertex cut of cpn(n) or vertex cut of a product."""
+    kind = rng.randrange(5)
     if kind == 0:
         return random_valid_pair(rng)
     if kind == 1:
         pair = cpn(rng.randint(1, 12))
-    else:
+    elif kind == 2:
         pair = cpn(1)
         for _ in range(rng.randint(0, 5)):
             pair = product(pair, cpn(1))
+    elif kind == 3:  # each child of the root but one has one leaf below it
+        pair = cpn(rng.randint(2, 12))
+        pair = vertex_cut(pair, random_vertex(rng, pair))
+    else:  # (CP1)^k cut has m = 2n + 1, on the inverse form
+        pair = product(random_product_factor(rng), cpn(rng.randint(1, 2)))
+        for _ in range(rng.randint(1, 2)):
+            pair = vertex_cut(pair, random_vertex(rng, pair))
     perm = list(range(pair.polytope.num_facets))
     rng.shuffle(perm)
     pair, _ = relabel_facets(pair, perm)
@@ -820,13 +828,69 @@ def test_walk_memory_follows_the_tree_depth(monkeypatch):
     assert signs == pair.base_signs
     assert peak < 2 * 2**20
 
+
+def _exchanges(monkeypatch, pair):
+    """How many rank-one pivots validating pair takes."""
     pivots = []
     exchange = charpair._exchange
     monkeypatch.setattr(
         charpair, "_exchange", lambda t, u, pos, wpos: pivots.append(pos) or exchange(t, u, pos, wpos)
     )
     assert validate_char(pair.polytope, pair.matrix).base_signs == pair.base_signs
-    assert len(pivots) == 99
+    monkeypatch.setattr(charpair, "_exchange", exchange)
+    return len(pivots)
+
+
+def test_a_vertex_with_only_leaves_below_keeps_no_rows(monkeypatch):
+    """Only a vertex with a child that has children of its own takes a
+    rank-one pivot; its leaves are read from its parent's rows. The cut of
+    cpn(n) at a vertex, whose root has n children and n - 1 of them one leaf
+    each, takes none. On valid pairs of both walk forms, relabelled and
+    basis-changed, the count is the number of such vertices below the root."""
+    for n in (3, 10, 100):
+        assert _exchanges(monkeypatch, vertex_cut(cpn(n), tuple(range(n)))) == 0
+    rng = random.Random(61)
+    forms, taken = set(), 0
+    for _ in range(60):
+        pair = _oracle_pair(rng)
+        poly = pair.polytope
+        if poly.dim == 2:  # a polygon's determinants are minors, with no walk
+            continue
+        below = {}
+        for ci, vi, _, _ in poly.bfs_tree:
+            below.setdefault(vi, []).append(ci)
+        root = poly.bfs_tree[0][1]
+        inner = sum(
+            1 for wi, kids in below.items() if wi != root and any(c in below for c in kids)
+        )
+        assert _exchanges(monkeypatch, pair) == inner
+        forms.add(poly.num_facets <= 2 * poly.dim)
+        taken += inner
+    assert forms == {False, True} and taken
+
+
+def test_an_offender_below_a_vertex_with_no_rows_matches_bareiss():
+    """The new facet of a cut of cpn(n) or (CP1)^k lies in every leaf below
+    the vertices that keep no rows: one perturbed entry in its column makes
+    some of those leaves singular, on both walk forms, and the offenders
+    are Bareiss's."""
+    rng = random.Random(67)
+    for base in (cpn(6), cpn(11), product(product(cpn(1), cpn(1)), product(cpn(1), cpn(1)))):
+        pair = vertex_cut(base, base.polytope.vertices[0])
+        pair = basis_change(pair, random_unimodular(rng, pair.polytope.dim, steps=10))
+        poly = pair.polytope
+        below = {}
+        for ci, vi, _, _ in poly.bfs_tree:
+            below.setdefault(vi, []).append(ci)
+        root = poly.bfs_tree[0][1]
+        skipped = [w for w, kids in below.items() if w != root and not any(c in below for c in kids)]
+        under = {c for w in skipped for c in below[w]}
+        for i in range(poly.dim):
+            rows = [list(row) for row in pair.matrix]
+            rows[i][-1] += 3
+            got, expected = _offenders_or_dets(poly, rows)
+            assert got == expected
+            assert {poly.vertex_index(v) for v, _ in expected} & under
 
 
 def test_a_tree_that_misses_a_vertex_is_refused():

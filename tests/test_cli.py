@@ -335,13 +335,21 @@ def test_reused_parser_leaks_no_state(capsys, tmp_path):
     target = str(tmp_path / "cp2.qtm")
     calls = [["report"], ["--help"], ["construct", "cpn", "2", "-o", target],
              ["report", target], ["report", target], ["report"]]
+    # then the table path (report <file>) and argparse (everything else) in
+    # turn, each after the other
+    calls += [["report", "--", target], ["report", target], ["report", "-h"],
+              ["report", target], ["report"], ["report", target], ["--help"]]
     results = [run(capsys, argv) for argv in calls]
-    assert [code for code, _, _ in results] == [3, 0, 0, 0, 0, 3]
+    assert [code for code, _, _ in results] == [3, 0, 0, 0, 0, 3, 0, 0, 0, 0, 3, 0, 0]
     assert results[0][2].startswith("usage: qtm report")
     assert results[1][1].startswith("usage: qtm")
     assert results[3][1]
     assert results[4] == results[3]
     assert results[5] == results[0]
+    assert results[6] == results[7] == results[9] == results[11] == results[3]
+    assert results[8][1].startswith("usage: qtm report")
+    assert results[10] == results[0]
+    assert results[12] == results[1]
 
 
 def test_import_does_not_load_numpy():
@@ -556,3 +564,108 @@ def test_report_on_a_sat_and_an_unsat_polygon(capsys, tmp_path):
         code, out, _ = run(capsys, ["report", str(path)])
         assert code == expected
         assert f"signature = {k}" in out.splitlines()
+
+
+def _dispatch_corpus(tmp_path):
+    """argv lists round the table path: each file command with every kind of
+    second token, and argv lists of other lengths and other commands."""
+    path = tmp_path / "cp2.qtm"
+    path.write_text(CP2_TEXT + "omniorientation 1 1 1 1\n")
+    spaced = tmp_path / "c p2.qtm"
+    spaced.write_text(CP2_TEXT)
+    missing = str(tmp_path / "missing.qtm")
+    argvs = [[], ["report"], ["-h"], ["--help"], ["construct", "cpn", "2"],
+             ["construct", "-o", "-", "cpn", "2"], ["frobnicate", str(path)],
+             ["repor", str(path)], ["Report", str(path)], ["-h", str(path)],
+             ["report", str(path), str(path)], ["report", "--", str(path)],
+             ["report", "-", "-"], ["--", "report", str(path)]]
+    for cmd in cli._FILE_COMMANDS:
+        for token in ("-", str(path), "", str(spaced), "-1", "--", "-h", "--help",
+                      "-x", missing, "--file", "-" + str(path)):
+            argvs.append([cmd, token])
+    return argvs
+
+
+def _outcome(capsys, monkeypatch, argv):
+    """main(argv) on fresh stdin: exit code, stdout and stderr."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(CP2_TEXT + "omniorientation -1 1 1 -1\n"))
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _on_table(argv):
+    """Whether main may skip argparse: `<file command> <file>`, with a file
+    that is - or does not start with -."""
+    return (len(argv) == 2 and argv[0] in cli._FILE_COMMANDS
+            and (argv[1] == "-" or not argv[1].startswith("-")))
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The argv of every _PARSER.parse_args call, in order."""
+    calls = []
+    parse_args = cli._PARSER.parse_args
+    monkeypatch.setattr(
+        cli._PARSER, "parse_args",
+        lambda args=None, namespace=None: calls.append(args) or parse_args(args, namespace),
+    )
+    return calls
+
+
+def test_table_dispatch_matches_argparse(capsys, monkeypatch, tmp_path, parsed):
+    """main gives the same exit code, stdout and stderr, byte for byte, with
+    the file command table as with an empty one, which sends every argv
+    through argparse; only `<file command> <file>` with a file that is - or
+    does not start with - skips the parser."""
+    skipped = 0
+    for argv in _dispatch_corpus(tmp_path):
+        parsed.clear()
+        fast = _outcome(capsys, monkeypatch, argv)
+        assert (not parsed) == _on_table(argv), argv
+        skipped += not parsed
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_FILE_COMMANDS", {})
+            parsed.clear()
+            assert _outcome(capsys, monkeypatch, argv) == fast, argv
+            assert parsed == [argv], argv
+    # -, a path, "", a path with a space and a missing file, per command
+    assert skipped == 5 * len(cli._FILE_COMMANDS)
+
+
+def test_table_namespace_is_argparses(capsys, monkeypatch, tmp_path):
+    """Where the table path applies, the namespace it hands the command is
+    the one _PARSER.parse_args returns for the same argv."""
+    built = []
+
+    class Recording(cli.argparse.Namespace):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            built.append(self)
+
+    for argv in filter(_on_table, _dispatch_corpus(tmp_path)):
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(cli.argparse, "Namespace", Recording)
+            _outcome(capsys, monkeypatch, argv)
+        assert len(built) == 1, argv
+        assert vars(built[0]) == vars(cli._PARSER.parse_args(argv)), argv
+        assert built[0].func is cli._FILE_COMMANDS[argv[0]]
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch, tmp_path, parsed):
+    """main(None) reads sys.argv[1:], and takes the same path, table or
+    argparse, with the same exit code and output as main(sys.argv[1:])."""
+    for argv in _dispatch_corpus(tmp_path):
+        parsed.clear()
+        given = _outcome(capsys, monkeypatch, argv)
+        path = list(parsed)
+        parsed.clear()
+        monkeypatch.setattr("sys.argv", ["qtm", *argv])
+        assert _outcome(capsys, monkeypatch, None) == given, argv
+        assert parsed == path, argv
+    # a tuple is read as its list, as argparse reads it
+    parsed.clear()
+    assert _outcome(capsys, monkeypatch, ("report", "-")) == _outcome(
+        capsys, monkeypatch, ["report", "-"])
+    assert parsed == []
