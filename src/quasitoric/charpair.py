@@ -14,19 +14,17 @@ flips are tracked in eps and never folded into the stored matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, index, mul, neg, sub
 
 from . import linalg
-from .errors import NotUnimodularError, ShapeMismatchError, SingularVertexError
+from .errors import NotUnimodularError, Record, ShapeMismatchError, SingularVertexError
 # validate_polytope is unused here, but perfbench/tracing.py hooks the name
 # charpair.validate_polytope
 from .polytope import SimplePolytope, orient_dual_sphere, validate_polytope  # noqa: F401
 
 
-@dataclass(frozen=True)
-class CharacteristicPair:
+class CharacteristicPair(Record):
     """Polytope with a validated characteristic matrix (a tuple of rows).
 
     ``base_signs[i]`` is ``polytope.orientation[i] * det lambda_v`` for
@@ -35,29 +33,37 @@ class CharacteristicPair:
     construction.
     """
 
-    polytope: SimplePolytope
-    matrix: tuple[tuple[int, ...], ...]
-    base_signs: tuple[int, ...]
+    __slots__ = ("polytope", "matrix", "base_signs")
+
+    def __init__(
+        self,
+        polytope: SimplePolytope,
+        matrix: tuple[tuple[int, ...], ...],
+        base_signs: tuple[int, ...],
+    ):
+        object.__setattr__(self, "polytope", polytope)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "base_signs", base_signs)
 
 
-@dataclass(frozen=True)
-class Omniorientation:
+class Omniorientation(Record):
     """Global orientation sign and one sign per characteristic submanifold.
 
     Each sign is read through ``operator.index``: a float or a str raises
     TypeError, and True is stored as 1.
     """
 
-    global_sign: int
-    facet_signs: tuple[int, ...]
+    __slots__ = ("global_sign", "facet_signs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "global_sign", index(self.global_sign))
-        object.__setattr__(self, "facet_signs", tuple(map(index, self.facet_signs)))
-        if self.global_sign not in (1, -1):
+    def __init__(self, global_sign: int, facet_signs: tuple[int, ...]):
+        global_sign = index(global_sign)
+        facet_signs = tuple(map(index, facet_signs))
+        if global_sign not in (1, -1):
             raise ValueError("global sign must be +1 or -1")
-        if any(s not in (1, -1) for s in self.facet_signs):
+        if any(s not in (1, -1) for s in facet_signs):
             raise ValueError("facet signs must be +1 or -1")
+        object.__setattr__(self, "global_sign", global_sign)
+        object.__setattr__(self, "facet_signs", facet_signs)
 
     @classmethod
     def all_positive(cls, num_facets: int) -> "Omniorientation":

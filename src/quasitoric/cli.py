@@ -21,13 +21,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .charpair import Omniorientation, all_signs
 from .constructions import cp2_sum, cpn, hirzebruch, product, vertex_cut
 from .errors import QuasitoricError
 from .fileformat import SIGN_TEXT, PairDocument, omniorientation_line, parse, parse_int, serialize
-from .invariants import compute_invariants
+from .invariants import _invariants_from_signs, compute_invariants
 from .polytope import f_vector, h_vector
 from .positivity import decide_positive
 
@@ -50,8 +51,7 @@ def _summary_lines(pair) -> list[str]:
 _SIGN_SUFFIX = {s: " : " + text for s, text in SIGN_TEXT.items()}
 
 
-def _sign_lines(pair, omni) -> list[str]:
-    signs = all_signs(pair, omni)
+def _sign_lines(pair, signs) -> list[str]:
     # one str per facet, not per vertex entry; built per call, since a
     # module-level table of facet names would stay resident
     names = list(map(str, range(pair.polytope.num_facets)))
@@ -67,9 +67,7 @@ def _decide_lines(result) -> list[str]:
     return ["UNSAT", "witness " + " ".join(map(str, result.witness))]
 
 
-def _invariant_lines(pair, omni) -> list[str]:
-    omni = omni or Omniorientation.all_positive(pair.polytope.num_facets)
-    report = compute_invariants(pair, omni)
+def _invariant_lines(report) -> list[str]:
     lines = [f"euler = {report.euler}", f"chern_top = {report.chern_top}"]
     if report.signature is not None:
         lines.append(f"signature = {report.signature}")
@@ -86,7 +84,8 @@ def cmd_signs(args) -> tuple[int, list[str]]:
     doc = _load(args.file)
     if doc.omniorientation is None:
         raise ValueError("signs requires an omniorientation directive")
-    return 0, _sign_lines(doc.to_pair(), doc.omniorientation)
+    pair = doc.to_pair()
+    return 0, _sign_lines(pair, all_signs(pair, doc.omniorientation))
 
 
 def cmd_decide(args) -> tuple[int, list[str]]:
@@ -96,19 +95,24 @@ def cmd_decide(args) -> tuple[int, list[str]]:
 
 def cmd_invariants(args) -> tuple[int, list[str]]:
     doc = _load(args.file)
-    return 0, _invariant_lines(doc.to_pair(), doc.omniorientation)
+    pair = doc.to_pair()
+    omni = doc.omniorientation or Omniorientation.all_positive(pair.polytope.num_facets)
+    return 0, _invariant_lines(compute_invariants(pair, omni))
 
 
 def cmd_report(args) -> tuple[int, list[str]]:
     doc = _load(args.file)
     pair = doc.to_pair()
     lines = _summary_lines(pair)
+    # one sign pass serves the sign lines and the invariants
+    omni = doc.omniorientation or Omniorientation.all_positive(pair.polytope.num_facets)
+    signs = all_signs(pair, omni)
     if doc.omniorientation is not None:
-        lines += _sign_lines(pair, doc.omniorientation)
+        lines += _sign_lines(pair, signs)
     result = decide_positive(pair)
     lines += _decide_lines(result)
     lines.append(f"positive_count = {result.solution_count}")
-    lines += _invariant_lines(pair, doc.omniorientation)
+    lines += _invariant_lines(_invariants_from_signs(pair, omni, signs))
     return 0 if result.satisfiable else 1, lines
 
 
@@ -178,6 +182,10 @@ class _Parser(argparse.ArgumentParser):
             super()._print_message(message, file)
 
 
+# Built on first use and kept: the table path never needs it, parsing keeps
+# no state on the parser, and argparse looks up sys.stdout/sys.stderr when it
+# writes, not when it is built.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     # a description of its own, so that editing the module docstring leaves
     # --help as it is
@@ -209,11 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built once per process: parsing keeps no state on the parser, and argparse
-# looks up sys.stdout/sys.stderr when it writes, not when it is built.
-_PARSER = _build_parser()
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -228,7 +231,7 @@ def main(argv=None) -> int:
                     command=argv[0], file=argv[1], func=_FILE_COMMANDS[argv[0]]
                 )
             else:
-                args = _PARSER.parse_args(argv)
+                args = _build_parser().parse_args(argv)
             code, lines = args.func(args)
             # line by line: one large write to a pipe whose reader has gone can
             # return short without raising, and the rest is dropped unnoticed

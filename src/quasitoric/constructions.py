@@ -3,12 +3,13 @@
 Projective spaces, polygons, Hirzebruch surfaces, products, vertex cuts
 (combinatorial blow-ups) and 4-dimensional equivariant connected sums,
 including the k-fold sum of CP^2 with itself. Every constructor returns a
-valid pair: most run full validation on what they build, and ``product``,
-which takes validated pairs, builds its pair in closed form from what the
-factors already proved, with the product of their spanning trees for its
-own; the tests check it field by field against full validation. Every
-constructor raises TooLargeError, before building anything, for a pair whose
-entries and vertex masks are over ``polytope.CONSTRUCTION_MAX_ENTRIES``.
+valid pair: most run full validation on what they build; ``cpn`` takes its
+base signs in closed form, and ``product``, which takes validated pairs,
+builds its pair in closed form from what the factors already proved, with
+the product of their spanning trees for its own; the tests check both field
+by field against full validation. Every constructor raises TooLargeError,
+before building anything, for a pair whose entries and vertex masks are over
+``polytope.CONSTRUCTION_MAX_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -48,14 +49,20 @@ def _check_size(v: int, n: int, m: int) -> None:
 
 
 def cpn(n: int) -> CharacteristicPair:
-    """Complex projective space: simplex boundary with lambda = [I | -1]."""
+    """Complex projective space: simplex boundary with lambda = [I | -1].
+
+    Built in closed form, with no determinant walk: vertex i omits facet
+    n - i, its orientation is (-1)^i and so is det lambda_v (the identity
+    with column n - i replaced by the all -1 column), so every base sign is
+    +1.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_size(n + 1, n, n + 1)
     vertices = list(combinations(range(n + 1), n))
     poly = validate_polytope(n, n + 1, vertices)
-    rows = [[1 if j == i else 0 for j in range(n)] + [-1] for i in range(n)]
-    return validate_char(poly, rows)
+    rows = tuple(tuple(1 if j == i else 0 for j in range(n)) + (-1,) for i in range(n))
+    return CharacteristicPair(poly, rows, (1,) * (n + 1))
 
 
 def polygon(m: int) -> SimplePolytope:

@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the base of the library's value records.
 
 Every library error derives from QuasitoricError. InternalInconsistencyError
 signals an implementation defect and should never be reachable from valid
@@ -6,6 +6,57 @@ data; every other class reports bad input.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Record:
+    """Immutable value record.
+
+    A subclass names its fields in ``__slots__``, in ``__init__``'s order,
+    and sets each once in ``__init__`` through ``object.__setattr__``;
+    assignment and deletion raise AttributeError afterwards. A slot whose
+    name starts with ``_`` is no field: ``repr`` shows the rest, as
+    ``Name(field=value, ...)``. Equality and hashing go over the fields the
+    class keyword ``compare`` names, all of them when it is omitted, and a
+    record equals only records of its own class.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, compare=None):
+        cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        cls._key = attrgetter(*(compare or cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # copy and pickle: every slot and what a __dict__ slot holds, restored
+    # past __setattr__ (the default state sets slots through it, and pickle
+    # protocols 0 and 1 refuse a slotted class without __getstate__)
+    def __getstate__(self):
+        state = {s: getattr(self, s) for s in self.__slots__ if s != "__dict__"}
+        state.update(getattr(self, "__dict__", ()))
+        return state
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
 
 def _int_text(x: int) -> str:

@@ -36,7 +36,6 @@ the directive, for the CLI too.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from operator import eq, itemgetter
 
 from .charpair import (
@@ -51,31 +50,41 @@ from .errors import (
     DuplicateDirectiveError,
     MissingLambdaError,
     ParseError,
+    Record,
     TooLargeError,
     UnknownDirectiveError,
 )
 from .polytope import _validate_canonical, validate_polytope
 
 
-@dataclass(frozen=True)
-class PairDocument:
+class PairDocument(Record):
     """Parsed, canonicalized, not-yet-validated pair data. Built by hand,
     it keeps the vertex order it is given, and ``serialize`` writes that.
 
     ``to_pair`` validates. ``_checked`` is set by ``parse`` alone, when the
     document passed every check ``validate_polytope`` makes before its
     ridges; ``to_pair`` then runs only the rest of the two validators. A
-    document built by hand or through ``dataclasses.replace`` is never
-    marked and takes the full path. The mark is no field of the document's
-    value: equality, hashing and ``repr`` ignore it.
+    document built by hand, through the constructor, is never marked and
+    takes the full path. The mark is no field of the document's value:
+    equality, hashing and ``repr`` ignore it.
     """
 
-    dim: int
-    num_facets: int
-    vertices: tuple[tuple[int, ...], ...]
-    matrix: tuple[tuple[int, ...], ...]
-    omniorientation: Omniorientation | None = None
-    _checked: bool = field(default=False, init=False, compare=False, repr=False)
+    __slots__ = ("dim", "num_facets", "vertices", "matrix", "omniorientation", "_checked")
+
+    def __init__(
+        self,
+        dim: int,
+        num_facets: int,
+        vertices: tuple[tuple[int, ...], ...],
+        matrix: tuple[tuple[int, ...], ...],
+        omniorientation: Omniorientation | None = None,
+    ):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "num_facets", num_facets)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "omniorientation", omniorientation)
+        object.__setattr__(self, "_checked", False)
 
     def to_pair(self) -> CharacteristicPair:
         if self._checked:

@@ -10,29 +10,39 @@ matrix and as the tests' independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
 from .charpair import CharacteristicPair, Omniorientation, all_signs
-from .errors import InternalInconsistencyError, NotDimension2Error
+from .errors import InternalInconsistencyError, NotDimension2Error, Record
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class IntersectionForm(Record):
     """Pairing matrix on the facet classes retained in ``basis``."""
 
-    basis: tuple[int, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("basis", "matrix")
+
+    def __init__(self, basis: tuple[int, ...], matrix: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "matrix", matrix)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    euler: int
-    chern_top: int
-    signature: int | None = None
-    todd: Fraction | None = None
-    almost_complex_4d: bool | None = None
+class InvariantReport(Record):
+    __slots__ = ("euler", "chern_top", "signature", "todd", "almost_complex_4d")
+
+    def __init__(
+        self,
+        euler: int,
+        chern_top: int,
+        signature: int | None = None,
+        todd: Fraction | None = None,
+        almost_complex_4d: bool | None = None,
+    ):
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "chern_top", chern_top)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "todd", todd)
+        object.__setattr__(self, "almost_complex_4d", almost_complex_4d)
 
 
 def euler_characteristic(pair: CharacteristicPair) -> int:
@@ -184,8 +194,15 @@ def compute_invariants(pair: CharacteristicPair, omni: Omniorientation) -> Invar
     signature sigma = p_1 / 3 with p_1 = sum_j D_j . D_j (Davis-Januszkiewicz
     give p(M) = prod_j (1 + v_j^2), then the Hirzebruch signature theorem),
     the Todd genus and the almost-complex test, all in O(m)."""
+    return _invariants_from_signs(pair, omni, all_signs(pair, omni))
+
+
+def _invariants_from_signs(
+    pair: CharacteristicPair, omni: Omniorientation, signs
+) -> InvariantReport:
+    """``compute_invariants``, given the fixed-point signs
+    ``all_signs(pair, omni)``."""
     euler = euler_characteristic(pair)
-    signs = all_signs(pair, omni)
     chern = sum(signs)  # as chern_top_number
     if pair.polytope.dim != 2:
         return InvariantReport(euler=euler, chern_top=chern)

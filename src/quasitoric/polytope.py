@@ -11,7 +11,6 @@ orientation class it finds is a plain tuple of +1/-1, one per vertex.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain
 from math import comb
@@ -21,6 +20,7 @@ from .errors import (
     DisconnectedError,
     DuplicateVertexError,
     NonOrientableError,
+    Record,
     RidgeViolationError,
     TooLargeError,
     UnusedFacetError,
@@ -44,8 +44,7 @@ F_VECTOR_MAX_SUBSETS = 1 << 24
 CONSTRUCTION_MAX_ENTRIES = 1 << 21
 
 
-@dataclass(frozen=True)
-class SimplePolytope:
+class SimplePolytope(Record, compare=("dim", "num_facets", "vertices")):
     """Validated combinatorial simple polytope.
 
     ``vertices`` is canonical: every vertex tuple ascending, the list sorted
@@ -72,16 +71,28 @@ class SimplePolytope:
     and kept.
     Construct through :func:`validate_polytope`, ``constructions.product``
     for the product of two validated pairs or ``charpair.relabel_facets``
-    for a validated pair relabelled; the dataclass itself performs no
-    checks.
+    for a validated pair relabelled; the constructor itself stores what it
+    is given and checks nothing.
     """
 
-    dim: int
-    num_facets: int
-    vertices: tuple[tuple[int, ...], ...]
-    orientation: tuple[int, ...] = field(compare=False)
-    bfs_tree: tuple[tuple[int, int, int, int], ...] = field(compare=False)
-    masks: tuple[int, ...] = field(compare=False)
+    # __dict__ holds the cached f-vector
+    __slots__ = ("dim", "num_facets", "vertices", "orientation", "bfs_tree", "masks", "__dict__")
+
+    def __init__(
+        self,
+        dim: int,
+        num_facets: int,
+        vertices: tuple[tuple[int, ...], ...],
+        orientation: tuple[int, ...],
+        bfs_tree: tuple[tuple[int, int, int, int], ...],
+        masks: tuple[int, ...],
+    ):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "num_facets", num_facets)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "bfs_tree", bfs_tree)
+        object.__setattr__(self, "masks", masks)
 
     @property
     def num_vertices(self) -> int:

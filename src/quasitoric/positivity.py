@@ -43,40 +43,38 @@ serves as the independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from .charpair import CharacteristicPair, Omniorientation, all_signs
-from .errors import InternalInconsistencyError, TooLargeError
+from .errors import InternalInconsistencyError, Record, TooLargeError
 
 BRUTE_FORCE_MAX_FACETS = 20
 
 
-@dataclass(frozen=True)
-class Gf2System:
+class Gf2System(Record):
     """One bit row per vertex over unknowns x0 (global) and x_{1+j} (facet j).
 
     Each row is a bitmask below 1 << num_unknowns and each rhs 0 or 1, one
     per row: ``solve`` packs the rhs and its history above a row's bits.
     """
 
-    num_unknowns: int
-    rows: tuple[int, ...]
-    rhs: tuple[int, ...]
+    __slots__ = ("num_unknowns", "rows", "rhs")
 
-    def __post_init__(self):
-        if self.num_unknowns < 0:
+    def __init__(self, num_unknowns: int, rows: tuple[int, ...], rhs: tuple[int, ...]):
+        if num_unknowns < 0:
             raise ValueError("num_unknowns must be >= 0")
-        if len(self.rows) != len(self.rhs):
-            raise ValueError(f"{len(self.rows)} rows but {len(self.rhs)} rhs entries")
-        if self.rows and (min(self.rows) < 0 or max(self.rows) >> self.num_unknowns):
-            raise ValueError(f"a row has a bit outside the {self.num_unknowns} unknowns")
-        if not set(self.rhs) <= {0, 1}:
+        if len(rows) != len(rhs):
+            raise ValueError(f"{len(rows)} rows but {len(rhs)} rhs entries")
+        if rows and (min(rows) < 0 or max(rows) >> num_unknowns):
+            raise ValueError(f"a row has a bit outside the {num_unknowns} unknowns")
+        if not set(rhs) <= {0, 1}:
             raise ValueError("each rhs entry must be 0 or 1")
+        object.__setattr__(self, "num_unknowns", num_unknowns)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class PositivityResult:
+class PositivityResult(Record):
     """SAT with certificate and kernel dimension, or UNSAT with a parity witness.
 
     ``witness`` holds vertex indices (canonical order) whose sign equations
@@ -84,21 +82,32 @@ class PositivityResult:
     even number of times, and its base signs multiply to -1.
     """
 
-    satisfiable: bool
-    certificate: Omniorientation | None = None
-    kernel_dim: int | None = None
-    witness: tuple[int, ...] | None = None
+    __slots__ = ("satisfiable", "certificate", "kernel_dim", "witness")
+
+    def __init__(
+        self,
+        satisfiable: bool,
+        certificate: Omniorientation | None = None,
+        kernel_dim: int | None = None,
+        witness: tuple[int, ...] | None = None,
+    ):
+        object.__setattr__(self, "satisfiable", satisfiable)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "kernel_dim", kernel_dim)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def solution_count(self) -> int:
         return 0 if not self.satisfiable else 1 << self.kernel_dim
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
-    satisfiable: bool
-    count: int
-    certificate: Omniorientation | None
+class BruteForceResult(Record):
+    __slots__ = ("satisfiable", "count", "certificate")
+
+    def __init__(self, satisfiable: bool, count: int, certificate: Omniorientation | None):
+        object.__setattr__(self, "satisfiable", satisfiable)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "certificate", certificate)
 
 
 def build_system(pair: CharacteristicPair) -> Gf2System:

@@ -15,7 +15,6 @@ constructors, so every emitted pair is valid by construction.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import deque
 from itertools import combinations
@@ -106,8 +105,14 @@ def depth_first(pair):
         edge = stack.pop()
         order.append(edge)
         stack += below.get(edge[0], [])[::-1]
-    poly = dataclasses.replace(pair.polytope, bfs_tree=tuple(order))
-    return dataclasses.replace(pair, polytope=poly)
+    poly = replace(pair.polytope, bfs_tree=tuple(order))
+    return replace(pair, polytope=poly)
+
+
+def replace(record, **changes):
+    """record with the named fields changed, built through its constructor:
+    a replaced document comes back unmarked."""
+    return type(record)(**{f: getattr(record, f) for f in record._fields} | changes)
 
 
 def assert_coherent(vertices, signs):

@@ -1,6 +1,5 @@
 """Characteristic matrices, omniorientations, sign calculus."""
 
-import dataclasses
 import math
 import random
 import re
@@ -49,6 +48,7 @@ from support import (
     random_unimodular_det1,
     random_valid_pair,
     random_vertex,
+    replace,
 )
 
 TRIANGLE = validate_polytope(2, 3, [(0, 1), (0, 2), (1, 2)])
@@ -704,7 +704,7 @@ def test_a_polygon_reads_no_tree():
     pair is the same."""
     for pair in (cp2_sum(9), hirzebruch(2), vertex_cut(cpn(2), (0, 1))):
         for tree in (pair.polytope.bfs_tree[::-1], ()):
-            poly = dataclasses.replace(pair.polytope, bfs_tree=tree)
+            poly = replace(pair.polytope, bfs_tree=tree)
             assert validate_char(poly, pair.matrix).base_signs == pair.base_signs
 
 
@@ -715,7 +715,7 @@ def _parent_after_child(pair, q):
     edge, *tree = pair.polytope.bfs_tree
     k = len(q.polytope.bfs_tree)  # then Q's tree at P's vertices 0 and 1
     assert len(tree) == 2 * k and tree[k][1] == edge[0]
-    return dataclasses.replace(pair.polytope, bfs_tree=(*tree, edge))
+    return replace(pair.polytope, bfs_tree=(*tree, edge))
 
 
 def test_a_tree_listing_a_child_before_its_parent_walks_the_same():
@@ -803,7 +803,7 @@ def test_a_tree_that_reaches_a_vertex_twice_is_refused():
         assert all(vi != leaf[0] for _, vi, _, _ in tree)
         turned = [(vi, wi, wpos, pos) for wi, vi, pos, wpos in (tree[0], leaf)]
         for extra in (*turned, leaf):
-            poly = dataclasses.replace(pair.polytope, bfs_tree=(*tree, extra))
+            poly = replace(pair.polytope, bfs_tree=(*tree, extra))
             wi = extra[0]
             twice = f"bfs_tree reaches vertex {wi}, {re.escape(str(poly.vertices[wi]))}, twice"
             with pytest.raises(ValueError, match=twice):
@@ -908,12 +908,12 @@ def test_a_tree_that_misses_a_vertex_is_refused():
     assert {p.polytope.num_facets > 2 * p.polytope.dim for p in pairs} == {False, True}
     for pair in pairs:
         tree = pair.polytope.bfs_tree
-        poly = dataclasses.replace(pair.polytope, bfs_tree=tree[:-1])
+        poly = replace(pair.polytope, bfs_tree=tree[:-1])
         wi = tree[-1][0]
         missed = f"bfs_tree never reaches vertex {wi}, {re.escape(str(poly.vertices[wi]))}"
         with pytest.raises(ValueError, match=missed):
             validate_char(poly, pair.matrix)
-        poly = dataclasses.replace(pair.polytope, bfs_tree=())
+        poly = replace(pair.polytope, bfs_tree=())
         missed = f"bfs_tree never reaches vertex 1, {re.escape(str(poly.vertices[1]))}"
         with pytest.raises(ValueError, match=missed):
             validate_char(poly, pair.matrix)

@@ -28,7 +28,7 @@ from quasitoric import (
     serialize,
     vertex_cut,
 )
-from quasitoric import cli
+from quasitoric import cli, invariants, positivity
 from quasitoric.cli import main
 from quasitoric.errors import TooLargeError
 from quasitoric.positivity import PositivityResult
@@ -233,6 +233,28 @@ def test_report_lists_the_signs_of_a_carried_omniorientation(capsys, monkeypatch
     assert lines[5 + len(expected)] == "SAT"
 
 
+def test_report_computes_the_documents_signs_once(capsys, monkeypatch):
+    """One sign pass serves report's sign lines and invariants, with or
+    without an omniorientation; the certificate check makes the other."""
+    calls = []
+
+    def counted(pair, omni):
+        calls.append(omni)
+        return all_signs(pair, omni)
+
+    for module in (cli, invariants, positivity):
+        monkeypatch.setattr(module, "all_signs", counted)
+    pair = cp2_sum(33)
+    omni = Omniorientation(-1, (1, -1) * 17 + (1,))
+    certificate = decide_positive(pair).certificate
+    for carried in (omni, None):
+        calls.clear()
+        code, out, _ = run(capsys, ["report", "-"],
+                           serialize(PairDocument.from_pair(pair, carried)), monkeypatch)
+        assert code == 0 and out
+        assert calls == [carried or Omniorientation.all_positive(35), certificate]
+
+
 def test_reports_deterministic(capsys, cp2_file):
     code1, out1, _ = run(capsys, ["report", cp2_file])
     code2, out2, _ = run(capsys, ["report", cp2_file])
@@ -326,7 +348,7 @@ def test_help_does_not_print_the_module_docstring(capsys, monkeypatch):
     for sentence in cli.__doc__.split(". "):
         assert " ".join(sentence.split()) not in words
     monkeypatch.setattr(cli, "__doc__", "Edited documentation.")
-    assert cli._build_parser().format_help() == out
+    assert cli._build_parser.__wrapped__().format_help() == out
 
 
 def test_reused_parser_leaks_no_state(capsys, tmp_path):
@@ -358,6 +380,62 @@ def test_import_does_not_load_numpy():
     code = "import quasitoric.cli, sys; assert 'numpy' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_import_does_not_load_dataclasses_or_inspect():
+    """The records are plain slotted classes: dataclasses, the inspect module
+    it imports and its decorators would add to every qtm process's start-up."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import quasitoric.cli, sys; "
+            "assert not {'dataclasses', 'inspect'} & set(sys.modules), sys.modules.keys()")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+HELP_TEXT = """\
+usage: qtm [-h] {validate,signs,decide,invariants,report,construct} ...
+
+Validate, decide and compute invariants of quasitoric pairs (.qtm files, - for
+stdin), or construct one. Exit codes: 0 success or SAT, 1 UNSAT, 2 invalid
+input, 3 usage error.
+
+positional arguments:
+  {validate,signs,decide,invariants,report,construct}
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_the_table_path_never_builds_the_parser(tmp_path):
+    """In a fresh process, `decide <file>` leaves argparse's parser unbuilt;
+    construct and --help build it, once, and --help prints its pinned text
+    (at 80 columns)."""
+    path = tmp_path / "cp3.qtm"
+    path.write_text(serialize(PairDocument.from_pair(cpn(3))), encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = """if True:
+        import io, sys
+        from contextlib import redirect_stdout
+        from quasitoric import cli
+        built = cli._build_parser.cache_info
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(["decide", sys.argv[1]]) == 0
+        assert out.getvalue().startswith("SAT\\n")
+        assert built().currsize == 0
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["construct", "cpn", "2"]) == 0
+        assert built().currsize == 1
+        with redirect_stdout(out):
+            assert cli.main(["--help"]) == 0
+        assert (built().currsize, built().misses) == (1, 1)
+        sys.stdout.write(out.getvalue().split("\\n", 2)[2])
+    """
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True,
+                          timeout=60, capture_output=True, text=True)
+    assert proc.stdout == HELP_TEXT
 
 
 def _qtm(argv, stdout, stdin=None, unbuffered=False):
@@ -421,7 +499,7 @@ def test_f_vector_refusal_leaves_stdout_empty(capsys, monkeypatch):
     ("signs", "all_signs"),
     ("decide", "decide_positive"),
     ("invariants", "compute_invariants"),
-    ("report", "compute_invariants"),
+    ("report", "_invariants_from_signs"),
 ])
 def test_a_refusal_at_the_last_step_leaves_stdout_empty(capsys, monkeypatch, command, last_step):
     """Each read subcommand refused at the last step it computes, with every
@@ -540,7 +618,7 @@ def test_sign_and_decide_lines_match_str_formatting():
     omni = Omniorientation(-1, tuple(rng.choice((1, -1)) for _ in range(m)))
     signs = all_signs(pair, omni)
     assert {1, -1} <= set(signs)
-    assert cli._sign_lines(pair, omni) == [
+    assert cli._sign_lines(pair, signs) == [
         "vertex " + " ".join(str(j) for j in v) + " : " + ("+1" if s > 0 else "-1")
         for v, s in zip(pair.polytope.vertices, signs)
     ]
@@ -603,11 +681,11 @@ def _on_table(argv):
 
 @pytest.fixture
 def parsed(monkeypatch):
-    """The argv of every _PARSER.parse_args call, in order."""
+    """The argv of every _build_parser().parse_args call, in order."""
     calls = []
-    parse_args = cli._PARSER.parse_args
+    parse_args = cli._build_parser().parse_args
     monkeypatch.setattr(
-        cli._PARSER, "parse_args",
+        cli._build_parser(), "parse_args",
         lambda args=None, namespace=None: calls.append(args) or parse_args(args, namespace),
     )
     return calls
@@ -635,7 +713,7 @@ def test_table_dispatch_matches_argparse(capsys, monkeypatch, tmp_path, parsed):
 
 def test_table_namespace_is_argparses(capsys, monkeypatch, tmp_path):
     """Where the table path applies, the namespace it hands the command is
-    the one _PARSER.parse_args returns for the same argv."""
+    the one _build_parser().parse_args returns for the same argv."""
     built = []
 
     class Recording(cli.argparse.Namespace):
@@ -649,7 +727,7 @@ def test_table_namespace_is_argparses(capsys, monkeypatch, tmp_path):
             m.setattr(cli.argparse, "Namespace", Recording)
             _outcome(capsys, monkeypatch, argv)
         assert len(built) == 1, argv
-        assert vars(built[0]) == vars(cli._PARSER.parse_args(argv)), argv
+        assert vars(built[0]) == vars(cli._build_parser().parse_args(argv)), argv
         assert built[0].func is cli._FILE_COMMANDS[argv[0]]
 
 

@@ -57,6 +57,24 @@ def test_cpn_rejects_zero():
         cpn(0)
 
 
+def test_cpn_equals_full_validation_without_a_walk(monkeypatch):
+    """cpn's closed-form base signs, all +1, and every other field are what
+    validate_char finds on its polytope and matrix, and cpn walks no
+    determinants itself."""
+    built = []
+
+    def refuse(*args):
+        raise AssertionError("cpn called validate_char")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "validate_char", refuse)
+        built = [cpn(n) for n in range(1, 61)]
+    for n, pair in enumerate(built, 1):
+        full = validate_char(pair.polytope, pair.matrix)
+        assert _built(pair) == _built(full), n
+        assert pair.base_signs == (1,) * (n + 1)
+
+
 def test_polygon():
     assert polygon(3).vertices == cpn(2).polytope.vertices
     for m in (3, 5, 8):

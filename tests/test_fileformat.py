@@ -1,6 +1,5 @@
 """Text format: parsing, canonicalization, round trips, diagnostics."""
 
-import dataclasses
 import random
 import sys
 
@@ -33,7 +32,7 @@ from quasitoric.errors import (
     UnknownDirectiveError,
     ValidationError,
 )
-from support import random_valid_pair
+from support import random_valid_pair, replace
 
 CP2_TEXT = """\
 dim 2
@@ -497,7 +496,7 @@ def test_a_document_failing_a_vertex_check_is_not_marked(old, new):
 
 def test_short_or_ragged_lambda_takes_the_full_path():
     """parse refuses a short or ragged lambda block, so such a matrix comes
-    only by hand or through dataclasses.replace: unmarked, it raises
+    only by hand or through support.replace: unmarked, it raises
     validate_char's ShapeMismatchError."""
     doc = parse(serialize(PairDocument.from_pair(cpn(3))))
     rows = doc.matrix
@@ -508,7 +507,7 @@ def test_short_or_ragged_lambda_takes_the_full_path():
         ((), "0x0"),
     ):
         for bad in (
-            dataclasses.replace(doc, matrix=matrix),
+            replace(doc, matrix=matrix),
             PairDocument(doc.dim, doc.num_facets, doc.vertices, matrix),
         ):
             assert not bad._checked
@@ -521,7 +520,7 @@ def test_short_or_ragged_lambda_takes_the_full_path():
 def test_a_marked_document_skips_the_checks_parse_ran(monkeypatch):
     """On a parsed document to_pair converts no vertex entry and no lambda
     entry again; a hand-built one, one from from_pair and one through
-    dataclasses.replace run both conversions. The mark changes neither
+    support.replace run both conversions. The mark changes neither
     equality, hashing nor repr."""
 
     def refuse(*args):
@@ -531,7 +530,7 @@ def test_a_marked_document_skips_the_checks_parse_ran(monkeypatch):
         doc = parse(serialize(PairDocument.from_pair(pair)))
         expected = _outcome(doc.to_pair)
         unmarked = [
-            dataclasses.replace(doc),
+            replace(doc),
             PairDocument(doc.dim, doc.num_facets, doc.vertices, doc.matrix),
             PairDocument.from_pair(pair),
         ]
