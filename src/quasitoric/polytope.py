@@ -10,7 +10,7 @@ orientation class it finds is a plain tuple of +1/-1, one per vertex.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from functools import cached_property, reduce
 from itertools import chain
 from math import comb
@@ -312,23 +312,35 @@ def _ridge_partners(n: int, m: int, verts) -> tuple[list[int], list[int]]:
     """The facet bitmasks of ``verts`` (canonical n-subsets of range(m)) and
     their ridge partners: slot s = vi*n + pos stands for vertex vi with its
     facet at position pos deleted, and ``partner[s]`` is the other slot on
-    that ridge. UnusedFacetError, from the union of the masks before any
-    ridge is paired, when a facet lies on no vertex; RidgeViolationError,
-    naming the first vertex/facet pair in scan order, when a ridge does not
-    lie on exactly two vertices.
+    that ridge.
 
-    Ridge key (the XOR of the codes of the vertex's facets but the deleted
-    one) -> the slots on that ridge; a ridge enters the dict at its first
-    slot in scan order, so the first bad ridge in dict order names the first
-    bad vertex/facet pair. Facet j's code is the bit 1 << j, so a key is a
-    plain bitmask, up to m = 61. CPython hashes an int as its value mod
-    2**61 - 1, so past that bitmasks share hashes in bulk (every
-    single-facet ridge key of an m-gon lands on one of 61 values), and the
-    codes are _FacetCodes instead.
+    One dict entry per ridge: ``first`` maps the ridge key (the XOR of the
+    codes of the vertex's facets but the deleted one) to the ridge's first
+    slot in scan order, which ``setdefault`` returns to every later slot.
+    The second slot writes both partner entries. A third or later slot only
+    adds one to ``over[first slot]``, and its own entry stays -1, the mark
+    of an unpaired slot. So every ridge lies on exactly two vertices when
+    nothing is over and there are half as many ridges as slots.
+
+    Errors, in this order. UnusedFacetError, from the union of the masks
+    before any ridge is looked at, when a facet lies on no vertex. Then
+    RidgeViolationError, when a ridge does not lie on exactly two vertices:
+    one pass over ``first``, whose values are in scan order, finds the bad
+    ridge met first, and names its first slot's vertex and deleted facet
+    and its number of other slots (a lone slot's 0 or a ridge's over count
+    plus 1). A lone slot is named before a crowded ridge met after it.
+
+    Facet j's code is the bit 1 << j, so a key is a plain bitmask, up to
+    m = 61. CPython hashes an int as its value mod 2**61 - 1, so past that
+    bitmasks share hashes in bulk (every single-facet ridge key of an m-gon
+    lands on one of 61 values), and the codes are _FacetCodes instead.
     """
     code = [1 << j for j in range(m)] if m <= 61 else _FacetCodes()
     masks = []
-    ridges: dict[int, list[int]] = {}
+    first: dict[int, int] = {}
+    setdefault = first.setdefault
+    over: dict[int, int] = {}
+    partner = [-1] * (len(verts) * n)
     s = 0
     for v in verts:
         mask = 0
@@ -336,7 +348,13 @@ def _ridge_partners(n: int, m: int, verts) -> tuple[list[int], list[int]]:
             mask ^= code[j]
         masks.append(mask)
         for j in v:
-            ridges.setdefault(mask ^ code[j], []).append(s)
+            f = setdefault(mask ^ code[j], s)
+            if f != s:
+                if partner[f] == -1:
+                    partner[f] = s
+                    partner[s] = f
+                else:
+                    over[f] = over.get(f, 0) + 1
             s += 1
     if m > 61:  # drop the low bits from the coded masks
         for vi, mask in enumerate(masks):
@@ -350,14 +368,12 @@ def _ridge_partners(n: int, m: int, verts) -> tuple[list[int], list[int]]:
             shown.append(low.bit_length() - 1)
             unused ^= low
         raise UnusedFacetError(tuple(shown), unused.bit_count())
-    partner = [0] * s
-    for entries in ridges.values():
-        if len(entries) != 2:
-            vi, pos = divmod(entries[0], n)
-            raise RidgeViolationError(verts[vi], verts[vi][pos], len(entries) - 1)
-        a, b = entries
-        partner[a] = b
-        partner[b] = a
+    if over or 2 * len(first) != s:
+        for f in first.values():
+            partners = (partner[f] != -1) + over.get(f, 0)
+            if partners != 1:
+                vi, pos = divmod(f, n)
+                raise RidgeViolationError(verts[vi], verts[vi][pos], partners)
     return masks, partner
 
 
@@ -433,28 +449,28 @@ def _validate_canonical(n: int, m: int, canon) -> SimplePolytope:
     # its facet at ascending position p; coherence demands the two vertices of
     # a ridge induce opposite signs. The first clash is only recorded, because
     # a disconnected input reports DisconnectedError first.
-    signs: list[int | None] = [None] * len(canon)
+    signs = [0] * len(canon)  # 0 until reached, then +1 or -1
     signs[0] = 1
     tree = []
-    queue = deque([0])
+    order = [0]  # the BFS queue: the loop reads it while it grows
     clash = None
-    while queue:
-        vi = queue.popleft()
+    for vi in order:
+        sign = signs[vi]
         base = vi * n
         for pos in range(n):
             other = partner[base + pos]
             wi = other // n
             wpos = other - wi * n
-            expected = signs[vi] if (pos + wpos) & 1 else -signs[vi]
-            if signs[wi] is None:
+            expected = sign if (pos + wpos) & 1 else -sign
+            seen = signs[wi]
+            if not seen:
                 signs[wi] = expected
                 tree.append((wi, vi, pos, wpos))
-                queue.append(wi)
-            elif signs[wi] != expected and clash is None:
+                order.append(wi)
+            elif seen != expected and clash is None:
                 clash = canon[wi]
-    reached = len(canon) - signs.count(None)
-    if reached != len(canon):
-        raise DisconnectedError(reached, len(canon))
+    if len(order) != len(canon):
+        raise DisconnectedError(len(order), len(canon))
     if clash is not None:
         raise NonOrientableError(clash)
 

@@ -55,7 +55,7 @@ EQUIVALENT = {
         "the simplex shortcut never fires, as m >= n + 1 by then, and the "
         "general path finds the closed form's polytope"
     ),
-    ("polytope:_validate_canonical", "expected = signs[vi] if pos - wpos & 1 else -signs[vi]"): (
+    ("polytope:_validate_canonical", "expected = sign if pos - wpos & 1 else -sign"): (
         "pos - wpos and pos + wpos have the same parity"
     ),
     ("fileformat:parse", "dim = read(args[-1])"): (
@@ -64,13 +64,10 @@ EQUIVALENT = {
     ("fileformat:parse", "facets = read(args[-1])"): (
         "args holds exactly one token here, so args[-1] is args[0]"
     ),
-    ("polytope:_ridge_partners", "partner = [-1] * s"): (
-        "every slot lies on one ridge, and the loop writes both slots of each "
-        "ridge before any is read or raises"
-    ),
-    ("polytope:_ridge_partners", "partner = [1] * s"): (
-        "every slot lies on one ridge, and the loop writes both slots of each "
-        "ridge before any is read or raises"
+    ("polytope:_ridge_partners", "over or 3 * len(first) != s"): (
+        "with nothing over every ridge holds one or two slots, so s < 3 * "
+        "len(first) and the pass over the ridges always runs; it raises only "
+        "on a ridge not on exactly two vertices, so a sound input passes it"
     ),
     ("charpair:validate_char", "got = f'{len(rows)}x{(len(rows[-1]) if rows else 0)}'"): (
         "a ragged matrix is named by its first bad row below, so here every "

@@ -1,6 +1,7 @@
 """Polytope validation, orientation, face counting."""
 
 import random
+import tracemalloc
 from functools import reduce
 from itertools import combinations
 
@@ -96,6 +97,19 @@ def test_ridge_violation():
     assert exc.value.vertex == (0, 1)
     assert exc.value.facet == 0
     assert exc.value.partners == 2
+    # the lone ridge (1,) of vertex (0, 1) is named before the ridge (0,),
+    # although the scan meets the third vertex on (0,) first
+    with pytest.raises(RidgeViolationError) as exc:
+        validate_polytope(2, 4, [(0, 1), (0, 2), (0, 3), (2, 3)])
+    assert (exc.value.vertex, exc.value.facet, exc.value.partners) == ((0, 1), 0, 0)
+    # the ridge (0,) lies in four vertices
+    with pytest.raises(RidgeViolationError) as exc:
+        validate_polytope(2, 5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
+    assert (exc.value.vertex, exc.value.facet, exc.value.partners) == ((0, 1), 1, 3)
+    # two vertices on no common ridge: every ridge is lone, none crowded
+    with pytest.raises(RidgeViolationError) as exc:
+        validate_polytope(2, 4, [(0, 1), (2, 3)])
+    assert (exc.value.vertex, exc.value.facet, exc.value.partners) == ((0, 1), 0, 0)
 
 
 @pytest.mark.parametrize("m", [61, 62, 70, 200])
@@ -115,6 +129,31 @@ def test_ridge_violation_past_61_facets(m):
     with pytest.raises(RidgeViolationError) as exc:
         validate_polytope(2, m, cycle[:5] + cycle[6:])
     assert (exc.value.vertex, exc.value.facet, exc.value.partners) == ((4, 5), 4, 0)
+    # a lone ridge before a crowded one, the other facets on a sound cycle
+    rest = [(i, i + 1) for i in range(4, m - 1)] + [(4, m - 1)]
+    with pytest.raises(RidgeViolationError) as exc:
+        validate_polytope(2, m, [(0, 1), (0, 2), (0, 3), (2, 3)] + rest)
+    assert (exc.value.vertex, exc.value.facet, exc.value.partners) == ((0, 1), 0, 0)
+
+
+def test_validation_memory_stays_near_one_dict_entry_per_ridge():
+    """(CP1)^10 has 1024 vertices of 10 slots each, one slot per vertex and
+    ridge through it. With one dict entry per ridge the tracemalloc peak of
+    validate_polytope reads 75-87 bytes a slot on CPython 3.11; a list of
+    the slots on each ridge makes it 118-130."""
+    pair = cpn(1)
+    for _ in range(9):
+        pair = product(pair, cpn(1))
+    p = pair.polytope
+    slots = p.num_vertices * p.dim
+    tracemalloc.start()
+    try:
+        validated = validate_polytope(p.dim, p.num_facets, p.vertices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert validated.masks == p.masks
+    assert peak < 110 * slots
 
 
 def test_duplicate_vertex():
