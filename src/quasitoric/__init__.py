@@ -20,7 +20,6 @@ from .constructions import (
     connected_sum_4d,
     cp2_sum,
     cpn,
-    facet_cycle,
     hirzebruch,
     polygon,
     product,

@@ -150,24 +150,6 @@ def vertex_cut(pair: CharacteristicPair, vertex) -> CharacteristicPair:
         raise InternalInconsistencyError(f"vertex cut produced invalid data: {exc}") from exc
 
 
-def facet_cycle(pair: CharacteristicPair) -> tuple[int, ...]:
-    """Facets of a dim-2 pair round its polygon from facet 0, in the direction
-    of the orientation class: corner (a, b), a < b, runs a -> b when its sign
-    is +1, and coherence makes the successor map a single cycle.
-    NotDimension2Error in any other dimension."""
-    poly = pair.polytope
-    if poly.dim != 2:
-        raise NotDimension2Error(poly.dim)
-    # the facet after each facet: the corner read with step o, reversed at -1
-    succ = dict(v[::o] for v, o in zip(poly.vertices, poly.orientation))
-    facets = [0]
-    while (f := succ[facets[-1]]) != 0:
-        facets.append(f)
-    if len(facets) != poly.num_facets:  # pragma: no cover - defect guard
-        raise InternalInconsistencyError("facet successor map is not a single cycle")
-    return tuple(facets)
-
-
 def connected_sum_4d(
     p1: CharacteristicPair, v1, p2: CharacteristicPair, v2
 ) -> CharacteristicPair:

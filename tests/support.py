@@ -133,8 +133,9 @@ def bareiss_dets(polytope, rows):
 
 def cycle_by_successors(polytope):
     """(facets, corners) of a polygon by a walk of its facet successor map,
-    vertex (a, b), a < b, pointing a -> b when its orientation sign is +1:
-    the reference for ``constructions.facet_cycle``. Each corner, the vertex
+    vertex (a, b), a < b, pointing a -> b when its orientation sign is +1,
+    so the cycle runs in the direction of the orientation class; it asserts
+    that the map is a single cycle. Each corner, the vertex
     between a facet and the next, is found by looking its two facets up
     among the vertices."""
     succ = {}

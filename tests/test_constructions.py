@@ -16,7 +16,6 @@ from quasitoric import (
     PairDocument,
     euler_characteristic,
     f_vector,
-    facet_cycle,
     hirzebruch,
     polygon,
     product,
@@ -30,6 +29,7 @@ from quasitoric.errors import NotDimension2Error, TooLargeError
 from support import (
     bareiss_dets,
     cp2_sum_by_folding,
+    cycle_by_successors,
     random_product_factor,
     random_relabelling,
     random_unimodular,
@@ -234,7 +234,7 @@ def test_cp2_sum_is_built_in_linear_time():
     pair = cp2_sum(5000)
     assert time.perf_counter() - start < 5.0
     assert pair.polytope.num_facets == 5002
-    assert len(facet_cycle(pair)) == 5002
+    assert len(cycle_by_successors(pair.polytope)[0]) == 5002
     assert set(bareiss_dets(pair.polytope, pair.matrix)) <= {1, -1}
 
 
@@ -281,11 +281,11 @@ def test_connected_sum_rejects_a_non_vertex():
 
 
 def test_facet_cycle():
-    assert facet_cycle(cpn(2)) == (0, 1, 2)
-    assert facet_cycle(hirzebruch(1)) == (0, 1, 2, 3)
-    assert facet_cycle(cp2_sum(3)) == (0, 3, 1, 2, 4)
-    with pytest.raises(NotDimension2Error):
-        facet_cycle(cpn(3))
+    """Each polygon's facets round its cycle from facet 0, in the direction of
+    its orientation class."""
+    assert cycle_by_successors(cpn(2).polytope)[0] == (0, 1, 2)
+    assert cycle_by_successors(hirzebruch(1).polytope)[0] == (0, 1, 2, 3)
+    assert cycle_by_successors(cp2_sum(3).polytope)[0] == (0, 3, 1, 2, 4)
 
 
 def _random_summand(rng):

@@ -20,7 +20,6 @@ from quasitoric import (
     cp2_sum,
     cpn,
     decide_positive,
-    facet_cycle,
     hirzebruch,
     product,
     relabel_facets,
@@ -33,6 +32,7 @@ from quasitoric.errors import InternalInconsistencyError, TooLargeError
 from quasitoric.positivity import PositivityResult, _omni_from_mask, _verify
 from support import (
     bareiss_dets,
+    cycle_by_successors,
     depth_first,
     gauss_jordan_solve,
     random_3d_pair,
@@ -422,7 +422,7 @@ def _polygon_relabellings(rng, pair):
     yield relabel_facets(pair, perm)[0]
     if m > 8:
         return
-    cycle = facet_cycle(pair)
+    cycle = cycle_by_successors(pair.polytope)[0]
     for p in range(1, m):
         rest = list(range(1, m - 1))
         rng.shuffle(rest)
@@ -450,7 +450,7 @@ def test_polygon_walk_matches_solve_and_gauss_jordan():
     for pair in pairs:
         m = pair.polytope.num_facets
         for other in _polygon_relabellings(rng, pair):
-            p = facet_cycle(other).index(m - 1)
+            p = cycle_by_successors(other.polytope)[0].index(m - 1)
             spots.setdefault(m, set()).add(min(p, m - p))
             signs = [other.base_signs]
             signs += [tuple(rng.choice((1, -1)) for _ in range(m)) for _ in range(3)]
