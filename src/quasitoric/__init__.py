@@ -2,9 +2,10 @@
 
 Models a quasitoric manifold as a simple polytope plus characteristic matrix,
 decides existence of a positive omniorientation (equivalently, of an invariant
-almost complex structure) by exact GF(2) linear algebra with verified
-certificates, and computes the classical 4-manifold invariants on constructed
-examples.
+almost complex structure) with verified certificates, and computes the
+classical 4-manifold invariants on constructed examples. One pass over the
+facet exchanges of the polytope's spanning tree decides every pair; GF(2)
+elimination runs only for the witness of an UNSAT pair of dim 3 or more.
 """
 
 from .charpair import (
@@ -14,7 +15,6 @@ from .charpair import (
     basis_change,
     relabel_facets,
     validate_char,
-    vertex_sign,
 )
 from .constructions import (
     connected_sum_4d,
@@ -30,17 +30,13 @@ from .fileformat import PairDocument, parse, serialize
 from .invariants import (
     IntersectionForm,
     InvariantReport,
-    almost_complex_exists_4d,
-    chern_top_number,
     compute_invariants,
     euler_characteristic,
     intersection_form,
     signature,
-    todd_genus_4d,
 )
 from .polytope import (
     SimplePolytope,
-    adjacent_vertex,
     f_vector,
     h_vector,
     orient_dual_sphere,
@@ -53,7 +49,6 @@ from .positivity import (
     admits_invariant_acs,
     brute_force_decide,
     build_system,
-    count_positive_omniorientations,
     decide_positive,
     solve,
 )

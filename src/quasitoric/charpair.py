@@ -242,16 +242,6 @@ def _check_facet_signs(pair: CharacteristicPair, omni: Omniorientation) -> None:
         raise ValueError(f"omniorientation has {k} facet signs, the pair has {m} facets")
 
 
-def vertex_sign(pair: CharacteristicPair, omni: Omniorientation, vertex) -> int:
-    """Sign of the fixed point over one vertex, from its own n facet signs."""
-    _check_facet_signs(pair, omni)
-    vi = pair.polytope.vertex_index(vertex)
-    sign = omni.global_sign * pair.base_signs[vi]
-    for j in pair.polytope.vertices[vi]:
-        sign *= omni.facet_signs[j]
-    return sign
-
-
 def all_signs(pair: CharacteristicPair, omni: Omniorientation) -> tuple[int, ...]:
     """Signs of all fixed points, in canonical vertex order.
 

@@ -33,8 +33,17 @@ from .polytope import f_vector, h_vector
 from .positivity import decide_positive
 
 
+def _stdio(name: str):
+    """sys.stdin or sys.stdout; Python sets it to None when its descriptor was
+    closed at start-up."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(f"{name} is closed")
+    return stream
+
+
 def _load(path: str) -> PairDocument:
-    return parse(sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8"))
+    return parse(_stdio("stdin").read() if path == "-" else Path(path).read_text(encoding="utf-8"))
 
 
 def _summary_lines(pair) -> list[str]:
@@ -175,11 +184,18 @@ class _Parser(argparse.ArgumentParser):
     def _print_message(self, message, file=None):
         # argparse drops an OSError from its writes. Help goes to stdout, and a
         # closed pipe must reach main even when stdout is unbuffered, where
-        # the write raises at once and not at main's flush.
+        # the write raises at once and not at main's flush; so must a closed
+        # stdout (None).
         if file is sys.stdout and message:
-            file.write(message)
+            _stdio("stdout").write(message)
         else:
             super()._print_message(message, file)
+
+    def error(self, message):
+        # argparse prints the usage to stdout when stderr is closed (None)
+        if sys.stderr is None:
+            self.exit(2)
+        super().error(message)
 
 
 # Built on first use and kept: the table path never needs it, parsing keeps
@@ -235,10 +251,12 @@ def main(argv=None) -> int:
             code, lines = args.func(args)
             # line by line: one large write to a pipe whose reader has gone can
             # return short without raising, and the rest is dropped unnoticed
-            sys.stdout.writelines(line + "\n" for line in lines)
+            if lines:
+                _stdio("stdout").writelines(line + "\n" for line in lines)
         except SystemExit as exc:  # argparse after --help, or a usage error
             code = 0 if exc.code in (0, None) else 3
-        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except BrokenPipeError:
         # The reader stopped early. Point stdout at devnull, so the flush at
@@ -252,7 +270,8 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 141
     except (QuasitoricError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if sys.stderr is not None:  # print would write to stdout
+            print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -50,12 +50,6 @@ def euler_characteristic(pair: CharacteristicPair) -> int:
     return pair.polytope.num_vertices
 
 
-def chern_top_number(pair: CharacteristicPair, omni: Omniorientation) -> int:
-    """Sum of fixed-point signs; equals the Euler characteristic when the
-    omniorientation is positive."""
-    return sum(all_signs(pair, omni))
-
-
 def _self_intersections(pair: CharacteristicPair, omni: Omniorientation, signs) -> list[int]:
     """D_j . D_j for each facet j of a dim-2 pair, in the orientation of omni,
     given the fixed-point signs ``all_signs(pair, omni)``.
@@ -176,24 +170,12 @@ def signature(form) -> int:
     return pos - neg
 
 
-def todd_genus_4d(pair: CharacteristicPair, omni: Omniorientation) -> Fraction:
-    """(chi + sigma) / 4 as an exact rational."""
-    if pair.polytope.dim != 2:
-        raise NotDimension2Error(pair.polytope.dim)
-    return compute_invariants(pair, omni).todd
-
-
-def almost_complex_exists_4d(pair: CharacteristicPair, omni: Omniorientation) -> bool:
-    """Integrality of the Todd genus decides existence of an almost complex
-    structure on an oriented closed 4-manifold."""
-    return todd_genus_4d(pair, omni).denominator == 1
-
-
 def compute_invariants(pair: CharacteristicPair, omni: Omniorientation) -> InvariantReport:
     """Euler characteristic and top Chern number; for a dim-2 pair also the
     signature sigma = p_1 / 3 with p_1 = sum_j D_j . D_j (Davis-Januszkiewicz
     give p(M) = prod_j (1 + v_j^2), then the Hirzebruch signature theorem),
-    the Todd genus and the almost-complex test, all in O(m)."""
+    the Todd genus (chi + sigma) / 4 and the almost-complex test (an integral
+    Todd genus), all in O(m)."""
     return _invariants_from_signs(pair, omni, all_signs(pair, omni))
 
 
@@ -203,7 +185,7 @@ def _invariants_from_signs(
     """``compute_invariants``, given the fixed-point signs
     ``all_signs(pair, omni)``."""
     euler = euler_characteristic(pair)
-    chern = sum(signs)  # as chern_top_number
+    chern = sum(signs)  # the top Chern number; euler when omni is positive
     if pair.polytope.dim != 2:
         return InvariantReport(euler=euler, chern_top=chern)
     sig, rem = divmod(sum(_self_intersections(pair, omni, signs)), 3)

@@ -477,21 +477,6 @@ def _validate_canonical(n: int, m: int, canon) -> SimplePolytope:
     return SimplePolytope(n, m, tuple(canon), tuple(signs), tuple(tree), tuple(masks))
 
 
-def adjacent_vertex(polytope: SimplePolytope, vertex, facet: int) -> tuple[int, ...]:
-    """The unique vertex sharing the ridge S(v) minus {facet} with v (n >= 2)."""
-    if polytope.dim < 2:
-        raise ValueError("edges of the polytope exist only for dim >= 2")
-    vi = polytope.vertex_index(vertex)
-    v = polytope.vertices[vi]
-    if facet not in v:
-        raise ValueError(f"facet {facet} is not incident to vertex {v}")
-    ridge = polytope.masks[vi] ^ (1 << facet)
-    for wi, mask in enumerate(polytope.masks):
-        if wi != vi and mask & ridge == ridge:
-            return polytope.vertices[wi]
-    raise ValueError("no ridge partner; polytope was not validated")  # pragma: no cover
-
-
 def orient_dual_sphere(polytope: SimplePolytope) -> tuple[int, ...]:
     """Deterministic coherent orientation, +1 at the lex-smallest vertex.
 

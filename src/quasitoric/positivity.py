@@ -317,11 +317,6 @@ def admits_invariant_acs(pair: CharacteristicPair) -> bool:
     return decide_positive(pair).satisfiable
 
 
-def count_positive_omniorientations(pair: CharacteristicPair) -> int:
-    result = decide_positive(pair)
-    return result.solution_count
-
-
 def brute_force_decide(pair: CharacteristicPair) -> BruteForceResult:
     """Independent oracle: enumerate all 2^(m+1) omniorientations.
 

@@ -119,6 +119,14 @@ EQUIVALENT = {
         "on a tie either class may move: the signs are relative and only "
         "products of two in one class are read"
     ),
+    ("cli:_Parser.error", "self.exit(1)"): (
+        "main, the parser's only caller, reads every nonzero exit status as "
+        "a usage error, 3"
+    ),
+    ("cli:_Parser.error", "self.exit(3)"): (
+        "main, the parser's only caller, reads every nonzero exit status as "
+        "a usage error, 3"
+    ),
 }
 
 _BINOPS = {

@@ -308,6 +308,13 @@ def closed_pipe_exits_141_quietly():
         assert (p.returncode, p.stderr) == (141, b""), (argv, p.returncode, p.stderr)
 
 
+# the console script started with stdin, stdout or stderr closed: one error
+# line and exit 2, or an error's own exit code and nothing on stdout
+def closed_stdio_fails_cleanly():
+    with tempfile.TemporaryDirectory() as tmp:
+        support.assert_closed_stdio_fails_cleanly(QTM, tmp)
+
+
 ROWS = [
     Row("qtm construct cpn 3 | qtm report -"),
     Row(cli_loads_no_dataclasses),
@@ -443,6 +450,7 @@ ROWS = [
         "qtm report -", stdin="dim +2\nfacets 003\nvertex -0 +1\nvertex 000 2\nvertex 01 +2\n"
         "lambda\n+1 -0 -01\n00 +1 -1\nomniorientation +1 1 -001 +01\n")),
     Row(closed_pipe_exits_141_quietly),
+    Row(closed_stdio_fails_cleanly),
 ]
 
 

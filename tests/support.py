@@ -4,22 +4,29 @@ The coherence checker here is an independent reimplementation of the
 orientation rule (plain dict sweep over all ridges, no BFS) so library output
 is never checked against itself, and a tuple-keyed ridge map with a deque BFS
 redoes validation's orientation, tree and masks; Bareiss does the same for
-the vertex determinants, the triple loop for matrix products, the
+the vertex determinants, the product of a vertex's facet signs for its
+fixed-point sign, the triple loop for matrix products, the
 successor-map walk for a polygon's facet cycle and a walk round it for the
 facets' self-intersections, the subset count for the f-vector, the iterated
 connected sum for the closed-form k-fold sum of CP^2, and Gauss-Jordan
 elimination to RREF, with one history bit per input row, for ``solve``'s
 forward elimination. The random pair generator only composes validated
-constructors, so every emitted pair is valid by construction.
+constructors, so every emitted pair is valid by construction. The check of
+qtm with a closed standard stream is here so that the tier-1 test and
+tests/scale_check.py run the same cases.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
 from collections import deque
+from functools import partial
 from itertools import combinations
 
 from quasitoric import (
+    PairDocument,
     basis_change,
     connected_sum_4d,
     cp2_sum,
@@ -27,6 +34,7 @@ from quasitoric import (
     hirzebruch,
     product,
     relabel_facets,
+    serialize,
     vertex_cut,
 )
 from quasitoric.linalg import columns, det_bareiss
@@ -129,6 +137,17 @@ def bareiss_dets(polytope, rows):
     """det lambda_v for every vertex by Bareiss, one elimination per vertex,
     independent of validation's exchange walk."""
     return [det_bareiss(columns(rows, v)) for v in polytope.vertices]
+
+
+def vertex_sign(pair, omni, vertex):
+    """Sign of the fixed point over one vertex, from its own n facet signs:
+    the reference for ``all_signs``, which reads them through the vertex
+    masks."""
+    vi = pair.polytope.vertex_index(vertex)
+    sign = omni.global_sign * pair.base_signs[vi]
+    for j in pair.polytope.vertices[vi]:
+        sign *= omni.facet_signs[j]
+    return sign
 
 
 def cycle_by_successors(polytope):
@@ -361,3 +380,46 @@ def gauss_jordan_solve(system: Gf2System) -> PositivityResult:
         certificate=_omni_from_mask(mask, n - 1),
         kernel_dim=n - len(pivots),
     )
+
+
+def assert_closed_stdio_fails_cleanly(qtm, tmp, env=None, fds=(0, 1, 2)):
+    """Run qtm (an argv prefix) with descriptor 0, 1 or 2 (those in fds)
+    closed in the child, where Python sets sys.stdin, sys.stdout or
+    sys.stderr to None. A closed
+    stdin that is read, or a closed stdout with lines to write (help
+    included), exits 2 with one error line on stderr and no traceback;
+    construct -o writes its file and exits 0; with stderr closed, an error
+    keeps its exit code (2, or 3 for a usage error) and leaves stdout
+    empty. A closed stream reads back empty here."""
+    cp2 = os.path.join(tmp, "cp2.qtm")
+    built = os.path.join(tmp, "built.qtm")
+    text = serialize(PairDocument.from_pair(cpn(2)))
+    with open(cp2, "w", encoding="utf-8") as f:
+        f.write(text)
+    no_stdin, no_stdout = b"error: stdin is closed\n", b"error: stdout is closed\n"
+    valid = b"valid\ndim 2\nfacets 3\nvertices 3\nf_vector 3 3\nh_vector 1 1 1\n"
+    # closed descriptor, argv, exit code, stdout, stderr
+    cases = [
+        (0, ["decide", "-"], 2, b"", no_stdin),
+        (0, ["construct", "product", "-", cp2], 2, b"", no_stdin),
+        (0, ["validate", cp2], 0, valid, b""),
+        (1, ["validate", cp2], 2, b"", no_stdout),
+        (1, ["construct", "cpn", "2"], 2, b"", no_stdout),
+        (1, ["--help"], 2, b"", no_stdout),
+        (1, ["construct", "-o", built, "cpn", "2"], 0, b"", b""),
+        (2, ["validate", os.path.join(tmp, "missing.qtm")], 2, b"", b""),
+        (2, ["decide", "-"], 2, b"", b""),  # stdin is empty, not a document
+        (2, ["frob"], 3, b"", b""),
+        (2, ["construct", "vertex-cut", cp2, "3"], 3, b"", b""),
+    ]
+    for fd, argv, code, out, err in cases:
+        if fd not in fds:
+            continue
+        p = subprocess.run(
+            [*qtm, *argv], stdin=subprocess.DEVNULL, capture_output=True, env=env,
+            timeout=60, preexec_fn=partial(os.close, fd),
+        )
+        assert (p.returncode, p.stdout, p.stderr) == (code, out, err), (fd, argv, p)
+    if 1 in fds:
+        with open(built, encoding="utf-8") as f:
+            assert f.read() == text

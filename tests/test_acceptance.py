@@ -25,7 +25,6 @@ from quasitoric import (
     product,
     relabel_facets,
     signature,
-    todd_genus_4d,
     vertex_cut,
 )
 from quasitoric.linalg import det_bareiss
@@ -89,7 +88,7 @@ def test_criterion_2_todd_genus_reproduction():
         pair = cp2_sum(k)
         omni = Omniorientation.all_positive(pair.polytope.num_facets)
         rep = compute_invariants(pair, omni)
-        ok &= todd_genus_4d(pair, omni) == Fraction(k + 1, 2)
+        ok &= rep.todd == Fraction(k + 1, 2)
         ok &= rep.euler == k + 2
         ok &= rep.signature == k
         ok &= rep.almost_complex_4d == (k % 2 == 1)
@@ -147,7 +146,7 @@ def test_criterion_5_invariance_suite():
         base_sigs = all_signs(pair, omni)
         if n == 2:
             base_sigma = signature(intersection_form(pair, omni))
-            base_todd = todd_genus_4d(pair, omni)
+            base_todd = compute_invariants(pair, omni).todd
 
         perm = list(range(m))
         rng.shuffle(perm)
@@ -160,7 +159,7 @@ def test_criterion_5_invariance_suite():
             ok &= result.solution_count == base.solution_count
             if n == 2:
                 ok &= signature(intersection_form(other, other_omni)) == base_sigma
-                ok &= todd_genus_4d(other, other_omni) == base_todd
+                ok &= compute_invariants(other, other_omni).todd == base_todd
 
         flipped = omni.flip_global()
         ok &= all_signs(pair, flipped) == tuple(-s for s in base_sigs)

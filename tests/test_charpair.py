@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from quasitoric import (
     Omniorientation,
     PairDocument,
-    adjacent_vertex,
     all_signs,
     basis_change,
     connected_sum_4d,
@@ -26,7 +25,6 @@ from quasitoric import (
     validate_char,
     validate_polytope,
     vertex_cut,
-    vertex_sign,
 )
 from quasitoric.errors import (
     NotUnimodularError,
@@ -49,6 +47,7 @@ from support import (
     random_valid_pair,
     random_vertex,
     replace,
+    vertex_sign,
 )
 
 TRIANGLE = validate_polytope(2, 3, [(0, 1), (0, 2), (1, 2)])
@@ -211,8 +210,6 @@ def test_omniorientation_of_wrong_length_is_rejected():
         with pytest.raises(ValueError, match=msg):
             all_signs(pair, omni)
         with pytest.raises(ValueError, match=msg):
-            vertex_sign(pair, omni, (0, 1))
-        with pytest.raises(ValueError, match=msg):
             relabel_facets(pair, (2, 0, 1), omni)
         # its text would not parse back: the omniorientation line has m + 1 signs
         with pytest.raises(ValueError, match=msg):
@@ -298,11 +295,7 @@ def test_non_integral_entries_are_refused_not_truncated():
         with pytest.raises(TypeError):
             hirzebruch(bad)
         with pytest.raises(TypeError):
-            vertex_sign(cpn(2), Omniorientation.all_positive(3), (0, bad))
-        with pytest.raises(TypeError):
             vertex_cut(cpn(2), (0, bad))
-        with pytest.raises(TypeError):
-            adjacent_vertex(cpn(2).polytope, (0, bad), 0)
         with pytest.raises(TypeError):
             connected_sum_4d(cpn(2), (0, bad), cpn(2), (0, 1))
     with pytest.raises(TypeError):

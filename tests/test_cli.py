@@ -32,7 +32,9 @@ from quasitoric import cli, invariants, positivity
 from quasitoric.cli import main
 from quasitoric.errors import TooLargeError
 from quasitoric.positivity import PositivityResult
-from support import random_valid_pair
+from support import assert_closed_stdio_fails_cleanly, random_valid_pair
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 CP2_TEXT = """\
 dim 2
@@ -376,19 +378,17 @@ def test_reused_parser_leaks_no_state(capsys, tmp_path):
 
 def test_import_does_not_load_numpy():
     """Only the brute-force oracle uses numpy, and it imports it itself."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = "import quasitoric.cli, sys; assert 'numpy' not in sys.modules"
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_import_does_not_load_dataclasses_or_inspect():
     """The records are plain slotted classes: dataclasses, the inspect module
     it imports and its decorators would add to every qtm process's start-up."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import quasitoric.cli, sys; "
             "assert not {'dataclasses', 'inspect'} & set(sys.modules), sys.modules.keys()")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
@@ -413,7 +413,6 @@ def test_the_table_path_never_builds_the_parser(tmp_path):
     (at 80 columns)."""
     path = tmp_path / "cp3.qtm"
     path.write_text(serialize(PairDocument.from_pair(cpn(3))), encoding="utf-8")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = """if True:
         import io, sys
         from contextlib import redirect_stdout
@@ -432,7 +431,7 @@ def test_the_table_path_never_builds_the_parser(tmp_path):
         assert (built().currsize, built().misses) == (1, 1)
         sys.stdout.write(out.getvalue().split("\\n", 2)[2])
     """
-    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
     proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True,
                           timeout=60, capture_output=True, text=True)
     assert proc.stdout == HELP_TEXT
@@ -441,8 +440,7 @@ def test_the_table_path_never_builds_the_parser(tmp_path):
 def _qtm(argv, stdout, stdin=None, unbuffered=False):
     """``python -m quasitoric argv``; with unbuffered, each write to stdout
     reaches the pipe at once (PYTHONUNBUFFERED), else at the flush."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -479,6 +477,15 @@ def test_a_closed_pipe_exits_141_quietly(tmp_path):
     os.close(r)
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.parametrize("fd", [0, 1, 2], ids=["stdin", "stdout", "stderr"])
+def test_a_closed_standard_stream_fails_cleanly(tmp_path, fd):
+    """qtm started with stdin, stdout or stderr closed: see
+    support.assert_closed_stdio_fails_cleanly."""
+    qtm = [sys.executable, "-m", "quasitoric"]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    assert_closed_stdio_fails_cleanly(qtm, str(tmp_path), env, fds=(fd,))
 
 
 def test_f_vector_refusal_leaves_stdout_empty(capsys, monkeypatch):

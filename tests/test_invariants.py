@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from quasitoric import (
     Omniorientation,
-    almost_complex_exists_4d,
     basis_change,
-    chern_top_number,
     compute_invariants,
     cp2_sum,
     cpn,
@@ -21,7 +19,6 @@ from quasitoric import (
     intersection_form,
     relabel_facets,
     signature,
-    todd_genus_4d,
     vertex_cut,
 )
 from quasitoric.charpair import all_signs
@@ -49,7 +46,7 @@ def test_euler_examples():
 
 
 def test_chern_top_interval():
-    assert chern_top_number(cpn(1), all_pos(cpn(1))) == 2
+    assert compute_invariants(cpn(1), all_pos(cpn(1))).chern_top == 2
 
 
 def test_chern_top_equals_euler_on_certificates():
@@ -59,7 +56,8 @@ def test_chern_top_equals_euler_on_certificates():
         pair = random_valid_pair(rng)
         result = decide_positive(pair)
         if result.satisfiable:
-            assert chern_top_number(pair, result.certificate) == euler_characteristic(pair)
+            chern = compute_invariants(pair, result.certificate).chern_top
+            assert chern == euler_characteristic(pair)
             checked += 1
     assert checked >= 10
 
@@ -69,7 +67,8 @@ def test_chern_top_negates_with_global_flip():
     for _ in range(15):
         pair = random_valid_pair(rng)
         omni = all_pos(pair)
-        assert chern_top_number(pair, omni.flip_global()) == -chern_top_number(pair, omni)
+        chern = compute_invariants(pair, omni).chern_top
+        assert compute_invariants(pair, omni.flip_global()).chern_top == -chern
 
 
 def test_intersection_form_cp2():
@@ -106,7 +105,7 @@ def test_intersection_form_rejects_other_dims():
     with pytest.raises(NotDimension2Error):
         intersection_form(cpn(1), all_pos(cpn(1)))
     with pytest.raises(NotDimension2Error):
-        todd_genus_4d(cpn(3), all_pos(cpn(3)))
+        intersection_form(cpn(3), all_pos(cpn(3)))
 
 
 def test_signature_small_matrices():
@@ -144,7 +143,7 @@ def test_omniorientation_signs_are_integers():
     assert omni == Omniorientation.all_positive(3)
     assert type(omni.global_sign) is int
     assert all(type(s) is int for s in omni.facet_signs)
-    c = chern_top_number(cpn(2), omni)
+    c = compute_invariants(cpn(2), omni).chern_top
     assert (c, type(c)) == (3, int)
 
 
@@ -198,13 +197,13 @@ def test_signature_invariant_under_facet_flips():
 
 
 def test_todd_cp2_family():
-    assert todd_genus_4d(cpn(2), all_pos(cpn(2))) == 1
+    assert compute_invariants(cpn(2), all_pos(cpn(2))).todd == 1
     for k in range(1, 8):
         pair = cp2_sum(k)
-        assert todd_genus_4d(pair, all_pos(pair)) == Fraction(k + 1, 2)
-    pair = cp2_sum(2)
-    assert todd_genus_4d(pair, all_pos(pair)) == Fraction(3, 2)
-    assert not almost_complex_exists_4d(pair, all_pos(pair))
+        assert compute_invariants(pair, all_pos(pair)).todd == Fraction(k + 1, 2)
+    rep = compute_invariants(cp2_sum(2), all_pos(cp2_sum(2)))
+    assert rep.todd == Fraction(3, 2)
+    assert not rep.almost_complex_4d
 
 
 def test_todd_identity_4x():
@@ -226,7 +225,7 @@ def test_sat_implies_integral_todd_with_certificate():
         pair = random_polygon_pair(rng, max_m=10)
         result = decide_positive(pair)
         if result.satisfiable:
-            assert almost_complex_exists_4d(pair, result.certificate)
+            assert compute_invariants(pair, result.certificate).almost_complex_4d
             checked += 1
     assert checked >= 10
 
@@ -257,8 +256,7 @@ def test_local_signature_matches_congruence_diagonalization(seed, data):
         rep = compute_invariants(pair, o)
         assert rep.signature == signature(intersection_form(pair, o))
         assert 4 * rep.todd == rep.euler + rep.signature
-        assert todd_genus_4d(pair, o) == rep.todd
-        assert almost_complex_exists_4d(pair, o) == rep.almost_complex_4d
+        assert rep.almost_complex_4d == (rep.todd.denominator == 1)
 
 
 def test_self_intersections_match_the_walk_round_the_cycle():

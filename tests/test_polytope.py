@@ -10,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasitoric import (
-    Omniorientation,
-    adjacent_vertex,
     basis_change,
     cp2_sum,
     cpn,
@@ -25,7 +23,6 @@ from quasitoric import (
     relabel_facets,
     validate_polytope,
     vertex_cut,
-    vertex_sign,
 )
 from quasitoric.errors import (
     DisconnectedError,
@@ -210,26 +207,12 @@ def test_scalar_errors():
         validate_polytope(2, 3, [])
 
 
-def test_adjacent_vertex_triangle():
-    poly = validate_polytope(2, 3, TRIANGLE)
-    assert adjacent_vertex(poly, (0, 1), 0) == (1, 2)
-    assert adjacent_vertex(poly, (0, 1), 1) == (0, 2)
-
-
-def test_adjacent_vertex_square():
-    poly = polygon(4)
-    assert adjacent_vertex(poly, (0, 1), 1) == (0, 3)
-    assert adjacent_vertex(poly, (0, 1), 0) == (1, 2)
-
-
 def test_a_tuple_that_is_not_a_vertex_is_named():
     pair = cpn(2)
     poly = pair.polytope
     for call in (
         lambda: poly.vertex_index((6, 5)),
         lambda: vertex_cut(pair, (5, 6)),
-        lambda: adjacent_vertex(poly, (5, 6), 5),
-        lambda: vertex_sign(pair, Omniorientation.all_positive(3), (5, 6)),
     ):
         with pytest.raises(ValueError, match=r"^\(5, 6\) is not a vertex of the polytope$"):
             call()
@@ -245,30 +228,6 @@ def test_masks_are_the_vertex_facet_bitmasks():
     # past m = 61 the ridge keys use other facet codes; the masks do not
     for poly in (cp2_sum(70).polytope, product(cpn(3), cp2_sum(64)).polytope):
         assert poly.masks == tuple(sum(1 << j for j in v) for v in poly.vertices)
-
-
-def test_adjacent_vertex_refuses_a_facet_not_at_the_vertex():
-    poly = validate_polytope(2, 3, TRIANGLE)
-    with pytest.raises(ValueError, match=r"^facet 2 is not incident to vertex \(0, 1\)$"):
-        adjacent_vertex(poly, (0, 1), 2)
-
-
-def test_adjacent_vertex_rejects_interval():
-    poly = validate_polytope(1, 2, [(0,), (1,)])
-    with pytest.raises(ValueError):
-        adjacent_vertex(poly, (0,), 0)
-
-
-def test_adjacent_vertex_involution():
-    rng = random.Random(11)
-    for _ in range(25):
-        poly = random_valid_pair(rng).polytope
-        for v in poly.vertices:
-            for f in v:
-                w = adjacent_vertex(poly, v, f)
-                ridge = set(v) - {f}
-                (f2,) = set(w) - ridge
-                assert adjacent_vertex(poly, w, f2) == v
 
 
 def test_orientation_interval():

@@ -16,7 +16,6 @@ from quasitoric import (
     basis_change,
     brute_force_decide,
     build_system,
-    count_positive_omniorientations,
     cp2_sum,
     cpn,
     decide_positive,
@@ -125,7 +124,7 @@ def test_solve_interval():
 
 
 def test_interval_count_matches_oracle():
-    assert count_positive_omniorientations(cpn(1)) == 2
+    assert decide_positive(cpn(1)).solution_count == 2
     assert brute_force_decide(cpn(1)).count == 2
 
 
@@ -135,7 +134,7 @@ def test_cp2_family_parity():
     assert decide_positive(cp2_sum(3)).satisfiable
     assert admits_invariant_acs(cpn(2))
     assert not admits_invariant_acs(cp2_sum(2))
-    assert count_positive_omniorientations(cp2_sum(2)) == 0
+    assert decide_positive(cp2_sum(2)).solution_count == 0
 
 
 def test_certificate_verifies():
@@ -465,11 +464,10 @@ def test_polygon_walk_matches_solve_and_gauss_jordan():
 
 
 def test_decide_positive_builds_no_system_on_a_polygon(monkeypatch):
-    """decide_positive, count_positive_omniorientations and
-    admits_invariant_acs decide every pair from the tree's facet exchanges.
-    An UNSAT polygon's witness is every vertex, so no polygon, SAT or
-    UNSAT, builds a system: only an UNSAT pair of dim 3 or more builds and
-    solves one, for its witness."""
+    """decide_positive and admits_invariant_acs decide every pair from the
+    tree's facet exchanges. An UNSAT polygon's witness is every vertex, so
+    no polygon, SAT or UNSAT, builds a system: only an UNSAT pair of dim 3
+    or more builds and solves one, for its witness."""
     pairs = [cpn(2), hirzebruch(1), hirzebruch(-2), cp2_sum(2), cp2_sum(3), cp2_sum(1000)]
     cube = product(product(cpn(1), cpn(1)), cpn(1))
     trees = [cpn(1), cpn(3), cube, vertex_cut(cube, cube.polytope.vertices[0])]
@@ -487,7 +485,6 @@ def test_decide_positive_builds_no_system_on_a_polygon(monkeypatch):
     monkeypatch.setattr(positivity, "solve", refuse)
     for pair, result in zip(pairs, expected):
         assert decide_positive(pair) == result
-        assert count_positive_omniorientations(pair) == result.solution_count
         assert admits_invariant_acs(pair) == result.satisfiable
     with pytest.raises(AssertionError, match="GF.2. system"):
         decide_positive(unsat)
