@@ -4,8 +4,9 @@ Models a quasitoric manifold as a simple polytope plus characteristic matrix,
 decides existence of a positive omniorientation (equivalently, of an invariant
 almost complex structure) with verified certificates, and computes the
 classical 4-manifold invariants on constructed examples. One pass over the
-facet exchanges of the polytope's spanning tree decides every pair; GF(2)
-elimination runs only for the witness of an UNSAT pair of dim 3 or more.
+facet exchanges of the polytope's spanning tree decides every pair, with its
+certificate or the witness of an odd cycle of exchanges; GF(2) elimination
+(``solve``) is the reference the tests hold that pass to.
 """
 
 from .charpair import (

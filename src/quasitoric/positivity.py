@@ -9,36 +9,22 @@ where b_v = 1 iff the base sign orientation(v) * det lambda_v, the sign at
 the all-positive omniorientation (``pair.base_signs``), is -1. The row of
 vertex v is 1 | mask << 1, its facet bitmask shifted past x0.
 
-``decide_positive`` builds no system for a SAT pair. Across an edge v -> w
-of the polytope's spanning tree (``SimplePolytope.bfs_tree``) facet a is
-swapped for facet b, so the two rows sum to x_a + x_b = b_v + b_w. Every
-row is the root's row plus the edge rows on its tree path, so one vertex's
-row and the V - 1 edge rows are row-equivalent to the whole system, in
-every dimension: one pass over the tree's edges joins the m facets into
-parity classes, O(V + m log m), and the system is SAT iff no exchange
-contradicts the parities inside a class. Its kernel is constant on each
-class, so the free unknowns of ``solve``'s lowest-unknown pivot rule are
-the largest facet of each class, and the kernel dimension is their number;
-setting them 0 and reading x0 off one row gives ``solve``'s certificate
-(see ``_decide_by_tree``). An UNSAT polygon's rows have one dependency,
-their sum, so its witness is every vertex, and no polygon builds a
-system. On cp2_sum(199) x cp2_sum(199), 40401 vertices,
-``decide_positive`` takes 12-20 ms, where elimination took 1.5 s
-(CPython 3.11).
+``decide_positive`` builds no system. Across an edge v -> w of the
+polytope's spanning tree (``SimplePolytope.bfs_tree``) facet a is swapped
+for facet b, so the two rows sum to x_a + x_b = b_v + b_w. Every row is the
+root's row plus the edge rows on its tree path, so one vertex's row and the
+V - 1 edge rows are row-equivalent to the whole system, in every dimension.
+One pass over the tree's edges joins the facets into parity classes and
+gives ``solve``'s certificate and kernel dimension, or stops at the first
+odd cycle of exchanges, whose edges give the UNSAT witness
+(``_decide_by_tree``, ``_odd_cycle_witness``). On cp2_sum(199) x
+cp2_sum(199), 40401 vertices, ``decide_positive`` takes 12-20 ms, where
+elimination took 1.5 s (CPython 3.11).
 
-``solve`` is forward elimination over the system. It keeps each row as one
-integer that also packs its rhs and its history. The history is kept in
-slots, one per pivot, not one bit per vertex, so a row holds about 2m bits
-however many vertices there are. Elimination yields either the
-lexicographically determined certificate (free variables zeroed, pivots at
-the lowest unknown indices), found by back-substitution, or a set of
-vertices whose equations sum to 0 = 1, expanded from a zero row's slots.
-Both are the ones Gauss-Jordan elimination to RREF finds under the same
-pivot rule. ``decide_positive`` runs it only for the witness of an UNSAT
-pair of dim other than 2, which has no closed form; the tests run it as
-the oracle of the tree pass. Every result is re-verified before being
-returned. A brute-force enumeration over all 2^(m+1) omniorientations
-serves as the independent oracle.
+``solve`` is Gauss-Jordan elimination to RREF over the system, the
+reference for the tree pass. Every result of ``decide_positive`` is
+re-verified before being returned; a brute-force enumeration over all
+2^(m+1) omniorientations serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -124,85 +110,56 @@ def _omni_from_mask(mask: int, num_facets: int) -> Omniorientation:
 
 
 def solve(system: Gf2System) -> PositivityResult:
-    """Forward GF(2) elimination with slot histories, then back-substitution.
+    """Gaussian elimination over GF(2) to RREF, with witness extraction.
 
     Pivots are chosen at the lowest unknown index: the first row from
-    position r in the current order that has the column's bit is swapped to
-    position r and XORed into the rows below it that have the bit. With n
-    unknowns, each work row is one integer: its coefficients in bits 0..n-1,
-    its rhs in bit n, and from bit n + 1 its history in slots. The row that
-    becomes the pivot of slot s keeps position s; ``carried[s]`` records the
-    slots in its history then, and from then on it stands for slot bit s
-    alone, so a row holds at most 2n + 1 bits whatever the number of rows.
-
-    A row left with 0 = 1 is the inconsistency witness: its own original
-    index plus the origins of its slots, each slot expanded from the highest
-    down into the lower slots it carried. Otherwise back-substitution from
-    the last pivot finds the solution with every free unknown 0.
-
-    Both are those of Gauss-Jordan elimination to RREF under the same pivot
-    rule. The solution with the free unknowns 0 is unique. The rows at
-    positions >= r receive the same XORs as under Gauss-Jordan, which only
-    adds clearing the rows above, so the pivots, the zero rows, their order
-    and their histories are the same.
+    position r that has the column's bit is swapped to position r and XORed
+    into every other row that has it. With n unknowns, each work row is one
+    integer: its coefficients in bits 0..n-1, its rhs in bit n, and in bit
+    n + 1 + k the history of original row k having been combined into it. A
+    row that reduces to its rhs bit and history, 0 = 1, hands its history
+    back as the inconsistency witness; otherwise the certificate is the
+    unique solution with every free unknown 0.
     """
     n = system.num_unknowns
-    top = n + 1  # slot s of the history is bit top + s
-    equation = (1 << top) - 1  # the coefficient and rhs bits
-    rows = [c | b << n for c, b in zip(system.rows, system.rhs)]
+    rhs = system.rhs
+    rows = [c | rhs[k] << n | 1 << (n + 1 + k) for k, c in enumerate(system.rows)]
     n_rows = len(rows)
-    order = list(range(n_rows))  # order[i]: the original index of the row at position i
-    pivots = []  # pivots[s]: the column of slot s, whose pivot row is at position s
-    carried = []  # carried[s]: the slots that row's history held as it became slot s
+    pivots = []  # pivots[r]: the column of row r's pivot
     for col in range(n):
-        bit = 1 << col
+        bit = 1 << col  # tested with &, as a shift would copy the history bits
         r = len(pivots)
-        for piv in range(r, n_rows):
-            if rows[piv] & bit:
-                break
-        else:
+        piv = next((i for i in range(r, n_rows) if rows[i] & bit), None)
+        if piv is None:
             continue
-        row = rows[piv]
-        rows[piv] = rows[r]
-        order[r], order[piv] = order[piv], order[r]
-        carried.append(row >> top)
-        row = row & equation | 1 << (top + r)
-        rows[r] = row
-        for i in range(r + 1, n_rows):
-            if rows[i] & bit:
-                rows[i] ^= row
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(n_rows):
+            if i != r and rows[i] & bit:
+                rows[i] ^= rows[r]
         pivots.append(col)
-        if r + 1 == n_rows:
-            break
 
-    rank = len(pivots)
-    for i in range(rank, n_rows):  # each such row has no coefficient bit left
-        row = rows[i]
-        if row >> n & 1:
-            witness = [order[i]]
-            slots = row >> top
-            while slots:  # the highest slot's row carried only lower slots
-                s = slots.bit_length() - 1
-                witness.append(order[s])
-                slots ^= 1 << s ^ carried[s]
-            witness.sort()
-            return PositivityResult(satisfiable=False, witness=tuple(witness))
+    equation = (2 << n) - 1  # the coefficient and rhs bits
+    for row in rows:
+        if row & equation == 1 << n:
+            hist = row >> (n + 1)
+            witness = tuple(v for v in range(n_rows) if (hist >> v) & 1)
+            return PositivityResult(satisfiable=False, witness=witness)
 
-    mask = 0  # the pivot unknowns already solved, all of a higher column
-    for s in range(rank - 1, -1, -1):
-        row = rows[s]
-        if ((row & mask).bit_count() ^ row >> n) & 1:
-            mask |= 1 << pivots[s]
+    mask = 0
+    for row, col in zip(rows, pivots):
+        if row & 1 << n:
+            mask |= 1 << col
     return PositivityResult(
         satisfiable=True,
         certificate=_omni_from_mask(mask, n - 1),
-        kernel_dim=n - rank,
+        kernel_dim=n - len(pivots),
     )
 
 
-def _decide_by_tree(pair: CharacteristicPair) -> PositivityResult | None:
-    """``solve(build_system(pair))`` for a SAT pair, from the facet exchanges
-    of its spanning tree with no system; None when the pair is UNSAT.
+def _decide_by_tree(pair: CharacteristicPair) -> PositivityResult:
+    """The decision from the facet exchanges of the pair's spanning tree,
+    with no system: ``solve(build_system(pair))`` for a SAT pair, and for an
+    UNSAT pair the witness of the first odd cycle.
 
     In signs, vertex v's row says eps0 * s_v * prod_{j in v} eps_j = 1, with
     s_v its base sign. Each tree edge v -> w swaps facet a of v for facet b
@@ -213,13 +170,15 @@ def _decide_by_tree(pair: CharacteristicPair) -> PositivityResult | None:
     facet's class, and one between two classes moves the smaller into the
     larger, its relative signs negated if the exchange asks for it, so a
     facet moves at most log2 m times. An exchange inside one class that its
-    relative signs break closes a cycle of odd parity: UNSAT. Otherwise the
-    kernel of the system is one free bit per class, the same on all of its
-    facets, with x0 fixed by the root row. A kernel vector's highest unknown
-    is thus a class's largest facet, so those are the unknowns that are no
-    pivot of ``solve``, which pivots on the lowest unknown first: the kernel
-    dimension is the number of classes, and ``solve`` gives each largest
-    facet the sign +1. The global sign then makes vertex 0's sign +1.
+    relative signs break closes a cycle of odd parity: UNSAT, with every
+    vertex as a polygon's witness and ``_odd_cycle_witness`` in any other
+    dimension. Otherwise the kernel of the system is one free bit per class,
+    the same on all of its facets, with x0 fixed by the root row. A kernel
+    vector's highest unknown is thus a class's largest facet, so those are
+    the unknowns that are no pivot of ``solve``, which pivots on the lowest
+    unknown first: the kernel dimension is the number of classes, and
+    ``solve`` gives each largest facet the sign +1. The global sign then
+    makes vertex 0's sign +1.
     """
     poly = pair.polytope
     verts, signs = poly.vertices, pair.base_signs
@@ -242,7 +201,11 @@ def _decide_by_tree(pair: CharacteristicPair) -> PositivityResult | None:
             rel[a] = r
         elif ca is cb:
             if r < 0:
-                return None
+                if poly.dim == 2:
+                    witness = tuple(range(poly.num_vertices))
+                else:
+                    witness = _odd_cycle_witness(pair, poly.bfs_tree.index((w, v, pos, wpos)))
+                return PositivityResult(satisfiable=False, witness=witness)
         else:  # the smaller class moves into the larger
             if len(ca) < len(cb):
                 ca, cb = cb, ca
@@ -269,6 +232,36 @@ def _decide_by_tree(pair: CharacteristicPair) -> PositivityResult | None:
     )
 
 
+def _odd_cycle_witness(pair: CharacteristicPair, stop: int) -> tuple[int, ...]:
+    """The UNSAT witness of the rule in ``decide_positive``'s docstring,
+    for ``bfs_tree[stop]``, the first tree edge that breaks its class. The
+    search path and that edge form a cycle of exchanges whose parities
+    multiply to -1, and each edge stands for the rows of its two endpoints,
+    so the witness meets every facet an even number of times. O(V)."""
+    poly = pair.polytope
+    verts, tree = poly.vertices, poly.bfs_tree
+    exchanges = [[] for _ in range(poly.num_facets)]  # exchanges[a]: (b, edge index)
+    for k in range(stop):
+        w, v, pos, wpos = tree[k]
+        a, b = verts[v][pos], verts[w][wpos]
+        exchanges[a].append((b, k))
+        exchanges[b].append((a, k))
+    w, v, pos, wpos = tree[stop]
+    a, b = verts[v][pos], verts[w][wpos]
+    came = {a: None}  # came[f]: the facet before f on the path, and the edge between
+    queue = [a]
+    for f in queue:
+        for g, k in exchanges[f]:
+            if g not in came:
+                came[g] = f, k
+                queue.append(g)
+    witness = {v, w}
+    while b != a:
+        b, k = came[b]
+        witness ^= set(tree[k][:2])
+    return tuple(sorted(witness))
+
+
 def _verify(pair: CharacteristicPair, result: PositivityResult) -> None:
     if result.satisfiable:
         if any(s != 1 for s in all_signs(pair, result.certificate)):
@@ -293,21 +286,19 @@ def decide_positive(pair: CharacteristicPair) -> PositivityResult:
     """Decide whether the pair admits a positive omniorientation.
 
     ``_decide_by_tree``'s one pass over the facet exchanges of the spanning
-    tree decides every pair, O(V + m log m) with no system, and gives a SAT
-    pair's certificate and kernel dimension. An UNSAT polygon's witness is
-    every vertex, since its rows' one dependency is their sum; any other
-    UNSAT pair runs ``solve(build_system(pair))`` for its witness. Both
-    give the result Gauss-Jordan elimination to RREF gives. The returned
+    tree decides every pair, O(V + m log m) with no system. A SAT pair's
+    certificate and kernel dimension are those Gauss-Jordan elimination to
+    RREF gives. An UNSAT polygon's witness is every vertex, since its rows'
+    one dependency is their sum. Any other UNSAT pair's witness comes from
+    the first tree edge, in list order, whose exchange a <-> b breaks the
+    parities of its class: a breadth-first search from a over the exchanges
+    of the edges before it, each facet's in list order, reaches b, and the
+    witness is the symmetric difference of the endpoint pairs of that edge
+    and of the edges on the path, in ascending order. The returned
     certificate or witness is verified against the pair before being
     handed out; a verification failure is a defect, not an input error.
     """
     result = _decide_by_tree(pair)
-    if result is None:
-        poly = pair.polytope
-        if poly.dim == 2:
-            result = PositivityResult(satisfiable=False, witness=tuple(range(poly.num_vertices)))
-        else:
-            result = solve(build_system(pair))
     _verify(pair, result)
     return result
 

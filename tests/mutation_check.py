@@ -115,9 +115,24 @@ EQUIVALENT = {
     ),
     ("positivity:_decide_by_tree", "r <= 0"): "r is a product of signs, +1 or -1",
     ("positivity:_decide_by_tree", "r < 1"): "r is a product of signs, +1 or -1",
+    ("positivity:_decide_by_tree", "poly.dim == 1"): (
+        "the odd-cycle walk gives an UNSAT polygon every vertex too, the "
+        "closed form's witness, and no interval is UNSAT"
+    ),
     ("positivity:_decide_by_tree", "len(ca) <= len(cb)"): (
         "on a tie either class may move: the signs are relative and only "
         "products of two in one class are read"
+    ),
+    (
+        "positivity:solve",
+        "rows = [(c | rhs[k] << n) ^ 1 << n + 1 + k for k, c in enumerate(system.rows)]",
+    ): "the history bit lies above the coefficient and rhs bits, so ^ and | agree",
+    (
+        "positivity:solve",
+        "rows = [c ^ rhs[k] << n | 1 << n + 1 + k for k, c in enumerate(system.rows)]",
+    ): "Gf2System refuses a row bit at n or above, so ^ and | agree",
+    ("positivity:solve", "mask ^= 1 << col"): (
+        "each pivot column is set once, so ^= and |= agree"
     ),
     ("cli:_Parser.error", "self.exit(1)"): (
         "main, the parser's only caller, reads every nonzero exit status as "

@@ -22,6 +22,7 @@ from quasitoric import (Omniorientation, basis_change, build_system, compute_inv
                         relabel_facets, solve, validate_char, validate_polytope, vertex_cut)
 from quasitoric.errors import SingularVertexError, UnusedFacetError
 from quasitoric.linalg import columns, det_bareiss
+from quasitoric.positivity import _verify
 
 # A row is a qtm pipeline or a Python check. Every stage of the pipeline,
 # separated by " | ", runs qtm on the output of the one before; "timeout N"
@@ -228,11 +229,27 @@ def raised(build):
     raise AssertionError("an invalid input passed")
 
 
-# the tree decision's result is solve's on cp2_sum(199)^2 (SAT), and
-# cp2_sum(98)^2, UNSAT, still goes through solve for its witness
+# the tree decision's result is solve's on cp2_sum(199)^2 (SAT); on
+# cp2_sum(98)^2 (UNSAT) its decision is solve's and its witness, from the
+# tree's odd cycle, passes _verify
 def squared_sums_decide_as_solve():
-    for k in (199, 98):
-        assert_decided_as_solve(product(cp2_sum(k), cp2_sum(k)), k)
+    assert_decided_as_solve(product(cp2_sum(199), cp2_sum(199)), 199)
+    pair = product(cp2_sum(98), cp2_sum(98))
+    result = decide_positive(pair)
+    assert not result.satisfiable and not solve(build_system(pair)).satisfiable
+    _verify(pair, result)
+
+
+# an UNSAT pair of dim 3 or more takes its witness from the odd cycle where
+# the tree pass stops, with no GF(2) system: cp2_sum(198)^2 (V = 40000)
+# decides in well under 0.1 s, where elimination took 1.2-2.0 s
+def unsat_square_decides_from_the_odd_cycle():
+    pair = product(cp2_sum(198), cp2_sum(198))
+    start = time.perf_counter()
+    result = decide_positive(pair)
+    took = time.perf_counter() - start
+    assert not result.satisfiable and took < 0.1, took
+    _verify(pair, result)
 
 
 # the connected sum splices by renaming, with no walk round either polygon:
@@ -357,8 +374,8 @@ ROWS = [
     Row("timeout 20 qtm construct product s98_2.qtm cp1.qtm | timeout 20 qtm validate -",
         lines=["f_vector 20000 50000 40400 10600 202"]),
     # cp2_sum(98)^2 (V = 10000) has no positive omniorientation: decide exits
-    # 1 with UNSAT and a witness of an even number of vertices, expanded from
-    # the slot histories of solve's forward elimination
+    # 1 with UNSAT and a witness of an even number of vertices, from the odd
+    # cycle of facet exchanges where the tree pass stops
     Row("timeout 20 qtm decide s98_2.qtm", code=1, first="UNSAT", test=even_witness),
     # a SAT pair of dim 3 or more is decided by one pass over the facet
     # exchanges of its spanning tree, O(V + m log m) with no GF(2) system:
@@ -367,6 +384,7 @@ ROWS = [
     Row("qtm construct -o s199_2.qtm product s199.qtm s199.qtm"),
     Row("timeout 60 qtm decide s199_2.qtm", first="SAT"),
     Row(squared_sums_decide_as_solve, timeout=120),
+    Row(unsat_square_decides_from_the_odd_cycle, timeout=60),
     # a polygon is decided like every pair, from the facet exchanges of its
     # spanning tree with no GF(2) system: the budget's largest sum, cp2k 11454
     # (m = 11456, an even polygon), is UNSAT with all 11456 vertices as its

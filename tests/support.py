@@ -8,9 +8,10 @@ the vertex determinants, the product of a vertex's facet signs for its
 fixed-point sign, the triple loop for matrix products, the
 successor-map walk for a polygon's facet cycle and a walk round it for the
 facets' self-intersections, the subset count for the f-vector, the iterated
-connected sum for the closed-form k-fold sum of CP^2, and Gauss-Jordan
-elimination to RREF, with one history bit per input row, for ``solve``'s
-forward elimination. The random pair generator only composes validated
+connected sum for the closed-form k-fold sum of CP^2, and a relabelling
+union of the facets with a deque BFS for the tree pass's UNSAT witness
+(``solve``, Gauss-Jordan elimination to RREF, is the tests' reference for
+the rest of the decision). The random pair generator only composes validated
 constructors, so every emitted pair is valid by construction. The check of
 qtm with a closed standard stream is here so that the tier-1 test and
 tests/scale_check.py run the same cases.
@@ -38,7 +39,6 @@ from quasitoric import (
     vertex_cut,
 )
 from quasitoric.linalg import columns, det_bareiss
-from quasitoric.positivity import Gf2System, PositivityResult, _omni_from_mask
 
 
 def ridge_entries(vertices):
@@ -335,51 +335,44 @@ def random_relabelling(rng: random.Random, pair):
     return relabel_facets(pair, perm)[0]
 
 
-def gauss_jordan_solve(system: Gf2System) -> PositivityResult:
-    """Gaussian elimination over GF(2) with witness extraction.
-
-    Pivots are chosen at the lowest unknown index, rows scanned in order, and
-    the reduction is carried to RREF, so certificates and witnesses are
-    reproducible. With n unknowns, each work row is one integer: its
-    coefficients in bits 0..n-1, its rhs in bit n, and in bit n + 1 + k the
-    history of original row k having been combined into it. A row that
-    reduces to its rhs bit and history, 0 = 1, hands its history back as the
-    inconsistency witness.
-    """
-    n = system.num_unknowns
-    rows = [c | b << n | 1 << (n + 1 + k) for k, (c, b) in enumerate(zip(system.rows, system.rhs))]
-    n_rows = len(rows)
-    pivots = []  # pivots[r]: the column of row r's pivot
-    for col in range(n):
-        bit = 1 << col  # tested with &, as a shift would copy the history bits
-        r = len(pivots)
-        piv = next((i for i in range(r, n_rows) if rows[i] & bit), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(n_rows):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-        pivots.append(col)
-        if r + 1 == n_rows:
+def odd_cycle_by_labels(pair):
+    """(k, witness) for an UNSAT pair by the witness rule, the textbook way,
+    None for a SAT one: every facet carries a (component, parity) label,
+    all relabelled on a merge, and tree edge k, the first in list order whose
+    exchange a <-> b meets one component against its parities, closes the
+    odd cycle. A deque BFS from a over the exchanges of the edges before k,
+    each facet's in list order, reaches b, and the witness is the symmetric
+    difference of the endpoint pairs of edge k and of the path's edges. The
+    reference for where ``positivity._decide_by_tree`` stops and for
+    ``positivity._odd_cycle_witness``, which keep classes as shared lists."""
+    poly, signs = pair.polytope, pair.base_signs
+    label = [(j, 1) for j in range(poly.num_facets)]
+    exchanges: dict[int, list] = {}
+    for k, (w, v, pos, wpos) in enumerate(poly.bfs_tree):
+        a, b = poly.vertices[v][pos], poly.vertices[w][wpos]
+        (ca, pa), (cb, pb) = label[a], label[b]
+        parity = pa * pb * signs[v] * signs[w]  # -1 where the exchange breaks the labels
+        if ca == cb and parity == -1:
             break
-
-    equation = (2 << n) - 1  # the coefficient and rhs bits
-    for row in rows:
-        if row & equation == 1 << n:
-            hist = row >> (n + 1)
-            witness = tuple(v for v in range(n_rows) if (hist >> v) & 1)
-            return PositivityResult(satisfiable=False, witness=witness)
-
-    mask = 0
-    for row, col in zip(rows, pivots):
-        if row & 1 << n:
-            mask |= 1 << col
-    return PositivityResult(
-        satisfiable=True,
-        certificate=_omni_from_mask(mask, n - 1),
-        kernel_dim=n - len(pivots),
-    )
+        label = [(ca, p * parity) if c == cb else (c, p) for c, p in label]
+        exchanges.setdefault(a, []).append((b, (v, w)))
+        exchanges.setdefault(b, []).append((a, (v, w)))
+    else:
+        return None
+    came = {a: None}
+    queue = deque([a])
+    while b not in came:
+        f = queue.popleft()
+        for g, ends in exchanges.get(f, []):
+            if g not in came:
+                came[g] = (f, ends)
+                queue.append(g)
+    witness = {v, w}
+    f = b
+    while f != a:
+        f, ends = came[f]
+        witness ^= set(ends)
+    return k, tuple(sorted(witness))
 
 
 def assert_closed_stdio_fails_cleanly(qtm, tmp, env=None, fds=(0, 1, 2)):

@@ -28,12 +28,12 @@ from quasitoric import (
 from quasitoric.charpair import CharacteristicPair
 from quasitoric import positivity
 from quasitoric.errors import InternalInconsistencyError, TooLargeError
-from quasitoric.positivity import PositivityResult, _omni_from_mask, _verify
+from quasitoric.positivity import PositivityResult, _odd_cycle_witness, _omni_from_mask, _verify
 from support import (
     bareiss_dets,
     cycle_by_successors,
     depth_first,
-    gauss_jordan_solve,
+    odd_cycle_by_labels,
     random_3d_pair,
     random_polygon_pair,
     random_product_factor,
@@ -292,9 +292,11 @@ def test_decide_positive_pinned():
     """Decision, certificate signs, kernel dimension and witness of 300 seeded
     random pairs, cp2_sum(1..40) (the even k give UNSAT witnesses of k + 2
     vertices), (CP1)^1..8, (CP2)^1..4 and cp2_sum(1..6) x CP1, CP2, each also
-    relabelled and basis-changed, in one digest. The UNSAT products have many
-    witnesses, so the digest also pins the order in which solve scans rows
-    and picks pivots."""
+    relabelled and basis-changed, in two digests. Digest A holds the SAT
+    results and the polygons' results, those Gauss-Jordan elimination to RREF
+    gives. Digest B holds the UNSAT results of dim 3 or more, whose products
+    have many witnesses, so it pins the witness rule: the first breaking tree
+    edge and the breadth-first path of exchanges before it."""
     rng = random.Random(37)
     pairs = [random_valid_pair(rng) for _ in range(300)]
     pairs += [cp2_sum(k) for k in range(1, 41)]
@@ -305,7 +307,7 @@ def test_decide_positive_pinned():
             pair = product(pair, factor)
             pairs.append(pair)
     pairs += [product(cp2_sum(k), factor) for k in range(1, 7) for factor in (cpn(1), cpn(2))]
-    digest = hashlib.sha256()
+    digest_a, digest_b = hashlib.sha256(), hashlib.sha256()
     unsat = 0
     for pair in pairs:
         perm = list(range(pair.polytope.num_facets))
@@ -315,10 +317,14 @@ def test_decide_positive_pinned():
         for other in (pair, relabelled, changed):
             key = _decision(decide_positive(other))
             unsat += not key[0]
+            digest = digest_a if key[0] or other.polytope.dim == 2 else digest_b
             digest.update(repr(key).encode())
     assert unsat == 225
-    assert digest.hexdigest() == (
-        "55ca2279d8d062c942942af12ee3b462ada2210be1f5f0c81b392b96b8373a50"
+    assert digest_a.hexdigest() == (
+        "d518c5108bfad249a5fe48b62e1118086745eb17299640bb6d28b9d5f5dae5ba"
+    )
+    assert digest_b.hexdigest() == (
+        "0d3ef1a96c9f604591f907914e7bee681ab46ad39b9987de887da430a28dcdca"
     )
 
 
@@ -339,10 +345,43 @@ def test_verify_rejects_each_bad_result():
     _verify(unsat, decide_positive(unsat))
 
 
+def _assert_rref_result(system, result):
+    """result is the one elimination to RREF gives under the lowest-unknown
+    pivot rule, checked against an echelon basis keyed by each vector's
+    lowest bit, whose keys are the RREF's pivot columns: a certificate
+    solves every row, is 0 on every free unknown, which makes it unique, and
+    leaves n - rank of them; a witness is a sorted set of rows that sum to
+    0 = 1."""
+    basis = {}
+    for row in system.rows:
+        while row:
+            low = row & -row
+            if low not in basis:
+                basis[low] = row
+                break
+            row ^= basis[low]
+    if result.satisfiable:
+        cert = result.certificate
+        mask = (cert.global_sign == -1) | sum(
+            2 << j for j, e in enumerate(cert.facet_signs) if e == -1
+        )
+        assert all((mask & row).bit_count() % 2 == b for row, b in zip(system.rows, system.rhs))
+        assert mask & ~sum(basis) == 0
+        assert result.kernel_dim == system.num_unknowns - len(basis)
+        return
+    witness = result.witness
+    assert witness and list(witness) == sorted(set(witness))
+    total = rhs = 0
+    for k in witness:
+        total ^= system.rows[k]
+        rhs ^= system.rhs[k]
+    assert (total, rhs) == (0, 1)
+
+
 def test_solve_matches_gauss_jordan_on_pairs():
-    """The whole result, certificate and witness included, against the
-    Gauss-Jordan oracle: seeded random pairs, each also relabelled and
-    basis-changed, and UNSAT products, which have many witnesses."""
+    """The whole result, certificate and witness included, is the RREF one:
+    seeded random pairs, each also relabelled and basis-changed, and UNSAT
+    products, which have many witnesses."""
     rng = random.Random(38)
     pairs = [random_valid_pair(rng) for _ in range(120)]
     pairs += [product(cp2_sum(2 * a), cp2_sum(b)) for a in range(1, 4) for b in range(1, 5)]
@@ -356,7 +395,7 @@ def test_solve_matches_gauss_jordan_on_pairs():
         for other in (pair, relabelled, changed):
             system = build_system(other)
             result = solve(system)
-            assert result == gauss_jordan_solve(system)
+            _assert_rref_result(system, result)
             unsat += not result.satisfiable
     assert unsat >= 3 * (12 + 14)
 
@@ -390,24 +429,7 @@ def gf2_systems(draw):
 @example(system=Gf2System(2, (1, 2, 3, 3, 1), (1, 0, 1, 1, 1)))  # more rows than unknowns
 @example(system=Gf2System(6, (6, 12), (1, 0)))  # fewer rows than unknowns
 def test_solve_matches_gauss_jordan_on_raw_systems(system):
-    assert solve(system) == gauss_jordan_solve(system)
-
-
-def test_solve_memory_stays_linear_in_the_vertices():
-    """(CP1)^14 has 16384 vertices over 29 unknowns. Slot histories keep
-    each work row near 2m bits; a history bit per vertex would make the
-    rows V^2 bits together, about 18 MiB of peak here."""
-    pair = cpn(1)
-    for _ in range(13):
-        pair = product(pair, cpn(1))
-    tracemalloc.start()
-    try:
-        result = solve(build_system(pair))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.kernel_dim == 14
-    assert peak < 6 * 2**20
+    _assert_rref_result(system, solve(system))
 
 
 def _polygon_relabellings(rng, pair):
@@ -436,7 +458,7 @@ def test_polygon_walk_matches_solve_and_gauss_jordan():
     """On a polygon decide_positive decides from the facet exchanges of the
     spanning tree, like every pair, and takes every vertex as an UNSAT
     polygon's witness, with no system. Its whole result, certificate and
-    witness included, must be solve's and the Gauss-Jordan oracle's. The
+    witness included, must be solve's, Gauss-Jordan elimination to RREF. The
     draws: cp2_sum(1..40) and two long sums, and random polygon pairs
     (sums, cuts, Hirzebruch surfaces, basis changes), each relabelled so
     that facet m - 1 sits anywhere on the cycle, and each with its own base
@@ -457,39 +479,81 @@ def test_polygon_walk_matches_solve_and_gauss_jordan():
                 drawn = CharacteristicPair(other.polytope, other.matrix, base_signs)
                 system = build_system(drawn)
                 result = decide_positive(drawn)
-                assert result == solve(system) == gauss_jordan_solve(system)
+                assert result == solve(system)
                 seen.add((m % 2, result.satisfiable))
     assert seen == {(0, False), (0, True), (1, True)}  # an odd polygon is always SAT
     assert all(spots[m] == set(range(1, m // 2 + 1)) for m in range(3, 9))
 
 
-def test_decide_positive_builds_no_system_on_a_polygon(monkeypatch):
+def test_odd_cycle_walk_gives_every_vertex_on_a_polygon():
+    """An UNSAT polygon's rows have one dependency, their sum, so the
+    odd-cycle walk, called past decide_positive's closed form, takes every
+    vertex: the closed form is a shortcut only. The draws: the even
+    cp2_sum(2..40) and cp2_sum(254), and random polygon pairs with random
+    base signs, each also relabelled."""
+    rng = random.Random(43)
+    pairs = [cp2_sum(k) for k in range(2, 41, 2)] + [cp2_sum(254)]
+    for _ in range(200):
+        pair = random_polygon_pair(rng, max_m=16)
+        signs = tuple(rng.choice((1, -1)) for _ in pair.base_signs)
+        pairs.append(CharacteristicPair(pair.polytope, pair.matrix, signs))
+    walked = 0
+    for pair in pairs:
+        for other in (pair, random_relabelling(rng, pair)):
+            found = odd_cycle_by_labels(other)
+            if found is None:
+                continue
+            every_vertex = tuple(range(other.polytope.num_vertices))
+            assert _odd_cycle_witness(other, found[0]) == found[1] == every_vertex
+            assert decide_positive(other).witness == every_vertex
+            walked += 1
+    assert walked >= 100, walked
+
+
+def test_witness_of_the_smallest_unsat_product():
+    """cp2_sum(2) x CP^1, worked by hand. Its vertices are (0, 2, 4),
+    (0, 2, 5), (0, 3, 4), (0, 3, 5), (1, 2, 4), ..., (1, 3, 5), with base
+    signs 1, 1, -1, -1, 1, 1, 1, 1, and its tree starts 4 <- 0 (exchange
+    0 <-> 1), 2 <- 0 (2 <-> 3, signs 1 * -1) and 6 <- 4 (2 <-> 3 again,
+    signs 1 * 1). The third edge is the first to break its class's parity.
+    The search from facet 2 over the first two reaches facet 3 across the
+    second, so the witness is {4, 6} xor {0, 2}."""
+    pair = product(cp2_sum(2), cpn(1))
+    assert pair.base_signs == (1, 1, -1, -1, 1, 1, 1, 1)
+    assert pair.polytope.bfs_tree[:3] == ((4, 0, 0, 0), (2, 0, 1, 1), (6, 4, 1, 1))
+    assert _odd_cycle_witness(pair, 2) == (0, 2, 4, 6)
+    assert decide_positive(pair) == PositivityResult(False, witness=(0, 2, 4, 6))
+
+
+def _refuse(*args):
+    raise AssertionError("a GF(2) system was built or solved")
+
+
+def test_decide_positive_builds_no_system(monkeypatch):
     """decide_positive and admits_invariant_acs decide every pair from the
-    tree's facet exchanges. An UNSAT polygon's witness is every vertex, so
-    no polygon, SAT or UNSAT, builds a system: only an UNSAT pair of dim 3
-    or more builds and solves one, for its witness."""
-    pairs = [cpn(2), hirzebruch(1), hirzebruch(-2), cp2_sum(2), cp2_sum(3), cp2_sum(1000)]
+    tree's facet exchanges, so no pair builds or solves a GF(2) system:
+    polygons, products and cuts, SAT and UNSAT. A SAT result and an UNSAT
+    polygon's are solve's; an UNSAT witness of dim 3 or more comes from the
+    tree's odd cycle."""
     cube = product(product(cpn(1), cpn(1)), cpn(1))
-    trees = [cpn(1), cpn(3), cube, vertex_cut(cube, cube.polytope.vertices[0])]
-    assert all(solve(build_system(pair)).satisfiable for pair in trees)
-    pairs += trees
+    square_line = product(cp2_sum(2), cpn(1))
+    pairs = [cpn(2), hirzebruch(1), hirzebruch(-2), cp2_sum(2), cp2_sum(3), cp2_sum(1000)]
+    pairs += [cpn(1), cpn(3), cube, vertex_cut(cube, cube.polytope.vertices[0])]
+    pairs += [square_line, product(cp2_sum(4), cpn(2)), product(cp2_sum(2), cp2_sum(3))]
+    pairs += [vertex_cut(square_line, v) for v in square_line.polytope.vertices[:2]]
     expected = [solve(build_system(pair)) for pair in pairs]
-    unsat = product(cp2_sum(2), cpn(1))
-    unsat_expected = solve(build_system(unsat))
-    assert not unsat_expected.satisfiable
+    seen = {(pair.polytope.dim == 2, r.satisfiable) for pair, r in zip(pairs, expected)}
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
-    def refuse(*args):
-        raise AssertionError("a GF(2) system was built or solved")
-
-    monkeypatch.setattr(positivity, "build_system", refuse)
-    monkeypatch.setattr(positivity, "solve", refuse)
-    for pair, result in zip(pairs, expected):
-        assert decide_positive(pair) == result
-        assert admits_invariant_acs(pair) == result.satisfiable
-    with pytest.raises(AssertionError, match="GF.2. system"):
-        decide_positive(unsat)
-    monkeypatch.undo()
-    assert decide_positive(unsat) == unsat_expected
+    monkeypatch.setattr(positivity, "build_system", _refuse)
+    monkeypatch.setattr(positivity, "solve", _refuse)
+    for pair, want in zip(pairs, expected):
+        result = decide_positive(pair)
+        if want.satisfiable or pair.polytope.dim == 2:
+            assert result == want
+        else:
+            assert not result.satisfiable and result.witness == odd_cycle_by_labels(pair)[1]
+        assert admits_invariant_acs(pair) == want.satisfiable
 
 
 def _exchange_components(poly):
@@ -525,18 +589,15 @@ def _tree_pairs(rng):
 
 def test_tree_decision_matches_solve_and_gauss_jordan(monkeypatch):
     """On a pair of dim 3 or more decide_positive takes one pass over the
-    facet exchanges of the spanning tree. Its whole result must be solve's
-    and the Gauss-Jordan oracle's, each pair also with its first base sign
-    negated, which makes many UNSAT. decide_positive runs solve exactly for
-    the UNSAT pairs, for their witness. A SAT kernel dimension is the number
-    of facet-exchange components, which _verify does not check."""
-    solved = []
-
-    def counted(system):
-        solved.append(system)
-        return solve(system)
-
-    monkeypatch.setattr(positivity, "solve", counted)
+    facet exchanges of the spanning tree, each pair also with its first base
+    sign negated, which makes many UNSAT. A SAT result must be solve's,
+    Gauss-Jordan elimination to RREF. An UNSAT one must be UNSAT for solve
+    too, pass _verify, and hold the witness of the rule, redone by
+    relabelling. decide_positive never builds a system or runs solve. A SAT
+    kernel dimension is the number of facet-exchange components, which
+    _verify does not check."""
+    monkeypatch.setattr(positivity, "build_system", _refuse)
+    monkeypatch.setattr(positivity, "solve", _refuse)
     rng = random.Random(42)
     seen = {True: 0, False: 0}
     for pair in _tree_pairs(rng):
@@ -544,27 +605,27 @@ def test_tree_decision_matches_solve_and_gauss_jordan(monkeypatch):
         negated = (-pair.base_signs[0],) + pair.base_signs[1:]
         for base_signs in (pair.base_signs, negated):
             drawn = CharacteristicPair(pair.polytope, pair.matrix, base_signs)
-            system = build_system(drawn)
+            expected = solve(build_system(drawn))
             result = decide_positive(drawn)
-            assert result == solve(system) == gauss_jordan_solve(system)
             if result.satisfiable:
+                assert result == expected
                 assert result.kernel_dim == _exchange_components(drawn.polytope)
+            else:
+                assert not expected.satisfiable
+                _verify(drawn, result)
+                assert result.witness == odd_cycle_by_labels(drawn)[1]
             seen[result.satisfiable] += 1
-            assert len(solved) == seen[False]
     assert seen[True] >= 300 and seen[False] >= 300, seen
 
 
 def test_decide_positive_memory_on_a_tree(monkeypatch):
     """(CP1)^14, 16384 vertices, is decided from its tree's 14 distinct
-    facet exchanges, with no system, where solve peaks at about 1.25 MiB."""
+    facet exchanges, with no system, where solve, with one history bit per
+    vertex, peaks at about 18 MiB."""
     pair = cpn(1)
     for _ in range(13):
         pair = product(pair, cpn(1))
-
-    def refuse(*args):
-        raise AssertionError("a GF(2) system was built or solved")
-
-    monkeypatch.setattr(positivity, "solve", refuse)
+    monkeypatch.setattr(positivity, "solve", _refuse)
     tracemalloc.start()
     try:
         result = decide_positive(pair)
