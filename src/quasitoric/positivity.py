@@ -170,15 +170,14 @@ def _decide_by_tree(pair: CharacteristicPair) -> PositivityResult:
     facet's class, and one between two classes moves the smaller into the
     larger, its relative signs negated if the exchange asks for it, so a
     facet moves at most log2 m times. An exchange inside one class that its
-    relative signs break closes a cycle of odd parity: UNSAT, with every
-    vertex as a polygon's witness and ``_odd_cycle_witness`` in any other
-    dimension. Otherwise the kernel of the system is one free bit per class,
-    the same on all of its facets, with x0 fixed by the root row. A kernel
-    vector's highest unknown is thus a class's largest facet, so those are
-    the unknowns that are no pivot of ``solve``, which pivots on the lowest
-    unknown first: the kernel dimension is the number of classes, and
-    ``solve`` gives each largest facet the sign +1. The global sign then
-    makes vertex 0's sign +1.
+    relative signs break closes a cycle of odd parity: UNSAT, with the
+    witness of ``_odd_cycle_witness``. Otherwise the kernel of the system is
+    one free bit per class, the same on all of its facets, with x0 fixed by
+    the root row. A kernel vector's highest unknown is thus a class's
+    largest facet, so those are the unknowns that are no pivot of ``solve``,
+    which pivots on the lowest unknown first: the kernel dimension is the
+    number of classes, and ``solve`` gives each largest facet the sign +1.
+    The global sign then makes vertex 0's sign +1.
     """
     poly = pair.polytope
     verts, signs = poly.vertices, pair.base_signs
@@ -201,10 +200,7 @@ def _decide_by_tree(pair: CharacteristicPair) -> PositivityResult:
             rel[a] = r
         elif ca is cb:
             if r < 0:
-                if poly.dim == 2:
-                    witness = tuple(range(poly.num_vertices))
-                else:
-                    witness = _odd_cycle_witness(pair, poly.bfs_tree.index((w, v, pos, wpos)))
+                witness = _odd_cycle_witness(pair, poly.bfs_tree.index((w, v, pos, wpos)))
                 return PositivityResult(satisfiable=False, witness=witness)
         else:  # the smaller class moves into the larger
             if len(ca) < len(cb):
@@ -288,15 +284,15 @@ def decide_positive(pair: CharacteristicPair) -> PositivityResult:
     ``_decide_by_tree``'s one pass over the facet exchanges of the spanning
     tree decides every pair, O(V + m log m) with no system. A SAT pair's
     certificate and kernel dimension are those Gauss-Jordan elimination to
-    RREF gives. An UNSAT polygon's witness is every vertex, since its rows'
-    one dependency is their sum. Any other UNSAT pair's witness comes from
-    the first tree edge, in list order, whose exchange a <-> b breaks the
-    parities of its class: a breadth-first search from a over the exchanges
-    of the edges before it, each facet's in list order, reaches b, and the
-    witness is the symmetric difference of the endpoint pairs of that edge
-    and of the edges on the path, in ascending order. The returned
-    certificate or witness is verified against the pair before being
-    handed out; a verification failure is a defect, not an input error.
+    RREF gives. An UNSAT pair's witness comes from the first tree edge, in
+    list order, whose exchange a <-> b breaks the parities of its class: a
+    breadth-first search from a over the exchanges of the edges before it,
+    each facet's in list order, reaches b, and the witness is the symmetric
+    difference of the endpoint pairs of that edge and of the edges on the
+    path, in ascending order. On a polygon, whose rows' one dependency is
+    their sum, that is every vertex. The returned certificate or witness is
+    verified against the pair before being handed out; a verification
+    failure is a defect, not an input error.
     """
     result = _decide_by_tree(pair)
     _verify(pair, result)

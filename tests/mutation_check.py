@@ -115,10 +115,6 @@ EQUIVALENT = {
     ),
     ("positivity:_decide_by_tree", "r <= 0"): "r is a product of signs, +1 or -1",
     ("positivity:_decide_by_tree", "r < 1"): "r is a product of signs, +1 or -1",
-    ("positivity:_decide_by_tree", "poly.dim == 1"): (
-        "the odd-cycle walk gives an UNSAT polygon every vertex too, the "
-        "closed form's witness, and no interval is UNSAT"
-    ),
     ("positivity:_decide_by_tree", "len(ca) <= len(cb)"): (
         "on a tie either class may move: the signs are relative and only "
         "products of two in one class are read"

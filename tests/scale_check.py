@@ -229,11 +229,16 @@ def raised(build):
     raise AssertionError("an invalid input passed")
 
 
-# the tree decision's result is solve's on cp2_sum(199)^2 (SAT); on
+# the tree decision's result is solve's on cp2_sum(99)^2 (SAT), and on
+# cp2_sum(199)^2 it is SAT and passes _verify, with no elimination there; on
 # cp2_sum(98)^2 (UNSAT) its decision is solve's and its witness, from the
 # tree's odd cycle, passes _verify
 def squared_sums_decide_as_solve():
-    assert_decided_as_solve(product(cp2_sum(199), cp2_sum(199)), 199)
+    assert_decided_as_solve(product(cp2_sum(99), cp2_sum(99)), 99)
+    pair = product(cp2_sum(199), cp2_sum(199))
+    result = decide_positive(pair)
+    assert result.satisfiable
+    _verify(pair, result)
     pair = product(cp2_sum(98), cp2_sum(98))
     result = decide_positive(pair)
     assert not result.satisfiable and not solve(build_system(pair)).satisfiable

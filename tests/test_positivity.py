@@ -346,12 +346,14 @@ def test_verify_rejects_each_bad_result():
 
 
 def _assert_rref_result(system, result):
-    """result is the one elimination to RREF gives under the lowest-unknown
-    pivot rule, checked against an echelon basis keyed by each vector's
-    lowest bit, whose keys are the RREF's pivot columns: a certificate
-    solves every row, is 0 on every free unknown, which makes it unique, and
-    leaves n - rank of them; a witness is a sorted set of rows that sum to
-    0 = 1."""
+    """A SAT result's certificate and kernel dimension are the ones
+    elimination to RREF under the lowest-unknown pivot rule gives, checked
+    against an echelon basis keyed by each vector's lowest bit, whose keys
+    are the RREF's pivot columns: the certificate solves every row, is 0 on
+    every free unknown, which makes it unique, and leaves n - rank of them.
+    An UNSAT result's witness is a sorted set of rows that sum to 0 = 1;
+    which of the many such sets solve gives is pinned by digest in the
+    callers."""
     basis = {}
     for row in system.rows:
         while row:
@@ -379,13 +381,16 @@ def _assert_rref_result(system, result):
 
 
 def test_solve_matches_gauss_jordan_on_pairs():
-    """The whole result, certificate and witness included, is the RREF one:
-    seeded random pairs, each also relabelled and basis-changed, and UNSAT
-    products, which have many witnesses."""
+    """Seeded random pairs, each also relabelled and basis-changed, and UNSAT
+    products, which have many witnesses. Each result is an RREF one, and the
+    digest of the whole results, witnesses included, is the value that the
+    slot-history elimination and Gauss-Jordan elimination to RREF, its
+    reference, both gave before solve became the latter."""
     rng = random.Random(38)
     pairs = [random_valid_pair(rng) for _ in range(120)]
     pairs += [product(cp2_sum(2 * a), cp2_sum(b)) for a in range(1, 4) for b in range(1, 5)]
     pairs += [product(cp2_sum(2 * a), cpn(d)) for a in range(1, 8) for d in (1, 2)]
+    digest = hashlib.sha256()
     unsat = 0
     for pair in pairs:
         perm = list(range(pair.polytope.num_facets))
@@ -396,31 +401,33 @@ def test_solve_matches_gauss_jordan_on_pairs():
             system = build_system(other)
             result = solve(system)
             _assert_rref_result(system, result)
+            digest.update(repr(_decision(result)).encode())
             unsat += not result.satisfiable
-    assert unsat >= 3 * (12 + 14)
+    assert unsat == 126
+    assert digest.hexdigest() == (
+        "88307d07b8c5958187b9d664f2c190f689ca08f7330bff906367daf8e8fe58e6"
+    )
 
 
-@st.composite
-def gf2_systems(draw):
-    """Raw systems over up to 70 unknowns, with any number of rows. Each row
-    is the XOR of a drawn subset of a drawn basis, so the rank is at most
-    the basis size; a small basis gives zero and duplicate rows."""
-    n = draw(st.integers(0, 70))
-    basis = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
-    picks = draw(st.lists(st.integers(0, (1 << len(basis)) - 1), max_size=2 * n + 4))
+def _raw_system(rng):
+    """A raw system over up to 70 unknowns, with any number of rows. Each
+    row is the XOR of a drawn subset of a drawn basis, so the rank is at
+    most the basis size; a small basis gives zero and duplicate rows."""
+    n = rng.randrange(71)
+    basis = [rng.getrandbits(n) for _ in range(rng.randrange(n + 3))]
     rows = []
-    for pick in picks:
+    for _ in range(rng.randrange(2 * n + 5)):
+        pick = rng.getrandbits(len(basis))
         row = 0
         for k, vec in enumerate(basis):
             if pick >> k & 1:
                 row ^= vec
         rows.append(row)
-    rhs = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
-    return Gf2System(n, tuple(rows), tuple(rhs))
+    return Gf2System(n, tuple(rows), tuple(rng.randrange(2) for _ in rows))
 
 
 @settings(deadline=None, max_examples=300)
-@given(system=gf2_systems())
+@given(system=st.randoms(use_true_random=False).map(_raw_system))
 @example(system=Gf2System(0, (), ()))
 @example(system=Gf2System(3, (), ()))
 @example(system=Gf2System(0, (0, 0), (0, 1)))  # no unknowns: row 1 reads 0 = 1
@@ -429,7 +436,27 @@ def gf2_systems(draw):
 @example(system=Gf2System(2, (1, 2, 3, 3, 1), (1, 0, 1, 1, 1)))  # more rows than unknowns
 @example(system=Gf2System(6, (6, 12), (1, 0)))  # fewer rows than unknowns
 def test_solve_matches_gauss_jordan_on_raw_systems(system):
+    """Each result is an RREF one; test_solve_pinned_on_raw_systems pins the
+    witnesses."""
     _assert_rref_result(system, solve(system))
+
+
+def test_solve_pinned_on_raw_systems():
+    """The digest of 400 seeded raw systems' whole results, witnesses
+    included, is the value that the slot-history elimination and Gauss-Jordan
+    elimination to RREF, its reference, both gave before solve became the
+    latter."""
+    digest = hashlib.sha256()
+    unsat = 0
+    rng = random.Random(44)
+    for _ in range(400):
+        result = solve(_raw_system(rng))
+        digest.update(repr(_decision(result)).encode())
+        unsat += not result.satisfiable
+    assert unsat == 289
+    assert digest.hexdigest() == (
+        "945b974cfe95b2a97cd3764df960c67c1cfddee495f1546792e1a01b98a2b59e"
+    )
 
 
 def _polygon_relabellings(rng, pair):
@@ -456,9 +483,10 @@ def _polygon_relabellings(rng, pair):
 
 def test_polygon_walk_matches_solve_and_gauss_jordan():
     """On a polygon decide_positive decides from the facet exchanges of the
-    spanning tree, like every pair, and takes every vertex as an UNSAT
-    polygon's witness, with no system. Its whole result, certificate and
-    witness included, must be solve's, Gauss-Jordan elimination to RREF. The
+    spanning tree, like every pair, with no system. Its whole result,
+    certificate and witness included, must be solve's, Gauss-Jordan
+    elimination to RREF. An UNSAT polygon's rows have one dependency, their
+    sum, so the odd-cycle walk's witness, the rule's, is every vertex. The
     draws: cp2_sum(1..40) and two long sums, and random polygon pairs
     (sums, cuts, Hirzebruch surfaces, basis changes), each relabelled so
     that facet m - 1 sits anywhere on the cycle, and each with its own base
@@ -467,6 +495,7 @@ def test_polygon_walk_matches_solve_and_gauss_jordan():
     pairs = [cp2_sum(k) for k in range(1, 41)] + [cp2_sum(254), cp2_sum(255)]
     pairs += [random_polygon_pair(rng, max_m=24) for _ in range(150)]
     seen = set()
+    unsat = 0
     spots = {}  # m -> the distances round the cycle from facet 0 to facet m - 1
     for pair in pairs:
         m = pair.polytope.num_facets
@@ -480,34 +509,14 @@ def test_polygon_walk_matches_solve_and_gauss_jordan():
                 system = build_system(drawn)
                 result = decide_positive(drawn)
                 assert result == solve(system)
+                if not result.satisfiable:
+                    every_vertex = tuple(range(m))
+                    assert result.witness == odd_cycle_by_labels(drawn)[1] == every_vertex
+                    unsat += 1
                 seen.add((m % 2, result.satisfiable))
     assert seen == {(0, False), (0, True), (1, True)}  # an odd polygon is always SAT
+    assert unsat >= 300, unsat
     assert all(spots[m] == set(range(1, m // 2 + 1)) for m in range(3, 9))
-
-
-def test_odd_cycle_walk_gives_every_vertex_on_a_polygon():
-    """An UNSAT polygon's rows have one dependency, their sum, so the
-    odd-cycle walk, called past decide_positive's closed form, takes every
-    vertex: the closed form is a shortcut only. The draws: the even
-    cp2_sum(2..40) and cp2_sum(254), and random polygon pairs with random
-    base signs, each also relabelled."""
-    rng = random.Random(43)
-    pairs = [cp2_sum(k) for k in range(2, 41, 2)] + [cp2_sum(254)]
-    for _ in range(200):
-        pair = random_polygon_pair(rng, max_m=16)
-        signs = tuple(rng.choice((1, -1)) for _ in pair.base_signs)
-        pairs.append(CharacteristicPair(pair.polytope, pair.matrix, signs))
-    walked = 0
-    for pair in pairs:
-        for other in (pair, random_relabelling(rng, pair)):
-            found = odd_cycle_by_labels(other)
-            if found is None:
-                continue
-            every_vertex = tuple(range(other.polytope.num_vertices))
-            assert _odd_cycle_witness(other, found[0]) == found[1] == every_vertex
-            assert decide_positive(other).witness == every_vertex
-            walked += 1
-    assert walked >= 100, walked
 
 
 def test_witness_of_the_smallest_unsat_product():
