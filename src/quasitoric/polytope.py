@@ -62,7 +62,8 @@ class SimplePolytope(Record, compare=("dim", "num_facets", "vertices")):
     and the join split and ``positivity.decide_positive`` read only the
     facet exchanges of its edges.
     ``validate_polytope`` gives the tree of its breadth-first search from
-    vertex 0 (a simplex the same tree in closed form),
+    vertex 0 (a simplex the same tree in closed form, a polygon the same
+    tree from a walk round its cycle),
     ``constructions.product`` the product of its factors' trees, and
     ``charpair.relabel_facets`` its input's tree renamed, neither with a
     ridge map. ``masks[i]`` is the facet bitmask of ``vertices[i]``, bit j
@@ -332,8 +333,9 @@ def _ridge_partners(n: int, m: int, verts) -> tuple[list[int], list[int]]:
 
     Facet j's code is the bit 1 << j, so a key is a plain bitmask, up to
     m = 61. CPython hashes an int as its value mod 2**61 - 1, so past that
-    bitmasks share hashes in bulk (every single-facet ridge key of an m-gon
-    lands on one of 61 values), and the codes are _FacetCodes instead.
+    bitmasks share hashes in bulk, and the codes are _FacetCodes instead.
+    A valid polygon never comes here (see ``_polygon_by_cycle``), so they
+    serve m > 61 in dim >= 3, and an invalid polygon on its way to its error.
     """
     code = [1 << j for j in range(m)] if m <= 61 else _FacetCodes()
     masks = []
@@ -391,7 +393,11 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
     The simplex (m = n + 1 facets and as many distinct vertices after the
     duplicate check, so every n-subset of the facets) always validates: it
     skips the ridge check and the BFS, and its orientation, tree and masks
-    are written down in closed form, equal to what the BFS would find.
+    are written down in closed form, equal to what the BFS would find. A
+    polygon (n = 2, m vertices on m facets) skips them too when it is
+    valid: each facet on two vertices and one walk round the cycle give
+    the same orientation, tree and masks. An invalid one goes on to the
+    ridge check and raises there.
     """
     n = index(dim)
     m = index(num_facets)
@@ -419,7 +425,8 @@ def validate_polytope(dim, num_facets, vertices) -> SimplePolytope:
 
 
 def _validate_canonical(n: int, m: int, canon) -> SimplePolytope:
-    """The rest of ``validate_polytope``, from the simplex closed form on:
+    """The rest of ``validate_polytope``, from the simplex and polygon
+    shortcuts on:
     UnusedFacetError, RidgeViolationError, DisconnectedError and
     NonOrientableError, in that order. ``canon`` must pass every check
     before it: m > n >= 1, at least one vertex, each an ascending tuple of
@@ -441,6 +448,10 @@ def _validate_canonical(n: int, m: int, canon) -> SimplePolytope:
             tuple((n - p, 0, p, n - 1) for p in range(n)),
             tuple(full ^ (1 << n - i) for i in range(m)),
         )
+    if n == 2 and len(canon) == m:
+        poly = _polygon_by_cycle(m, canon)
+        if poly is not None:
+            return poly
 
     masks, partner = _ridge_partners(n, m, canon)
 
@@ -475,6 +486,57 @@ def _validate_canonical(n: int, m: int, canon) -> SimplePolytope:
         raise NonOrientableError(clash)
 
     return SimplePolytope(n, m, tuple(canon), tuple(signs), tuple(tree), tuple(masks))
+
+
+def _polygon_by_cycle(m: int, canon) -> SimplePolytope | None:
+    """The polygon on ``canon``, m vertices of dim 2 on m facets, as the
+    ridge map and the BFS of ``_validate_canonical`` find it, with neither;
+    None when it is no polygon, and the general path then raises.
+
+    In dim 2 a ridge is one facet. Two flat lists count the vertices on
+    each facet and sum their indices: 2m facet entries, none on a third
+    vertex, put every facet on exactly two, so the vertex graph is a union
+    of cycles, the sum less one vertex on a facet is the other, and the
+    walk from vertex 0, leaving it across its ridge at position 0, must go
+    round all m vertices. A circle is always orientable, so the walk's
+    signs need no clash check. The BFS from vertex 0 alternates between the
+    two arms of the cycle, the walk's first, so its tree takes the walk's
+    edges from the front and, turned round, from the back, in turn.
+    """
+    count = [0] * m
+    ends = [0] * m  # ends[j]: the sum of the indices of the vertices on facet j
+    for vi, (a, b) in enumerate(canon):
+        count[a] += 1
+        count[b] += 1
+        ends[a] += vi
+        ends[b] += vi
+    if max(count) > 2:
+        return None
+    signs = [1] * m
+    sign = 1
+    walk = []  # (vertex, parent, pos, wpos) round the cycle, back to vertex 0
+    vi = pos = 0
+    while True:
+        j = canon[vi][1 - pos]  # the ridge kept, shared with the next vertex
+        wi = ends[j] - vi
+        wpos = 1 if canon[wi][0] == j else 0
+        walk.append((wi, vi, pos, wpos))
+        if not wi:
+            break
+        if pos == wpos:
+            sign = -sign
+        signs[wi] = sign
+        vi, pos = wi, 1 - wpos
+    if len(walk) != m:
+        return None
+    tree = []
+    for k in range(m // 2):
+        tree.append(walk[k])
+        if k < (m - 1) // 2:
+            wi, vi, pos, wpos = walk[m - 1 - k]
+            tree.append((vi, wi, wpos, pos))
+    masks = tuple((1 << a) + (1 << b) for a, b in canon)
+    return SimplePolytope(2, m, tuple(canon), tuple(signs), tuple(tree), masks)
 
 
 def orient_dual_sphere(polytope: SimplePolytope) -> tuple[int, ...]:

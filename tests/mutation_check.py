@@ -49,11 +49,13 @@ PACKAGE = Path("src") / "quasitoric"
 EQUIVALENT = {
     ("polytope:_validate_canonical", "m == n - 1 and len(canon) == m"): (
         "the simplex shortcut never fires, as m >= n + 1 by then, and the "
-        "general path finds the closed form's polytope"
+        "general path, or for the triangle the polygon walk, finds the "
+        "closed form's polytope"
     ),
     ("polytope:_validate_canonical", "m == n + 0 and len(canon) == m"): (
         "the simplex shortcut never fires, as m >= n + 1 by then, and the "
-        "general path finds the closed form's polytope"
+        "general path, or for the triangle the polygon walk, finds the "
+        "closed form's polytope"
     ),
     ("polytope:_validate_canonical", "expected = sign if pos - wpos & 1 else -sign"): (
         "pos - wpos and pos + wpos have the same parity"
@@ -280,7 +282,10 @@ def mutants(module, qualname):
         text = ast.unparse(shown or mutated)
         new_source = _splice(source, func, ast.unparse(func))
         undo()
-        yield node.lineno, text, new_source
+        # a moved constant's parent may carry no line (a default value's
+        # ast.arguments), so the constant's own line is given
+        line = (replacement[0] if isinstance(replacement, tuple) else node).lineno
+        yield line, text, new_source
 
 
 def _run_tests(workdir, files, timeout):

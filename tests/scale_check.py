@@ -257,6 +257,20 @@ def unsat_square_decides_from_the_odd_cycle():
     _verify(pair, result)
 
 
+# a polygon is validated by one walk round its facet cycle, with no ridge
+# map: on the budget's longest sum, cp2_sum(11454) (m = 11456), the
+# tracemalloc peak is about 12 MiB, mostly the masks, which grow as k^2; the
+# ridge map's coded keys took it to 19.6 MiB
+def long_polygon_validates_without_a_ridge_map():
+    poly = cp2_sum(11454).polytope
+    tracemalloc.start()
+    validated = validate_polytope(2, poly.num_facets, poly.vertices)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert validated.bfs_tree == poly.bfs_tree and validated.masks == poly.masks
+    assert peak < 15 * 2**20, peak
+
+
 # the connected sum splices by renaming, with no walk round either polygon:
 # CP^2 summed into cp2_sum(5000) at vertex 0 of each is cp2_sum(5001), and
 # its signature is 5001
@@ -402,15 +416,16 @@ ROWS = [
         lines=["UNSAT", "euler = 11456", "signature = 11454"]),
     Row("qtm construct -o s11453.qtm cp2k 11453"),
     Row("timeout 20 qtm decide s11453.qtm", first="SAT"),
+    Row(long_polygon_validates_without_a_ridge_map, timeout=60),
     Row(connected_sum_splices_by_renaming, timeout=60),
     Row(relabelled_polygons_decide_as_solve, timeout=60),
     # cpn(1000) covers the closed form at scale: its polytope, like every
     # simplex, is validated with no ridge map and no BFS, so the pipe takes
     # about 1.5 s
     Row("timeout 20 qtm construct cpn 1000 | timeout 20 qtm decide -", first="SAT"),
-    # CP^60 x CP^1 (n = 61, m = 63, V = 122) is no simplex, so it still builds
-    # the coded ridge keys that take over past 61 facets, where int bitmasks
-    # stop hashing apart
+    # CP^60 x CP^1 (n = 61, m = 63, V = 122) is no simplex and no polygon, so
+    # it still builds the coded ridge keys that take over past 61 facets, where
+    # int bitmasks stop hashing apart
     Row("qtm construct -o cp60.qtm cpn 60"),
     Row("timeout 20 qtm construct product cp60.qtm cp1.qtm | timeout 20 qtm decide -", first="SAT"),
     # product writes the orientation class and base signs of a product in

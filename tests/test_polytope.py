@@ -40,6 +40,7 @@ from support import (
     cycle_by_successors,
     f_vector_by_subsets,
     random_polygon_pair,
+    random_relabelling,
     random_unimodular,
     random_valid_pair,
     random_vertex,
@@ -225,8 +226,10 @@ def test_masks_are_the_vertex_facet_bitmasks():
         assert len(poly.masks) == poly.num_vertices
         for i, v in enumerate(poly.vertices):
             assert poly.masks[i] == sum(1 << j for j in v)
-    # past m = 61 the ridge keys use other facet codes; the masks do not
-    for poly in (cp2_sum(70).polytope, product(cpn(3), cp2_sum(64)).polytope):
+    # past m = 61 the ridge map's keys use other facet codes and the polygon
+    # walk builds none; the masks are plain bitmasks either way
+    prod = product(cpn(2), cp2_sum(63)).polytope
+    for poly in (cp2_sum(70).polytope, validate_polytope(4, prod.num_facets, prod.vertices)):
         assert poly.masks == tuple(sum(1 << j for j in v) for v in poly.vertices)
 
 
@@ -271,15 +274,115 @@ def test_simplex_matches_the_ridge_map_oracle():
 
 def test_other_polytopes_match_the_ridge_map_oracle():
     """The oracle also agrees with the generic path, with bitmask ridge
-    keys and, on the two large pairs, the coded keys past m = 61. Each
-    vertex list goes through validation, as a product's own tree is not
-    validation's."""
+    keys and, on the product past m = 61, the coded keys, and with the
+    polygon walk, on cp2_sum(70) past m = 61 too. Each vertex list goes
+    through validation, as a product's own tree is not validation's."""
     rng = random.Random(29)
     polys = [random_valid_pair(rng).polytope for _ in range(30)]
     polys += [cp2_sum(70).polytope, product(cpn(60), cpn(1)).polytope]
     for poly in polys:
         poly = validate_polytope(poly.dim, poly.num_facets, poly.vertices)
         assert _result(poly) == validate_by_ridge_map(poly.vertices)
+
+
+def _validated(m, verts):
+    """Every field of validate_polytope's polygon, or its error's type and
+    message."""
+    try:
+        poly = validate_polytope(2, m, verts)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return (poly.dim, poly.num_facets) + _result(poly)
+
+
+def _by_general_path(monkeypatch, inputs):
+    """_validated on each (m, vertices), the polygon's cycle walk patched away."""
+    with monkeypatch.context() as patch:
+        patch.setattr(polytope, "_polygon_by_cycle", lambda m, canon: None)
+        return [_validated(m, verts) for m, verts in inputs]
+
+
+def _shuffled_polygon(rng, m):
+    """The m-gon's vertices, its facets renamed and listed at random."""
+    perm = rng.sample(range(m), m)
+    verts = [(perm[i - 1], perm[i]) for i in range(m)]
+    rng.shuffle(verts)
+    return verts
+
+
+def test_the_cycle_walk_matches_the_general_path(monkeypatch):
+    """On 1009 polygons, built by the constructors, relabelled, long sums
+    and m-gons with shuffled facets up to m = 400, the cycle walk gives
+    every field of the general path's polytope, bfs_tree included, with no
+    ridge map."""
+    rng = random.Random(46)
+    pairs = [random_polygon_pair(rng, max_m=rng.choice([6, 12, 20])) for _ in range(300)]
+    pairs += [random_relabelling(rng, pair) for pair in pairs]
+    pairs += [cp2_sum(k) for k in (1, 2, 3, 58, 59, 60, 61, 62, 63, 99, 100, 200)]
+    polys = [pair.polytope for pair in pairs]
+    inputs = [(p.num_facets, p.vertices) for p in polys]
+    inputs += [(m, _shuffled_polygon(rng, m)) for m in range(4, 401)]
+
+    def no_ridge_map(n, m, verts):
+        raise AssertionError("a valid polygon reached the ridge map")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polytope, "_ridge_partners", no_ridge_map)
+        walked = [_validated(m, verts) for m, verts in inputs]
+    assert len(inputs) == 1009
+    assert walked == _by_general_path(monkeypatch, inputs)
+    assert all(len(result) == 6 for result in walked)  # every one valid
+
+
+def _mutated_polygons(rng, m):
+    """A shuffled m-gon's vertex list with one fault each. All but a vertex
+    dropped or added keep m vertices, so they reach the cycle walk unless
+    an earlier check refuses them."""
+    verts = _shuffled_polygon(rng, m)
+    i = rng.randrange(m)
+    a, b = rng.sample(range(m), 2)
+    renamed = [tuple(b if j == a else j for j in v) for v in verts]  # facet a is b
+    entry = list(verts)
+    entry[i] = (verts[i][0], rng.choice([j for j in range(m) if j not in verts[i]]))
+    faults = [
+        verts[:i] + verts[i + 1 :],  # a vertex dropped
+        verts + [(a, b)],  # a vertex added
+        verts[:i] + [(a, b)] + verts[i + 1 :],  # a vertex replaced
+        renamed,
+        entry,  # one vertex's facet renamed
+    ]
+    if m >= 6:  # two disjoint cycles, of 3 facets or more each
+        perm = rng.sample(range(m), m)
+        cut = rng.randint(3, m - 3)
+        faults.append([(c[k - 1], c[k]) for c in (perm[:cut], perm[cut:]) for k in range(len(c))])
+    return faults
+
+
+def test_an_invalid_polygon_raises_as_the_general_path(monkeypatch):
+    """A fault the cycle walk finds sends the polygon on to the general
+    path, so the error type and message are its own: a vertex dropped,
+    added or replaced, a facet renamed on every vertex or on one, and two
+    disjoint cycles, on m-gons below and past m = 61. Of the inputs that
+    reach it, m distinct vertices on m facets, the walk refuses exactly the
+    invalid ones."""
+    rng = random.Random(47)
+    inputs = []
+    for m in list(range(4, 40)) * 4 + [61, 62, 63, 70, 100, 130]:
+        inputs += [(m, verts) for verts in _mutated_polygons(rng, m)]
+    walked = [_validated(m, verts) for m, verts in inputs]
+    general = _by_general_path(monkeypatch, inputs)
+    assert walked == general
+    errors = {result[0] for result in walked if len(result) == 2}
+    assert {DuplicateVertexError, WrongVertexSizeError, RidgeViolationError} <= errors
+    refused = set()
+    for (m, verts), result in zip(inputs, general):
+        canon = sorted(tuple(sorted(v)) for v in verts)
+        if len(set(canon)) == len(canon) == m and all(a != b for a, b in canon):
+            poly = polytope._polygon_by_cycle(m, canon)
+            assert (poly is None) == (len(result) == 2)
+            if poly is None:
+                refused.add(result[0])
+    assert refused == {UnusedFacetError, RidgeViolationError, DisconnectedError}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 60, 61, 70])
